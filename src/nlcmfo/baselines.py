@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import Objective, RunResult, evaluate_swarm
+from .engine import Objective, RunResult, evaluate_swarm, update_flames
 from .space import SearchSpace
 from .stochastic import make_rng
 
@@ -165,17 +165,9 @@ def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunR
         fit = evaluate_swarm(objective, pos)
         evaluations += n
 
-        # fold the new wolves into the alpha/beta/delta hierarchy
-        for i in range(n):
-            if fit[i] < leader_fit[0]:
-                leaders[2], leader_fit[2] = leaders[1], leader_fit[1]
-                leaders[1], leader_fit[1] = leaders[0], leader_fit[0]
-                leaders[0], leader_fit[0] = pos[i].copy(), fit[i]
-            elif fit[i] < leader_fit[1]:
-                leaders[2], leader_fit[2] = leaders[1], leader_fit[1]
-                leaders[1], leader_fit[1] = pos[i].copy(), fit[i]
-            elif fit[i] < leader_fit[2]:
-                leaders[2], leader_fit[2] = pos[i].copy(), fit[i]
+        # fold the new wolves into the alpha/beta/delta hierarchy: a stable
+        # top-3 with the leaders listed first, so a tie never unseats one
+        leaders, leader_fit = update_flames(leaders, leader_fit, pos, fit, 3)
 
         convergence[l - 1] = leader_fit[0]
         mean_fitness[l - 1] = fit.mean()

@@ -14,6 +14,7 @@ documented on that function).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,63 +41,76 @@ class CompositeCollisionError(ValueError):
 # ---------------------------------------------------------------------------
 # raw function bodies
 # ---------------------------------------------------------------------------
+#
+# Every body takes an (n, d) swarm and returns its n values, reducing along
+# axis 1; a single point is a one-row swarm.  Each row equals the value the
+# point would get on its own, bit for bit: row-wise sum/prod/cumsum/max over
+# a C-contiguous array reduce exactly like the 1-d call, and a term whose
+# vector form rounds differently from the scalar one (math.exp against the
+# SIMD np.exp, Python ``**`` against np.power) is computed per row in Python
+# over ``.tolist()``.
+
+def _rows(fn, column):
+    """fn applied to each value of a column, as an array."""
+    return np.array([fn(v) for v in column.tolist()])
+
 
 def _sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=1)
 
 
 def _abs_and_product(x):
     ax = np.abs(x)
-    return float(np.sum(ax) + np.prod(ax))
+    return np.sum(ax, axis=1) + np.prod(ax, axis=1)
 
 
 def _double_sum(x):
-    c = np.cumsum(x)
-    return float(np.sum(c * c))
+    c = np.cumsum(x, axis=1)
+    return np.sum(c * c, axis=1)
 
 
 def _max_abs(x):
-    return float(np.max(np.abs(x)))
+    return np.max(np.abs(x), axis=1)
 
 
 def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    head, tail = x[:, :-1], x[:, 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=1)
 
 
 def _step(x):
     s = np.floor(x + 0.5)
-    return float(np.sum(s * s))
+    return np.sum(s * s, axis=1)
 
 
 def _quartic(x):
-    return float(np.sum(np.arange(1.0, x.size + 1.0) * x**4))
+    return np.sum(np.arange(1.0, x.shape[1] + 1.0) * x**4, axis=1)
 
 
 def _quartic_noise(x, rng):
-    return _quartic(x) + float(rng.random())
+    # one uniform draw per row, in row order: the same stream as per-row calls
+    return _quartic(x) + rng.random(x.shape[0])
 
 
 def _schwefel(x):
-    return float(-np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return -np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=1)
 
 
 def _rastrigin(x):
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0))
+    return np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0, axis=1)
 
 
 def _ackley(x):
-    n = x.size
-    return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(np.sum(x * x) / n))
-        - math.exp(np.sum(np.cos(2.0 * math.pi * x)) / n)
-        + 20.0
-        + math.e
-    )
+    d = x.shape[1]
+    radius = np.sqrt(np.sum(x * x, axis=1) / d)
+    wave = np.sum(np.cos(2.0 * math.pi * x), axis=1) / d
+    return (-20.0 * _rows(lambda r: math.exp(-0.2 * r), radius)
+            - _rows(math.exp, wave) + 20.0 + math.e)
 
 
 def _griewank(x):
-    i = np.arange(1.0, x.size + 1.0)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    i = np.arange(1.0, x.shape[1] + 1.0)
+    return np.sum(x * x, axis=1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=1) + 1.0
 
 
 def _penalty(x, a, k=100.0, m=4.0):
@@ -105,29 +119,26 @@ def _penalty(x, a, k=100.0, m=4.0):
     under = x < -a
     out[over] = k * (x[over] - a) ** m
     out[under] = k * (-x[under] - a) ** m
-    return float(np.sum(out))
+    return np.sum(out, axis=1)
 
 
 def _penalized_1(x):
-    n = x.size
     y = 1.0 + (x + 1.0) / 4.0
-    core = 10.0 * math.sin(math.pi * y[0]) ** 2
-    if n > 1:
-        core += float(
-            np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2))
-        )
-    core += (y[-1] - 1.0) ** 2
-    return math.pi / n * core + _penalty(x, 10.0)
+    core = _rows(lambda v: 10.0 * math.sin(math.pi * v) ** 2, y[:, 0])
+    core += np.sum(
+        (y[:, :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[:, 1:]) ** 2), axis=1
+    )
+    core += _rows(lambda v: (v - 1.0) ** 2, y[:, -1])
+    return math.pi / x.shape[1] * core + _penalty(x, 10.0)
 
 
 def _penalized_2(x):
-    n = x.size
-    core = math.sin(3.0 * math.pi * x[0]) ** 2
-    if n > 1:
-        core += float(
-            np.sum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2))
-        )
-    core += (x[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * x[-1]) ** 2)
+    core = _rows(lambda v: math.sin(3.0 * math.pi * v) ** 2, x[:, 0])
+    core += np.sum(
+        (x[:, :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[:, 1:]) ** 2), axis=1
+    )
+    core += _rows(lambda v: (v - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * v) ** 2),
+                  x[:, -1])
     return 0.1 * core + _penalty(x, 5.0)
 
 
@@ -138,8 +149,8 @@ _FOX_J = np.arange(1.0, 26.0)
 
 
 def _foxholes(x):
-    den = _FOX_J + (x[0] - _FOX_A1) ** 6 + (x[1] - _FOX_A2) ** 6
-    return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / den)))
+    den = _FOX_J + (x[:, :1] - _FOX_A1) ** 6 + (x[:, 1:2] - _FOX_A2) ** 6
+    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / den, axis=1))
 
 
 _KOW_A = np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627,
@@ -148,35 +159,41 @@ _KOW_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 1
 
 
 def _kowalik(x):
-    model = x[0] * (_KOW_B**2 + _KOW_B * x[1]) / (_KOW_B**2 + _KOW_B * x[2] + x[3])
-    return float(np.sum((_KOW_A - model) ** 2))
+    x1, x2, x3, x4 = (x[:, i:i + 1] for i in range(4))
+    model = x1 * (_KOW_B**2 + _KOW_B * x2) / (_KOW_B**2 + _KOW_B * x3 + x4)
+    return np.sum((_KOW_A - model) ** 2, axis=1)
 
+
+# The two-variable polynomials below are written per row: their powers are
+# scalar ``**`` (libm pow), which np.power does not reproduce bit for bit.
 
 def _six_hump_camel(x):
-    x1, x2 = x[0], x[1]
-    return float(
+    return np.array([
         4.0 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4.0 * x2**2 + 4.0 * x2**4
-    )
+        for x1, x2 in x.tolist()
+    ])
 
 
 def _branin(x):
-    x1, x2 = x[0], x[1]
-    return float(
+    return np.array([
         (x2 - 5.1 * x1**2 / (4.0 * math.pi**2) + 5.0 * x1 / math.pi - 6.0) ** 2
         + 10.0 * (1.0 - 1.0 / (8.0 * math.pi)) * math.cos(x1)
         + 10.0
-    )
+        for x1, x2 in x.tolist()
+    ])
 
 
 def _goldstein_price(x):
-    x1, x2 = x[0], x[1]
-    a = 1.0 + (x1 + x2 + 1.0) ** 2 * (
-        19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
-    )
-    b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
-        18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
-    )
-    return float(a * b)
+    def f(x1, x2):
+        a = 1.0 + (x1 + x2 + 1.0) ** 2 * (
+            19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
+        )
+        b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
+            18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
+        )
+        return a * b
+
+    return np.array([f(x1, x2) for x1, x2 in x.tolist()])
 
 
 _HART_C = np.array([1.0, 1.2, 3.0, 3.2])
@@ -198,12 +215,12 @@ _HART6_P = np.array([[0.1312, 0.1696, 0.5569, 0.0124, 0.8283, 0.5886],
                      [0.4047, 0.8828, 0.8732, 0.5743, 0.1091, 0.0381]])
 
 
-def _hartmann3(x):
-    return float(-np.sum(_HART_C * np.exp(-np.sum(_HART3_A * (x - _HART3_P) ** 2, axis=1))))
+def _hartmann(a, p):
+    def f(x):
+        inner = np.sum(a * (x[:, None, :] - p) ** 2, axis=2)
+        return -np.sum(_HART_C * np.exp(-inner), axis=1)
 
-
-def _hartmann6(x):
-    return float(-np.sum(_HART_C * np.exp(-np.sum(_HART6_A * (x - _HART6_P) ** 2, axis=1))))
+    return f
 
 
 _SHEKEL_A = np.array([[4.0, 4.0, 4.0, 4.0],
@@ -223,12 +240,12 @@ def _shekel(m: int):
     a, c = _SHEKEL_A[:m], _SHEKEL_C[:m]
 
     def f(x):
-        return float(-np.sum(1.0 / (np.sum((x - a) ** 2, axis=1) + c)))
+        return -np.sum(1.0 / (np.sum((x[:, None, :] - a) ** 2, axis=2) + c), axis=1)
 
     return f
 
 
-# named basis functions available to composite packs
+# named basis functions available to composite packs ((n, d) -> (n,) bodies)
 BASIS_FUNCTIONS = {
     "sphere": _sphere,
     "abs_and_product": _abs_and_product,
@@ -252,7 +269,11 @@ BASIS_FUNCTIONS = {
 
 @dataclass
 class BenchmarkFunction:
-    """One benchmark entry: metadata plus a pure evaluation function."""
+    """One benchmark entry: metadata plus a pure evaluation function.
+
+    ``_eval`` maps an (n, d) swarm to its n values for the built-ins
+    (``batched``) and one point to one value for registered composites.
+    """
 
     fid: str
     name: str
@@ -264,6 +285,7 @@ class BenchmarkFunction:
     scalable: bool
     noisy: bool = False
     _eval: Callable = None
+    _batched: bool = True
 
     def space(self, dim: Optional[int] = None) -> SearchSpace:
         """The function's box; scalable functions accept a dim override."""
@@ -288,31 +310,41 @@ class BenchmarkFunction:
             raise ValueError(
                 f"{self.fid} is fixed at dimension {self.dim}, got {x.size}"
             )
-        if self.noisy:
-            if rng is None:
-                raise ValueError(
-                    f"{self.fid} adds uniform noise per evaluation; pass a seeded rng"
-                )
-            return self._eval(x, rng)
-        return self._eval(x)
+        return self.objective(rng)(x)
 
     def objective(self, rng: Optional[np.random.Generator] = None):
-        """Unvalidated closure for optimizer loops (dims come from space())."""
+        """Unvalidated closure for optimizer loops (dims come from space()).
+
+        A built-in's closure takes one point (returning a float) or an
+        (n, d) swarm (returning its n values, each bitwise equal to the
+        point's own) and carries ``vectorized = True``; a composite's takes
+        one point only.
+        """
+        body = self._eval
         if self.noisy:
             if rng is None:
                 raise ValueError(
                     f"{self.fid} adds uniform noise per evaluation; pass a seeded rng"
                 )
-            fn = self._eval
-            return lambda x: fn(x, rng)
-        return self._eval
+            body = functools.partial(body, rng=rng)
+        if not self._batched:
+            return body
+
+        def objective(x):
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim == 1:
+                return float(body(x[None, :])[0])
+            return body(x)
+
+        objective.vectorized = True
+        return objective
 
 
 def _entry(fid, name, dim, lower, upper, f_min, minimizer, fn,
-           scalable=False, noisy=False):
+           scalable=False, noisy=False, batched=True):
     m = None if minimizer is None else np.asarray(minimizer, dtype=np.float64)
     return BenchmarkFunction(fid, name, dim, float(lower), float(upper),
-                             f_min, m, scalable, noisy, fn)
+                             f_min, m, scalable, noisy, fn, batched)
 
 
 # Reference minimizers for F14-F23 were polished offline to full float
@@ -348,11 +380,11 @@ _BUILTIN = {
     "F18": _entry("F18", "goldstein_price", 2, -2, 2, 3.0, [0.0, -1.0], _goldstein_price),
     "F19": _entry("F19", "hartmann_3", 3, 0, 1, -3.8627821478207554,
                   [0.11461432790029832, 0.5556488504420141, 0.8525469546889314],
-                  _hartmann3),
+                  _hartmann(_HART3_A, _HART3_P)),
     "F20": _entry("F20", "hartmann_6", 6, 0, 1, -3.322368011415515,
                   [0.2016895128922905, 0.15001069323742897, 0.4768739767611768,
                    0.2753324307839508, 0.31165161848739587, 0.6573005349989142],
-                  _hartmann6),
+                  _hartmann(_HART6_A, _HART6_P)),
     "F21": _entry("F21", "shekel_5", 4, 0, 10, -10.153199679058229,
                   [4.000037152376549, 4.000133278657566,
                    4.000037151057555, 4.000133277090425], _shekel(5)),
@@ -416,7 +448,7 @@ def register_composite(pack) -> None:
         staged.append(_entry(
             fid, get("name", fid.lower()), int(get("dim")),
             get("lower"), get("upper"), get("f_min"), get("minimizer"),
-            lambda x, _fn=fn: float(_fn(x)),
+            lambda x, _fn=fn: float(_fn(x)), batched=False,
         ))
     for entry in staged:
         _composites[entry.fid] = entry
@@ -475,7 +507,7 @@ def load_composite_pack(directory) -> list[str]:
                     z = x - shift
                     if rotation is not None:
                         z = rotation @ z
-                    total += weight * basis(z)
+                    total += weight * basis(z[None, :])[0]
                 return total
             return f
 

@@ -162,7 +162,18 @@ def assign_flame(moth_index: int, flame_no: int) -> int:
 
 
 def evaluate_swarm(objective: Objective, positions: np.ndarray) -> np.ndarray:
-    """Row-wise objective evaluation; NaN/inf aborts with the position."""
+    """Objective value of every row; NaN/inf aborts with the position.
+
+    An objective marked ``vectorized`` takes the whole (n, d) swarm in one
+    call; any other is called row by row.
+    """
+    if getattr(objective, "vectorized", False):
+        fitness = objective(positions)
+        finite = np.isfinite(fitness)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise ObjectiveError(positions[bad], float(fitness[bad]))
+        return fitness
     fitness = np.empty(positions.shape[0])
     for i, row in enumerate(positions):
         value = float(objective(row))
@@ -213,9 +224,6 @@ class MapScheduler:
     @property
     def active(self) -> ChaoticMap:
         return self.primary if self.active_is_primary else self.secondary
-
-    def next_value(self) -> float:
-        return self.active.step()
 
     def observe(self, fitness_now: np.ndarray, fitness_prev: np.ndarray) -> bool:
         """Feed one iteration's flame fitness; True when the map toggled."""
@@ -278,7 +286,7 @@ def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunRe
         paired = flame_pos[np.minimum(moth_idx, k - 1)]
         if chaotic:
             w = nonlinear_weight(l, big_t)
-            cm = np.array([scheduler.next_value() for _ in range(n)])
+            cm = scheduler.active.steps(n)
             t = t_nlcmfo(a, cm)
             levy = sampler.matrix(n, dim, rng)
             moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None], w, levy)

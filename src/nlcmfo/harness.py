@@ -150,8 +150,15 @@ def _validate(config: ExperimentConfig) -> None:
         benchmarks.lookup(fid)  # raises on unknown / unavailable ids
     if config.runs < 1:
         raise ConfigError("runs must be >= 1")
-    if config.pop_size < 1 or config.max_iter < 1:
-        raise ConfigError("pop_size and max_iter must be >= 1")
+    if config.max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
+    floor = max(_MIN_POP_SIZE.get(a, 2) for a in config.algorithms)
+    if config.pop_size < floor:
+        raise ConfigError(
+            f"pop_size must be >= {floor} for algorithms {tuple(config.algorithms)}"
+        )
+    if config.base_seed < 0:
+        raise ConfigError("base_seed must be >= 0")
     if config.telemetry not in TELEMETRY_LEVELS:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
@@ -170,6 +177,10 @@ def _validate(config: ExperimentConfig) -> None:
 
 _CONFIG_TYPES = {"mfo": EngineConfig, "nlcmfo": EngineConfig,
                  "pso": PsoConfig, "gwo": GwoConfig}
+
+# smallest swarm each optimizer accepts (2 unless listed): gwo needs its
+# three leaders
+_MIN_POP_SIZE = {"gwo": 3}
 
 _loaded_packs: set = set()
 

@@ -107,7 +107,8 @@ class ChaoticMap:
     The map holds its raw state in the native domain (unit interval, or
     [-1,1] for chebyshev/iterative).  ``step`` returns the exact next value
     normalized to [0,1]; the stored state is additionally nudged off exact
-    absorbing boundaries so the orbit stays alive.
+    absorbing boundaries so the orbit stays alive.  ``steps`` draws several
+    values at once.
     """
 
     def __init__(self, kind: str, state: float = 0.7):
@@ -131,9 +132,31 @@ class ChaoticMap:
 
     def step(self) -> float:
         """Advance one step; return the normalized next value in [0, 1]."""
+        return float(self.steps(1)[0])
+
+    def steps(self, k: int) -> np.ndarray:
+        """Advance k steps; return the k normalized next values in [0, 1].
+
+        The state gets the full domain check once; the keep-alive nudge
+        keeps later states off the absorbing points, so the loop only
+        compares each state with the bounds.  (Singer maps states near 1
+        below 0: that value is returned and the next draw raises, exactly
+        as one step at a time.)
+        """
         self._check_domain(self.state)
-        raw = self._step_fn(self.state)
-        self.state = self._keep_alive(raw)
+        step_fn, keep_alive, lo, hi = self._step_fn, self._keep_alive, self._lo, self._hi
+        state = self.state
+        raw = []
+        for _ in range(k):
+            value = step_fn(state)
+            raw.append(value)
+            state = keep_alive(value)
+            if not lo <= state <= hi:
+                break
+        self.state = state
+        if len(raw) < k:
+            self._check_domain(state)
+        raw = np.array(raw)
         if self._lo == -1.0:
             return (raw + 1.0) / 2.0
         return raw

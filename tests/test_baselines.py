@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlcmfo.baselines import GwoConfig, PsoConfig, run_gwo, run_pso
-from nlcmfo.engine import EngineConfig, ObjectiveError, run
+from nlcmfo.engine import EngineConfig, ObjectiveError, run, update_flames
 from nlcmfo.space import SearchSpace
 
 
@@ -101,6 +101,37 @@ def test_objective_errors_propagate(runner, cfg):
 
     with pytest.raises(ObjectiveError):
         runner(cfg(pop_size=5, max_iter=5, seed=0), _space(), bad)
+
+
+def _fold_wolf_by_wolf(leaders, leader_fit, pos, fit):
+    """Sequential strict-< insertion of each wolf into the three leaders."""
+    leaders, leader_fit = leaders.copy(), leader_fit.copy()
+    for i in range(len(fit)):
+        if fit[i] < leader_fit[0]:
+            leaders[2], leader_fit[2] = leaders[1], leader_fit[1]
+            leaders[1], leader_fit[1] = leaders[0], leader_fit[0]
+            leaders[0], leader_fit[0] = pos[i].copy(), fit[i]
+        elif fit[i] < leader_fit[1]:
+            leaders[2], leader_fit[2] = leaders[1], leader_fit[1]
+            leaders[1], leader_fit[1] = pos[i].copy(), fit[i]
+        elif fit[i] < leader_fit[2]:
+            leaders[2], leader_fit[2] = pos[i].copy(), fit[i]
+    return leaders, leader_fit
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_gwo_leader_fold_is_stable_top3_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    # fitness from a handful of integers, so leaders and wolves tie often;
+    # distinct positions show which of the tied rows was kept
+    leader_fit = np.sort(rng.integers(0, 5, 3).astype(float))
+    leaders = rng.normal(size=(3, 2))
+    fit = rng.integers(0, 5, 8).astype(float)
+    pos = rng.normal(size=(8, 2))
+    expected = _fold_wolf_by_wolf(leaders, leader_fit, pos, fit)
+    folded = update_flames(leaders, leader_fit, pos, fit, 3)
+    assert np.array_equal(folded[0], expected[0])
+    assert np.array_equal(folded[1], expected[1])
 
 
 def test_reduced_scale_ordering_on_sphere():

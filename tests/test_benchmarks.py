@@ -253,6 +253,40 @@ def test_module_level_evaluate():
 
 
 # ---------------------------------------------------------------------------
+# swarm evaluation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fid", BUILTIN_IDS)
+def test_swarm_call_equals_per_row_calls_bitwise(fid):
+    f = lookup(fid)
+    rng = make_rng(31)
+    for d in (1, 2, 30, 1000) if f.scalable else (f.dim,):
+        for half in (f.upper - f.lower) / 2, (f.upper - f.lower) / 200:
+            centre = (f.upper + f.lower) / 2
+            swarm = rng.uniform(centre - half, centre + half, size=(12, d))
+            if f.noisy:
+                batch = f.objective(rng=make_rng(4, stream=1))(swarm)
+                row_rng = make_rng(4, stream=1)
+                rows = [f.evaluate(row, rng=row_rng) for row in swarm]
+            else:
+                with np.errstate(over="ignore"):   # F2's product at d=1000
+                    batch = f.objective()(swarm)
+                    rows = [f.evaluate(row) for row in swarm]
+            assert batch.shape == (12,)
+            assert batch.tobytes() == np.array(rows).tobytes(), (fid, d, half)
+
+
+def test_builtin_objective_takes_a_point_or_a_swarm():
+    obj = lookup("F1").objective()
+    assert obj.vectorized is True
+    value = obj(np.array([3.0, 4.0]))
+    assert type(value) is float and value == 25.0
+    assert np.array_equal(obj(np.array([[3.0, 4.0], [0.0, 1.0]])), [25.0, 1.0])
+    assert lookup("F7").objective(rng=make_rng(0, stream=1)).vectorized is True
+
+
+# ---------------------------------------------------------------------------
 # composite registry
 # ---------------------------------------------------------------------------
 
@@ -356,6 +390,21 @@ def test_load_composite_pack_rotation_and_weight(tmp_path, composite_sandbox):
     # weight * sphere(R @ (x - shift)) = 2 * (2 * (x1 - 1))^2
     assert lookup("F26").evaluate([2.0, 7.7]) == pytest.approx(8.0)
     assert lookup("F26").evaluate([1.0, -3.0]) == 0.0
+
+
+def test_composite_objective_is_called_per_row(composite_sandbox):
+    seen = []
+
+    def fn(x):
+        seen.append(np.shape(x))
+        return float(np.sum(x))
+
+    register_composite({"id": "F24", "dim": 3, "lower": -1, "upper": 1,
+                        "eval": fn})
+    obj = lookup("F24").objective()
+    assert not getattr(obj, "vectorized", False)
+    assert obj(np.array([1.0, 2.0, 3.0])) == 6.0
+    assert seen == [(3,)]
 
 
 def test_load_composite_pack_empty_directory(tmp_path, composite_sandbox):

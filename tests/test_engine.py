@@ -178,6 +178,34 @@ def test_evaluate_swarm_rejects_nonfinite():
     assert np.array_equal(exc.value.position, [2.0, 0.0])
 
 
+def test_evaluate_swarm_calls_vectorized_objective_once():
+    calls = []
+
+    def swarm_sphere(x):
+        calls.append(x.shape)
+        return np.sum(x * x, axis=1)
+
+    swarm_sphere.vectorized = True
+    pos = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+    assert np.array_equal(evaluate_swarm(swarm_sphere, pos), [5.0, 0.0, 25.0])
+    assert calls == [(3, 2)]
+
+
+def test_evaluate_swarm_vectorized_reports_first_nonfinite_row():
+    def swarm_bad(x):
+        values = np.zeros(x.shape[0])
+        values[x[:, 0] > 0] = np.nan
+        values[x[:, 0] > 2] = np.inf
+        return values
+
+    swarm_bad.vectorized = True
+    pos = np.array([[-1.0, 0.0], [2.0, 5.0], [3.0, 0.0]])
+    with pytest.raises(ObjectiveError) as exc:
+        evaluate_swarm(swarm_bad, pos)
+    assert np.array_equal(exc.value.position, [2.0, 5.0])
+    assert math.isnan(exc.value.value)
+
+
 def test_update_flames_keeps_best_of_merge():
     flame_pos = np.array([[0.0], [1.0]])
     flame_fit = np.array([1.0, 3.0])

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from nlcmfo import harness
 from nlcmfo.benchmarks import (
     clear_composites,
     CompositeUnavailableError,
@@ -110,10 +111,24 @@ class TestConfigValidation:
                 run_experiment(tiny_config(functions=("F1",), **bad))
 
     def test_engine_population_floor_still_applies(self):
-        # pop_size=1 clears the grid-level check but the optimizer itself
-        # needs at least two moths
+        # an optimizer needs at least two moths; the grid-level check
+        # rejects pop_size=1 with ConfigError, a ValueError
         with pytest.raises(ValueError):
             run_experiment(tiny_config(functions=("F1",), pop_size=1))
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(functions=("F1",), base_seed=-1))
+
+    def test_pop_size_below_any_algorithm_floor_rejected_before_running(
+            self, monkeypatch):
+        # mfo runs with two moths, gwo needs three leaders: nothing may run
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(algorithms=("mfo", "gwo"),
+                                       functions=("F1",), pop_size=2))
+        assert ran == []
 
     def test_unknown_param_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -154,6 +154,39 @@ def test_gauss_zero_branch_is_definitional():
     assert m.step() == 0.0
 
 
+@pytest.mark.parametrize("kind,state", [(kind, 0.7) for kind in MAP_KINDS] + [
+    ("tent", 0.5),        # tent(0.5) = 1.0 exactly: the keep-alive nudge
+    ("logistic", 0.5),
+    ("gauss", 0.0),       # the definitional 0 -> 0 branch
+    ("chebyshev", -0.5),  # normalized from [-1, 1]
+])
+def test_steps_equal_successive_single_steps(kind, state):
+    batched, single = ChaoticMap(kind, state), ChaoticMap(kind, state)
+    drawn = np.concatenate([batched.steps(1), batched.steps(30), batched.steps(169)])
+    stepped = np.array([single.step() for _ in range(200)])
+    assert drawn.tobytes() == stepped.tobytes()
+    assert batched.state == single.state
+
+
+@pytest.mark.parametrize("kind,state", [("logistic", 1.5), ("iterative", 0.0),
+                                        ("sine", float("nan"))])
+def test_steps_rejects_out_of_domain_state(kind, state):
+    m = ChaoticMap(kind, 0.3)
+    m.state = state
+    with pytest.raises(ChaoticDomainError):
+        m.steps(4)
+
+
+def test_steps_leaving_the_domain_raise_like_single_steps():
+    # singer(1.0) = -0.002875: returned as drawn, and the next draw raises
+    m = ChaoticMap("singer", 1.0)
+    assert m.steps(1)[0] == pytest.approx(-0.002875)
+    with pytest.raises(ChaoticDomainError):
+        m.steps(1)
+    with pytest.raises(ChaoticDomainError):
+        ChaoticMap("singer", 1.0).steps(2)
+
+
 def test_long_generic_orbits_do_not_die():
     # 500 steps from a generic state: the last stretch still varies
     for kind in MAP_KINDS:
