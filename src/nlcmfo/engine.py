@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
-from .stochastic import ChaoticMap, LevySampler, make_rng
+from .stochastic import ChaoticMap, LevySampler, levy_sigma_x, make_rng
 
 Objective = Callable[[np.ndarray], float]
 
@@ -238,7 +238,15 @@ class MapScheduler:
         return False
 
 
-def _validate(config: EngineConfig, space: SearchSpace) -> None:
+def validate_config(config: EngineConfig) -> None:
+    """Raise the ValueError a run with this config would raise, before it starts.
+
+    For nlcmfo this covers the Levy index (ParameterError), the stagnation
+    window, and both chaotic maps: each is built from map_state0 and drawn
+    twice without touching any RNG, which catches an unknown kind
+    (ParameterError), a state outside the map's domain and singer's first
+    step out of [0, 1] from states near 1 (ChaoticDomainError).
+    """
     if config.algorithm not in _ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {config.algorithm!r}; choose one of {_ALGORITHMS}"
@@ -249,11 +257,17 @@ def _validate(config: EngineConfig, space: SearchSpace) -> None:
         raise ValueError("max_iter must be >= 1")
     if not math.isfinite(config.b):
         raise ValueError("spiral constant b must be finite")
+    if config.algorithm == "nlcmfo":
+        levy_sigma_x(config.levy_alpha)
+        if config.stagnation_window < 1:
+            raise ValueError("stagnation window must be >= 1")
+        for kind in (config.map_primary, config.map_secondary):
+            ChaoticMap(kind, config.map_state0).steps(2)
 
 
 def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
     """Execute one seeded run; see the module docstring for the loop shape."""
-    _validate(config, space)
+    validate_config(config)
     start = time.perf_counter()
     rng = make_rng(config.seed)
     n, big_t, dim = config.pop_size, config.max_iter, space.dim

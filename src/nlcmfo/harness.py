@@ -29,7 +29,7 @@ import numpy as np
 
 from . import benchmarks
 from .baselines import GwoConfig, PsoConfig, run_gwo, run_pso
-from .engine import EngineConfig, ObjectiveError, run
+from .engine import EngineConfig, ObjectiveError, run, validate_config
 from .stochastic import make_rng
 
 ALGORITHMS = ("mfo", "nlcmfo", "pso", "gwo")
@@ -173,6 +173,15 @@ def _validate(config: ExperimentConfig) -> None:
         unknown = set(config.params) - legal
         if unknown:
             raise ConfigError(f"unknown params keys: {sorted(unknown)}")
+    for algorithm in config.algorithms:
+        if _CONFIG_TYPES[algorithm] is not EngineConfig:
+            continue
+        try:
+            validate_config(_build_config(
+                algorithm, config.pop_size, config.max_iter, config.base_seed,
+                config.telemetry == "full-history", config.params))
+        except (TypeError, ValueError) as exc:  # TypeError: e.g. "1.5" from JSON
+            raise ConfigError(f"{algorithm}: {exc}") from exc
 
 
 _CONFIG_TYPES = {"mfo": EngineConfig, "nlcmfo": EngineConfig,
@@ -378,7 +387,7 @@ def export_curves(records, out_dir) -> list:
     """Write per-cell curve CSVs (iter column + one column per run).
 
     Returns the written paths.  Records without curve telemetry are skipped.
-    Full-history snapshots go to one file per run with iter,moth,x1..xd rows.
+    Full-history snapshots go to one file per run (see write_search_history).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,15 +421,23 @@ def export_curves(records, out_dir) -> list:
 
 
 def write_search_history(history: np.ndarray, path) -> None:
-    """Long-format position snapshots: one (iter, moth, dim, value) row each."""
+    """Long-format position snapshots: one (iter, moth, dim, value) row each.
+
+    Rows run in iter, moth, dim order; iter and dim count from 1, moth from
+    0; values are repr() of the float, lines end in CRLF.  These are the
+    bytes csv.writer gives (no field can need quoting), written one
+    iteration per write.
+    """
     n_iter, n_moths, d = history.shape
+    keys = [f",{m},{j}," for m in range(n_moths) for j in range(1, d + 1)]
+    rows = history.reshape(n_iter, -1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "moth", "dim", "value"])
-        for l in range(n_iter):
-            for m in range(n_moths):
-                for j in range(d):
-                    writer.writerow([l + 1, m, j + 1, repr(float(history[l, m, j]))])
+        fh.write("iter,moth,dim,value\r\n")
+        # tolist() per iteration: on a (500, 30, 30) history a whole-array
+        # tolist() adds about 18 MB of peak memory
+        for l, row in enumerate(rows, start=1):
+            fh.write("".join([f"{l}{key}{v!r}\r\n"
+                              for key, v in zip(keys, row.tolist())]))
 
 
 def export_experiment(result: ExperimentResult, out_dir) -> dict:

@@ -4,8 +4,10 @@ import csv
 
 import pytest
 
+from nlcmfo import benchmarks
 from nlcmfo.benchmarks import clear_composites, register_composite
 from nlcmfo.cli import _expand_functions, main
+from nlcmfo.engine import EngineConfig, run
 
 
 @pytest.fixture
@@ -251,6 +253,21 @@ class TestDiag:
         hist = read_csv(out / "search_history.csv")
         assert hist[0] == ["iter", "moth", "dim", "value"]
         assert len(hist) == 1 + 8 * 5 * 2
+
+    def test_search_history_bytes_equal_csv_writer_rows(
+            self, tmp_path, capsys, reference_history_writer):
+        out = tmp_path / "diag"
+        rc = main(["diag", "--algorithm", "nlcmfo", "--function", "F1",
+                   "--dim", "3", "--pop-size", "5", "--max-iter", "60",
+                   "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        func = benchmarks.lookup("F1")
+        config = EngineConfig(algorithm="nlcmfo", pop_size=5, max_iter=60,
+                              seed=2, record_history=True)
+        history = run(config, func.space(3), func.objective()).history
+        reference_history_writer(history, tmp_path / "reference.csv")
+        assert ((out / "search_history.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     @pytest.mark.parametrize("algorithm", ["nlcmfo", "mfo", "pso", "gwo"])
     def test_every_algorithm_is_runnable(self, algorithm, tmp_path, capsys):

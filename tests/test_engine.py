@@ -11,9 +11,10 @@ from nlcmfo.engine import (EngineConfig, MapScheduler, ObjectiveError,
                            assign_flame, convergence_constant, evaluate_swarm,
                            flame_count, nonlinear_weight, run,
                            spiral_step_mfo, spiral_step_nlcmfo, t_mfo,
-                           t_nlcmfo, update_flames)
+                           t_nlcmfo, update_flames, validate_config)
 from nlcmfo.space import SearchSpace
-from nlcmfo.stochastic import ChaoticMap, make_rng
+from nlcmfo.stochastic import (ChaoticDomainError, ChaoticMap, ParameterError,
+                               make_rng)
 
 
 def sphere(x):
@@ -378,6 +379,32 @@ def test_run_objective_error_carries_position():
 def test_run_validation_errors(kwargs):
     with pytest.raises(ValueError):
         run(EngineConfig(**kwargs), _space(), sphere)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"levy_alpha": 5.0}, ParameterError),
+    ({"map_primary": "nope"}, ParameterError),
+    ({"map_state0": 1.5}, ChaoticDomainError),
+    ({"stagnation_window": 0}, ValueError),
+    ({"map_primary": "singer", "map_state0": 1.0}, ChaoticDomainError),
+    ({"map_secondary": "singer", "map_state0": 1.0}, ChaoticDomainError),
+])
+def test_nlcmfo_params_rejected_before_any_evaluation(kwargs, error):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return sphere(x)
+
+    config = EngineConfig(algorithm="nlcmfo", pop_size=4, max_iter=5, **kwargs)
+    with pytest.raises(error):
+        validate_config(config)
+    with pytest.raises(error):
+        run(config, _space(), counted)
+    assert calls == []
+    # mfo draws no chaotic values and never reads these fields
+    mfo = EngineConfig(algorithm="mfo", pop_size=4, max_iter=5, **kwargs)
+    assert run(mfo, _space(), sphere).evaluations == 4 * 6
 
 
 def test_mfo_refines_origin_and_shifted_quadratics():

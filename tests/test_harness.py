@@ -31,6 +31,7 @@ from nlcmfo.harness import (
     write_stats,
     WORKERS_ENV_VAR,
 )
+from nlcmfo.stochastic import ChaoticDomainError, ParameterError
 
 TINY = dict(runs=3, pop_size=6, max_iter=10, base_seed=0)
 
@@ -128,6 +129,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(algorithms=("mfo", "gwo"),
                                        functions=("F1",), pop_size=2))
+        assert ran == []
+
+    @pytest.mark.parametrize("params, cause", [
+        ({"levy_alpha": 5.0}, ParameterError),
+        ({"map_primary": "nope"}, ParameterError),
+        ({"map_state0": 1.5}, ChaoticDomainError),
+        ({"stagnation_window": 0}, ValueError),
+        # in the domain, but singer(1.0) = -0.002875 is not
+        ({"map_primary": "singer", "map_state0": 1.0}, ChaoticDomainError),
+        ({"levy_alpha": "1.5"}, TypeError),
+    ])
+    def test_bad_nlcmfo_params_rejected_before_running(self, monkeypatch,
+                                                       params, cause):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError, match="nlcmfo") as excinfo:
+            run_experiment(tiny_config(algorithms=("mfo", "nlcmfo"),
+                                       functions=("F1",), params=params))
+        assert isinstance(excinfo.value.__cause__, cause)
         assert ran == []
 
     def test_unknown_param_key_rejected(self):
@@ -303,6 +323,22 @@ class TestAbortedRuns:
         assert all(not r.aborted for r in by_fn["F1"])
         assert all(r.aborted for r in by_fn[nan_composite])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_f2_overflows_at_dim_1000(self, tmp_path):
+        # F2's product of |x_i| over 1000 coordinates in [-10, 10] is inf,
+        # so every run aborts on its initial swarm; the bundle still writes
+        result = run_experiment(tiny_config(algorithms=("mfo", "pso"),
+                                            functions=("F2",), dim=1000,
+                                            runs=2, pop_size=5, max_iter=3))
+        assert len(result.records) == 4
+        for rec in result.records:
+            assert rec.aborted
+            assert "non-finite" in rec.error
+        paths = export_experiment(result, tmp_path)
+        finals = read_csv(paths["finals"])
+        aborted_col = finals[0].index("aborted")
+        assert [row[aborted_col] for row in finals[1:]] == ["1"] * 4
+
     def test_all_aborted_cell_summarizes_to_nan_row(self, nan_composite):
         result = run_experiment(tiny_config(functions=(nan_composite,),
                                             runs=2))
@@ -443,6 +479,13 @@ class TestExportCurves:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def spread_history(shape):
+    """Seeded values of both signs with magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(7)
+    return (rng.standard_normal(shape)
+            * 10.0 ** rng.integers(-300, 300, size=shape))
+
+
 class TestWriteSearchHistory:
     def test_long_format_indices_and_values(self, tmp_path):
         history = np.arange(12, dtype=np.float64).reshape(2, 3, 2)
@@ -457,6 +500,42 @@ class TestWriteSearchHistory:
         assert float(first[3]) == 0.0
         assert [last[0], last[1], last[2]] == ["2", "2", "2"]
         assert float(last[3]) == 11.0
+
+    @pytest.mark.parametrize("history", [
+        spread_history((1, 1, 1)),
+        spread_history((3, 2, 5)),
+        spread_history((12, 11, 10)),  # indices reach two digits
+        np.array([0.0, -0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308,
+                  1 / 3]).reshape(1, 7, 1),
+    ], ids=["1x1x1", "3x2x5", "12x11x10", "edge-values"])
+    def test_bytes_equal_csv_writer_rows(self, tmp_path, history,
+                                         reference_history_writer):
+        path, ref = tmp_path / "history.csv", tmp_path / "reference.csv"
+        write_search_history(history, path)
+        reference_history_writer(history, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        self.assert_values_parse_back(history, path)
+
+    def test_real_histories_bytes_equal_csv_writer_rows(
+            self, tmp_path, reference_history_writer):
+        config = tiny_config(algorithms=("nlcmfo", "mfo", "pso", "gwo"),
+                             functions=("F1",), dim=4, runs=1,
+                             max_iter=200, telemetry="full-history")
+        records = run_experiment(config).records
+        out = tmp_path / "curves"
+        export_curves(records, out)
+        for rec in records:
+            path = out / f"{rec.algorithm}_F1_d4_run0_search_history.csv"
+            reference_history_writer(rec.history, tmp_path / "reference.csv")
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            self.assert_values_parse_back(rec.history, path)
+
+    @staticmethod
+    def assert_values_parse_back(history, path):
+        parsed = np.array([float(row[3]) for row in read_csv(path)[1:]])
+        # bitwise, so -0.0 and the subnormals count too
+        assert np.array_equal(parsed.view(np.int64),
+                              history.ravel().view(np.int64))
 
 
 class TestExportExperiment:
