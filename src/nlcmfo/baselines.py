@@ -7,6 +7,8 @@ harness can mix them into one comparison grid.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -42,6 +44,39 @@ class GwoConfig:
     initial_positions: Optional[np.ndarray] = None
 
 
+def _check_swarm_config(config, min_pop_size: int, reals: tuple) -> None:
+    if config.pop_size < min_pop_size:
+        raise ValueError(f"pop_size must be >= {min_pop_size}")
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    for name in reals:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def validate_pso_config(config: PsoConfig) -> None:
+    """Raise the error a PSO run with this config would raise, before it starts.
+
+    Checks the swarm floor of two particles, max_iter >= 1, and that inertia,
+    c1, c2 and velocity_clamp are finite real numbers (a number given as a
+    JSON string is a TypeError, a NaN or infinity a ValueError).
+    """
+    _check_swarm_config(config, 2, ("inertia", "c1", "c2", "velocity_clamp"))
+
+
+def validate_gwo_config(config: GwoConfig) -> None:
+    """Raise the error a GWO run with this config would raise, before it starts.
+
+    Checks the swarm floor of three wolves (the alpha, beta and delta
+    leaders), max_iter >= 1, and that a_start and a_end are finite real
+    numbers.
+    """
+    _check_swarm_config(config, 3, ("a_start", "a_end"))
+
+
 def _initial_swarm(config, space: SearchSpace, rng) -> np.ndarray:
     if config.initial_positions is not None:
         pos = np.array(config.initial_positions, dtype=np.float64)
@@ -61,10 +96,7 @@ def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunR
     and the single swarm-wide best.  Velocities are clamped to
     velocity_clamp * (upper - lower) per dimension, positions to the box.
     """
-    if config.pop_size < 2:
-        raise ValueError("pop_size must be >= 2")
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    validate_pso_config(config)
     start = time.perf_counter()
     rng = make_rng(config.seed)
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
@@ -131,10 +163,7 @@ def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunR
     averages three encircling moves around the alpha, beta and delta
     leaders, which only ever improve (best-so-far elitism).
     """
-    if config.pop_size < 3:
-        raise ValueError("grey wolf optimizer needs pop_size >= 3 leaders")
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    validate_gwo_config(config)
     start = time.perf_counter()
     rng = make_rng(config.seed)
     n, big_t, dim = config.pop_size, config.max_iter, space.dim

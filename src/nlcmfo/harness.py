@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks
-from .baselines import GwoConfig, PsoConfig, run_gwo, run_pso
+from .baselines import (GwoConfig, PsoConfig, run_gwo, run_pso,
+                        validate_gwo_config, validate_pso_config)
 from .engine import EngineConfig, ObjectiveError, run, validate_config
 from .stochastic import make_rng
 
@@ -150,13 +151,6 @@ def _validate(config: ExperimentConfig) -> None:
         benchmarks.lookup(fid)  # raises on unknown / unavailable ids
     if config.runs < 1:
         raise ConfigError("runs must be >= 1")
-    if config.max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
-    floor = max(_MIN_POP_SIZE.get(a, 2) for a in config.algorithms)
-    if config.pop_size < floor:
-        raise ConfigError(
-            f"pop_size must be >= {floor} for algorithms {tuple(config.algorithms)}"
-        )
     if config.base_seed < 0:
         raise ConfigError("base_seed must be >= 0")
     if config.telemetry not in TELEMETRY_LEVELS:
@@ -173,11 +167,11 @@ def _validate(config: ExperimentConfig) -> None:
         unknown = set(config.params) - legal
         if unknown:
             raise ConfigError(f"unknown params keys: {sorted(unknown)}")
+    # each optimizer's own validator owns its pop_size floor, max_iter and
+    # params checks
     for algorithm in config.algorithms:
-        if _CONFIG_TYPES[algorithm] is not EngineConfig:
-            continue
         try:
-            validate_config(_build_config(
+            _VALIDATORS[algorithm](_build_config(
                 algorithm, config.pop_size, config.max_iter, config.base_seed,
                 config.telemetry == "full-history", config.params))
         except (TypeError, ValueError) as exc:  # TypeError: e.g. "1.5" from JSON
@@ -186,10 +180,8 @@ def _validate(config: ExperimentConfig) -> None:
 
 _CONFIG_TYPES = {"mfo": EngineConfig, "nlcmfo": EngineConfig,
                  "pso": PsoConfig, "gwo": GwoConfig}
-
-# smallest swarm each optimizer accepts (2 unless listed): gwo needs its
-# three leaders
-_MIN_POP_SIZE = {"gwo": 3}
+_VALIDATORS = {"mfo": validate_config, "nlcmfo": validate_config,
+               "pso": validate_pso_config, "gwo": validate_gwo_config}
 
 _loaded_packs: set = set()
 

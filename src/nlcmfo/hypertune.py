@@ -110,7 +110,16 @@ def make_toy_dataset(n_samples: int = 600, n_features: int = 2, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    # minimum(maximum()) is np.clip's arithmetic (NaN and -0.0 included)
+    # without its Python-level wrapper, which dominates on minibatch rows
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60.0), 60.0)))
+
+
+def _logistic_loss(z, w, y, l2):
+    """Mean cross-entropy of the logits z against y, + 0.5*l2*|w|^2."""
+    # stable binary cross-entropy with logits
+    ce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    return float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
 
 
 def logistic_loss_grad(w, b, X, y, l2=0.0):
@@ -120,20 +129,18 @@ def logistic_loss_grad(w, b, X, y, l2=0.0):
     analytic gradient can be checked against finite differences.
     """
     z = X @ w + b
-    p = _sigmoid(z)
-    # stable binary cross-entropy with logits
-    ce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    loss = float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
-    resid = p - y
+    resid = _sigmoid(z) - y
     grad_w = X.T @ resid / len(y) + l2 * w
     grad_b = float(np.mean(resid))
-    return loss, grad_w, grad_b
+    return _logistic_loss(z, w, y, l2), grad_w, grad_b
 
 
 class ToyLogisticClassifier:
     """Logistic regression trained by minibatch SGD with momentum.
 
-    Update rule per batch: v <- momentum*v - lr*grad; params += v.
+    Each epoch draws one permutation of the rows from the seeded generator
+    and walks the shuffled copy in batches of batch_size (the last may be
+    shorter).  Update rule per batch: v <- momentum*v - lr*grad; params += v.
     Weights and bias start at zero.  If the weights blow up the run is
     flagged diverged and training stops early.  train_losses_ records the
     full-train regularized loss after each completed epoch.
@@ -148,6 +155,10 @@ class ToyLogisticClassifier:
         self.l2 = float(l2)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs}")
         self.weights_: Optional[np.ndarray] = None
         self.bias_: float = 0.0
         self.diverged_: bool = False
@@ -158,6 +169,8 @@ class ToyLogisticClassifier:
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
         rng = make_rng(self.seed)
+        momentum, lr, l2, bs = (self.momentum, self.learning_rate, self.l2,
+                                self.batch_size)
         w = np.zeros(p)
         b = 0.0
         vw = np.zeros(p)
@@ -166,17 +179,24 @@ class ToyLogisticClassifier:
         self.train_losses_ = []
         for _ in range(self.epochs):
             order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start:start + self.batch_size]
-                _, gw, gb = logistic_loss_grad(w, b, X[idx], y[idx], self.l2)
-                vw = self.momentum * vw - self.learning_rate * gw
-                vb = self.momentum * vb - self.learning_rate * gb
+            Xe, ye = X[order], y[order]
+            for start in range(0, n, bs):
+                # the gradient half of logistic_loss_grad, op for op (its
+                # np.mean is add.reduce over the count), on a contiguous
+                # slice holding the same rows as X[order[start:start + bs]]
+                Xb = Xe[start:start + bs]
+                resid = _sigmoid(Xb @ w + b) - ye[start:start + bs]
+                m = len(resid)
+                gw = Xb.T @ resid / m + l2 * w
+                gb = float(np.add.reduce(resid) / m)
+                vw = momentum * vw - lr * gw
+                vb = momentum * vb - lr * gb
                 w = w + vw
                 b = b + vb
             if not np.all(np.isfinite(w)) or np.abs(w).max() > 1e6:
                 self.diverged_ = True
                 break
-            self.train_losses_.append(logistic_loss_grad(w, b, X, y, self.l2)[0])
+            self.train_losses_.append(_logistic_loss(X @ w + b, w, y, l2))
         self.weights_ = w
         self.bias_ = b
         return self

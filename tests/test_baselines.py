@@ -86,6 +86,27 @@ def test_bad_iteration_count_rejected(runner, cfg):
         runner(cfg(pop_size=5, max_iter=0), _space(), sphere)
 
 
+@pytest.mark.parametrize("runner, cfg, params, cause", [
+    (run_pso, PsoConfig, {"inertia": "0.4"}, TypeError),
+    (run_pso, PsoConfig, {"c1": float("nan")}, ValueError),
+    (run_pso, PsoConfig, {"c2": float("inf")}, ValueError),
+    (run_pso, PsoConfig, {"velocity_clamp": None}, TypeError),
+    (run_gwo, GwoConfig, {"a_start": "2"}, TypeError),
+    (run_gwo, GwoConfig, {"a_end": float("nan")}, ValueError),
+])
+def test_bad_real_params_rejected_before_any_evaluation(runner, cfg, params,
+                                                        cause):
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return sphere(x)
+
+    with pytest.raises(cause):
+        runner(cfg(pop_size=5, max_iter=3, **params), _space(), objective)
+    assert calls == []
+
+
 def test_initial_positions_shape_checked():
     bad = np.zeros((3, 2))
     with pytest.raises(ValueError):

@@ -150,6 +150,23 @@ class TestConfigValidation:
         assert isinstance(excinfo.value.__cause__, cause)
         assert ran == []
 
+    @pytest.mark.parametrize("algorithms, params, cause", [
+        (("mfo", "pso"), {"inertia": "0.4"}, TypeError),
+        (("mfo", "pso"), {"c1": float("nan")}, ValueError),
+        (("mfo", "pso"), {"velocity_clamp": float("inf")}, ValueError),
+        (("mfo", "gwo"), {"a_start": "2"}, TypeError),
+        (("mfo", "gwo"), {"a_end": float("-inf")}, ValueError),
+    ])
+    def test_bad_pso_gwo_params_rejected_before_running(
+            self, monkeypatch, algorithms, params, cause):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError, match=algorithms[1]) as excinfo:
+            run_experiment(tiny_config(algorithms=algorithms,
+                                       functions=("F1",), params=params))
+        assert isinstance(excinfo.value.__cause__, cause)
+        assert ran == []
+
     def test_unknown_param_key_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(functions=("F1",),

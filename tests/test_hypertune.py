@@ -267,6 +267,12 @@ class TestToyLogisticClassifier:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < norms[0]
 
+    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(batch_size=-4),
+                                     dict(epochs=-3)])
+    def test_bad_batch_size_or_epochs_rejected_when_built(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ToyLogisticClassifier(**bad)
+
     def test_predict_before_fit_raises(self):
         model = ToyLogisticClassifier()
         with pytest.raises(RuntimeError):
@@ -280,6 +286,50 @@ class TestToyLogisticClassifier:
         pred = model.predict(data.X_test)
         assert pred.dtype == np.int64
         assert set(np.unique(pred)) <= {0, 1}
+
+
+def _assert_fit_matches(model, reference):
+    w, b, diverged, losses = reference
+    assert model.weights_.tobytes() == w.tobytes()
+    assert np.float64(model.bias_).tobytes() == np.float64(b).tobytes()
+    assert model.diverged_ is diverged
+    assert len(model.train_losses_) == len(losses)
+    assert np.array(model.train_losses_).tobytes() == np.array(losses).tobytes()
+
+
+class TestFitMatchesReferenceLoop:
+    """fit takes gradient-only steps on per-epoch shuffled slices; it must
+    reproduce the fancy-indexed loss-and-gradient loop bit for bit."""
+
+    # 70 training rows: batch 32 leaves a short last batch of 6, batch 500
+    # is one batch holding the whole split
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("epochs", [0, 5, 15])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 500])
+    @pytest.mark.parametrize("features", [2, 3, 8])
+    def test_bitwise_equal_to_reference(self, reference_fit, features,
+                                        batch_size, epochs, seed):
+        data = make_toy_dataset(100, features, seed=features)
+        kwargs = dict(momentum=0.85, learning_rate=0.2, epochs=epochs,
+                      l2=3e-4, batch_size=batch_size, seed=seed)
+        model = ToyLogisticClassifier(**kwargs).fit(data.X_train, data.y_train)
+        _assert_fit_matches(
+            model, reference_fit(data.X_train, data.y_train, **kwargs))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # 5e4 with batch 32 diverges after one recorded epoch; 1e9 with batch 1
+    # drives the weights to NaN
+    @pytest.mark.parametrize("learning_rate", [5e4, 1e9])
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_diverging_run_bitwise_equal_to_reference(
+            self, reference_fit, batch_size, learning_rate):
+        data = make_toy_dataset(100, 3, seed=1)
+        kwargs = dict(momentum=0.9, learning_rate=learning_rate, epochs=10,
+                      l2=1e-4, batch_size=batch_size, seed=3)
+        model = ToyLogisticClassifier(**kwargs).fit(data.X_train, data.y_train)
+        assert model.diverged_
+        _assert_fit_matches(
+            model, reference_fit(data.X_train, data.y_train, **kwargs))
 
 
 class TestEvaluateLD:
@@ -372,6 +422,19 @@ class TestTune:
         assert a.best_L_D == b.best_L_D
         assert a.best_hyperparams == b.best_hyperparams
         assert a.trainings == b.trainings
+
+    def test_cli_defaults_give_the_pinned_result(self):
+        # `nlcmfo tune` with no options: 600 samples, 2 features, data seed
+        # 0, separation 1.0, nlcmfo with 30 moths for 20 iterations, seed 0,
+        # trainer seed 0
+        data = make_toy_dataset(600, 2, 0, 1.0)
+        res = tune(EngineConfig(algorithm="nlcmfo", pop_size=30, max_iter=20,
+                                seed=0), data, trainer_seed=0)
+        assert res.trainings == 630
+        assert res.best_L_D == 3.888888888888886
+        assert res.best_hyperparams == HyperParams(
+            momentum=0.9714687764414397, learning_rate=0.16500520466889407,
+            epochs=12, l2=0.00015024123417307732)
 
     def test_tuned_hyperparams_respect_the_box(self):
         data = make_toy_dataset(120, 2, seed=3)
