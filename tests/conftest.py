@@ -67,3 +67,152 @@ def reference_fit():
             losses.append(loss_grad(w, b, X, y, l2)[0])
         return w, b, diverged, losses
     return fit
+
+
+@pytest.fixture
+def reference_runs():
+    """The three separate run loops (``engine.run`` for mfo and nlcmfo,
+    ``run_pso``, ``run_gwo``) as they stood before the shared loop, kept as
+    the byte reference for every runner.
+
+    Maps an algorithm name to ``loop(config, space, objective)``, which
+    returns a ``RunResult`` (config validation left out).  Only the loops
+    are copied; the schedules, moves, samplers and the flame merge are the
+    package's own.
+    """
+    from nlcmfo.engine import (MapScheduler, RunResult, convergence_constant,
+                               evaluate_swarm, flame_count, nonlinear_weight,
+                               spiral_step_mfo, spiral_step_nlcmfo, t_mfo,
+                               t_nlcmfo, update_flames)
+    from nlcmfo.stochastic import ChaoticMap, LevySampler
+
+    def initial_swarm(config, space, rng):
+        if config.initial_positions is not None:
+            return space.clip(np.array(config.initial_positions,
+                                       dtype=np.float64))
+        return space.sample(config.pop_size, rng)
+
+    def telemetry(config, space):
+        big_t = config.max_iter
+        history = (np.empty((big_t, config.pop_size, space.dim))
+                   if config.record_history else None)
+        return np.empty(big_t), np.empty(big_t), np.empty(big_t), history
+
+    def moth_flame(config, space, objective):
+        rng = make_rng(config.seed)
+        n, big_t, dim = config.pop_size, config.max_iter, space.dim
+        chaotic = config.algorithm == "nlcmfo"
+        moths = space.sample(n, rng)
+        fitness = evaluate_swarm(objective, moths)
+        evaluations = n
+        order = np.argsort(fitness, kind="stable")
+        flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
+        if chaotic:
+            sampler = LevySampler(config.levy_alpha)
+            scheduler = MapScheduler(
+                ChaoticMap(config.map_primary, config.map_state0),
+                ChaoticMap(config.map_secondary, config.map_state0),
+                config.stagnation_window,
+            )
+            prev_fit = flame_fit.copy()
+        convergence, mean_fitness, trajectory, history = telemetry(config, space)
+        moth_idx = np.arange(n)
+        for l in range(1, big_t + 1):
+            k = flame_count(n, l, big_t)
+            a = convergence_constant(l, big_t)
+            paired = flame_pos[np.minimum(moth_idx, k - 1)]
+            if chaotic:
+                w = nonlinear_weight(l, big_t)
+                t = t_nlcmfo(a, scheduler.active.steps(n))
+                levy = sampler.matrix(n, dim, rng)
+                moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None],
+                                           w, levy)
+            else:
+                t = t_mfo(a, rng, size=n)
+                moths = spiral_step_mfo(moths, paired, config.b, t[:, None])
+            moths = space.clip(moths)
+            fitness = evaluate_swarm(objective, moths)
+            evaluations += n
+            flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths,
+                                                 fitness, n)
+            convergence[l - 1] = flame_fit[0]
+            mean_fitness[l - 1] = fitness.mean()
+            trajectory[l - 1] = moths[0, 0]
+            if history is not None:
+                history[l - 1] = moths
+            if chaotic:
+                scheduler.observe(flame_fit, prev_fit)
+                prev_fit = flame_fit.copy()
+        return RunResult(flame_pos[0].copy(), float(flame_fit[0]), convergence,
+                         mean_fitness, trajectory, evaluations, 0.0, history)
+
+    def pso(config, space, objective):
+        rng = make_rng(config.seed)
+        n, big_t, dim = config.pop_size, config.max_iter, space.dim
+        pos = initial_swarm(config, space, rng)
+        vel = np.zeros((n, dim))
+        vmax = config.velocity_clamp * (space.upper - space.lower)
+        fit = evaluate_swarm(objective, pos)
+        evaluations = n
+        pbest = pos.copy()
+        pbest_fit = fit.copy()
+        g = int(np.argmin(pbest_fit))
+        gbest = pbest[g].copy()
+        gbest_fit = float(pbest_fit[g])
+        convergence, mean_fitness, trajectory, history = telemetry(config, space)
+        for l in range(1, big_t + 1):
+            r1 = rng.random((n, dim))
+            r2 = rng.random((n, dim))
+            vel = (config.inertia * vel + config.c1 * r1 * (pbest - pos)
+                   + config.c2 * r2 * (gbest - pos))
+            vel = np.clip(vel, -vmax, vmax)
+            pos = space.clip(pos + vel)
+            fit = evaluate_swarm(objective, pos)
+            evaluations += n
+            improved = fit < pbest_fit
+            pbest[improved] = pos[improved]
+            pbest_fit[improved] = fit[improved]
+            g = int(np.argmin(pbest_fit))
+            if pbest_fit[g] < gbest_fit:
+                gbest = pbest[g].copy()
+                gbest_fit = float(pbest_fit[g])
+            convergence[l - 1] = gbest_fit
+            mean_fitness[l - 1] = fit.mean()
+            trajectory[l - 1] = pos[0, 0]
+            if history is not None:
+                history[l - 1] = pos
+        return RunResult(gbest, gbest_fit, convergence, mean_fitness,
+                         trajectory, evaluations, 0.0, history)
+
+    def gwo(config, space, objective):
+        rng = make_rng(config.seed)
+        n, big_t, dim = config.pop_size, config.max_iter, space.dim
+        pos = initial_swarm(config, space, rng)
+        fit = evaluate_swarm(objective, pos)
+        evaluations = n
+        order = np.argsort(fit, kind="stable")[:3]
+        leaders = pos[order].copy()
+        leader_fit = fit[order].copy()
+        convergence, mean_fitness, trajectory, history = telemetry(config, space)
+        for l in range(1, big_t + 1):
+            a = config.a_start - (config.a_start - config.a_end) * (l - 1) / big_t
+            moved = np.zeros((n, dim))
+            for leader in leaders:
+                r1 = rng.random((n, dim))
+                r2 = rng.random((n, dim))
+                big_a = 2.0 * a * r1 - a
+                big_c = 2.0 * r2
+                moved += leader - big_a * np.abs(big_c * leader - pos)
+            pos = space.clip(moved / 3.0)
+            fit = evaluate_swarm(objective, pos)
+            evaluations += n
+            leaders, leader_fit = update_flames(leaders, leader_fit, pos, fit, 3)
+            convergence[l - 1] = leader_fit[0]
+            mean_fitness[l - 1] = fit.mean()
+            trajectory[l - 1] = pos[0, 0]
+            if history is not None:
+                history[l - 1] = pos
+        return RunResult(leaders[0].copy(), float(leader_fit[0]), convergence,
+                         mean_fitness, trajectory, evaluations, 0.0, history)
+
+    return {"mfo": moth_flame, "nlcmfo": moth_flame, "pso": pso, "gwo": gwo}
