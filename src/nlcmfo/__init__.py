@@ -16,7 +16,7 @@ from .engine import (EngineConfig, ObjectiveError, RunResult, flame_count,
                      run)
 from .harness import (ConfigError, ExperimentConfig, ExperimentResult,
                       export_experiment, load_experiment_config,
-                      run_experiment, summarize, summarize_cell)
+                      run_experiment, summarize)
 from .hypertune import (ConfusionCounts, HyperParams, MetricsReport,
                         ToyDataset, ToyLogisticClassifier, TuneResult,
                         confusion, decode_hyperparams, error_rate,
@@ -41,5 +41,5 @@ __all__ = [
     "load_composite_pack", "load_experiment_config", "lookup", "make_rng",
     "make_toy_dataset", "metrics", "register_composite", "roc_auc",
     "roc_points", "run", "run_experiment", "run_gwo", "run_pso", "summarize",
-    "summarize_cell", "train_toy_model", "tune", "__version__",
+    "train_toy_model", "tune", "__version__",
 ]

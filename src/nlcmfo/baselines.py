@@ -1,23 +1,24 @@
-"""Baseline swarm optimizers sharing the engine's run contract.
+"""Baseline swarm optimizers run by the engine's shared loop.
 
-Both return the same ``RunResult`` as the moth-flame engines (same
-telemetry lengths, same pop_size * (max_iter + 1) evaluation count), so the
-harness can mix them into one comparison grid.
+Each is a search generator for ``engine.drive``, the loop that also runs
+mfo and nlcmfo, so all four optimizers return the same ``RunResult`` (same
+telemetry, same pop_size * (max_iter + 1) evaluation count) and the harness
+can mix them into one comparison grid.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .engine import Objective, RunResult, evaluate_swarm, update_flames
+# evaluate_swarm is bound here too: perfbench's tracer wraps this module's name
+from .engine import (Objective, RunResult, drive, evaluate_swarm,  # noqa: F401
+                     update_flames)
 from .space import SearchSpace
-from .stochastic import make_rng
 
 
 @dataclass
@@ -60,11 +61,16 @@ def _check_swarm_config(config, min_pop_size: int, reals: tuple) -> None:
 def validate_pso_config(config: PsoConfig) -> None:
     """Raise the error a PSO run with this config would raise, before it starts.
 
-    Checks the swarm floor of two particles, max_iter >= 1, and that inertia,
+    Checks the swarm floor of two particles, max_iter >= 1, that inertia,
     c1, c2 and velocity_clamp are finite real numbers (a number given as a
-    JSON string is a TypeError, a NaN or infinity a ValueError).
+    JSON string is a TypeError, a NaN or infinity a ValueError), and that
+    velocity_clamp > 0: a negative clamp moves every particle by the
+    constant clamp, and 0 freezes the swarm on its start points.
     """
     _check_swarm_config(config, 2, ("inertia", "c1", "c2", "velocity_clamp"))
+    if config.velocity_clamp <= 0:
+        raise ValueError(
+            f"velocity_clamp must be > 0, got {config.velocity_clamp!r}")
 
 
 def validate_gwo_config(config: GwoConfig) -> None:
@@ -89,35 +95,20 @@ def _initial_swarm(config, space: SearchSpace, rng) -> np.ndarray:
     return space.sample(config.pop_size, rng)
 
 
-def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunResult:
-    """Global-best particle swarm with a velocity clamp.
-
-    Fully connected topology: every particle is pulled toward its own best
-    and the single swarm-wide best.  Velocities are clamped to
-    velocity_clamp * (upper - lower) per dimension, positions to the box.
-    """
-    validate_pso_config(config)
-    start = time.perf_counter()
-    rng = make_rng(config.seed)
-    n, big_t, dim = config.pop_size, config.max_iter, space.dim
-
-    pos = _initial_swarm(config, space, rng)
+def _pso(config: PsoConfig, space: SearchSpace, rng):
+    """PSO search for ``drive``: velocities pulled to pbest and gbest."""
+    n, dim = config.pop_size, space.dim
+    pos, fit = yield _initial_swarm(config, space, rng)
     vel = np.zeros((n, dim))
     vmax = config.velocity_clamp * (space.upper - space.lower)
-    fit = evaluate_swarm(objective, pos)
-    evaluations = n
     pbest = pos.copy()
     pbest_fit = fit.copy()
     g = int(np.argmin(pbest_fit))
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
+    yield gbest_fit
 
-    convergence = np.empty(big_t)
-    mean_fitness = np.empty(big_t)
-    trajectory = np.empty(big_t)
-    history = np.empty((big_t, n, dim)) if config.record_history else None
-
-    for l in range(1, big_t + 1):
+    for _ in range(config.max_iter):
         r1 = rng.random((n, dim))
         r2 = rng.random((n, dim))
         vel = (
@@ -126,9 +117,7 @@ def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunR
             + config.c2 * r2 * (gbest - pos)
         )
         vel = np.clip(vel, -vmax, vmax)
-        pos = space.clip(pos + vel)
-        fit = evaluate_swarm(objective, pos)
-        evaluations += n
+        pos, fit = yield pos + vel
 
         improved = fit < pbest_fit
         pbest[improved] = pos[improved]
@@ -137,48 +126,30 @@ def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunR
         if pbest_fit[g] < gbest_fit:
             gbest = pbest[g].copy()
             gbest_fit = float(pbest_fit[g])
+        yield gbest_fit
 
-        convergence[l - 1] = gbest_fit
-        mean_fitness[l - 1] = fit.mean()
-        trajectory[l - 1] = pos[0, 0]
-        if history is not None:
-            history[l - 1] = pos
-
-    return RunResult(
-        best_position=gbest,
-        best_fitness=gbest_fit,
-        convergence=convergence,
-        mean_fitness=mean_fitness,
-        trajectory=trajectory,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-        history=history,
-    )
+    yield gbest, gbest_fit
 
 
-def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunResult:
-    """Grey wolf optimizer: wolves encircle the three best-so-far leaders.
+def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunResult:
+    """Global-best particle swarm with a velocity clamp.
 
-    The control parameter a falls linearly from a_start to a_end; each wolf
-    averages three encircling moves around the alpha, beta and delta
-    leaders, which only ever improve (best-so-far elitism).
+    Fully connected topology: every particle is pulled toward its own best
+    and the single swarm-wide best.  Velocities are clamped to
+    velocity_clamp * (upper - lower) per dimension, positions to the box.
     """
-    validate_gwo_config(config)
-    start = time.perf_counter()
-    rng = make_rng(config.seed)
-    n, big_t, dim = config.pop_size, config.max_iter, space.dim
+    validate_pso_config(config)
+    return drive(config, space, objective, _pso)
 
-    pos = _initial_swarm(config, space, rng)
-    fit = evaluate_swarm(objective, pos)
-    evaluations = n
+
+def _gwo(config: GwoConfig, space: SearchSpace, rng):
+    """GWO search for ``drive``: wolves encircle the alpha, beta and delta."""
+    n, big_t, dim = config.pop_size, config.max_iter, space.dim
+    pos, fit = yield _initial_swarm(config, space, rng)
     order = np.argsort(fit, kind="stable")[:3]
     leaders = pos[order].copy()
     leader_fit = fit[order].copy()
-
-    convergence = np.empty(big_t)
-    mean_fitness = np.empty(big_t)
-    trajectory = np.empty(big_t)
-    history = np.empty((big_t, n, dim)) if config.record_history else None
+    yield leader_fit[0]
 
     for l in range(1, big_t + 1):
         a = config.a_start - (config.a_start - config.a_end) * (l - 1) / big_t
@@ -190,27 +161,22 @@ def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunR
             big_c = 2.0 * r2
             dist = np.abs(big_c * leader - pos)
             moved += leader - big_a * dist
-        pos = space.clip(moved / 3.0)
-        fit = evaluate_swarm(objective, pos)
-        evaluations += n
+        pos, fit = yield moved / 3.0
 
         # fold the new wolves into the alpha/beta/delta hierarchy: a stable
         # top-3 with the leaders listed first, so a tie never unseats one
         leaders, leader_fit = update_flames(leaders, leader_fit, pos, fit, 3)
+        yield leader_fit[0]
 
-        convergence[l - 1] = leader_fit[0]
-        mean_fitness[l - 1] = fit.mean()
-        trajectory[l - 1] = pos[0, 0]
-        if history is not None:
-            history[l - 1] = pos
+    yield leaders[0].copy(), leader_fit[0]
 
-    return RunResult(
-        best_position=leaders[0].copy(),
-        best_fitness=float(leader_fit[0]),
-        convergence=convergence,
-        mean_fitness=mean_fitness,
-        trajectory=trajectory,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-        history=history,
-    )
+
+def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunResult:
+    """Grey wolf optimizer: wolves encircle the three best-so-far leaders.
+
+    The control parameter a falls linearly from a_start to a_end; each wolf
+    averages three encircling moves around the alpha, beta and delta
+    leaders, which only ever improve (best-so-far elitism).
+    """
+    validate_gwo_config(config)
+    return drive(config, space, objective, _gwo)

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
+from .stochastic import make_rng
 
 
 class UnknownFunctionError(LookupError):
@@ -311,6 +312,11 @@ class BenchmarkFunction:
                 f"{self.fid} is fixed at dimension {self.dim}, got {x.size}"
             )
         return self.objective(rng)(x)
+
+    def noise_rng(self, seed: int) -> Optional[np.random.Generator]:
+        """The noise generator of a run seeded ``seed``: stream 1 of that seed
+        for a noisy function (stream 0 drives the optimizer), else None."""
+        return make_rng(seed, stream=1) if self.noisy else None
 
     def objective(self, rng: Optional[np.random.Generator] = None):
         """Unvalidated closure for optimizer loops (dims come from space()).

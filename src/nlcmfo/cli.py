@@ -19,16 +19,15 @@ import sys
 from pathlib import Path
 
 from . import benchmarks
-from .baselines import GwoConfig, PsoConfig, run_gwo, run_pso
-from .engine import EngineConfig, ObjectiveError, run
+from .engine import EngineConfig, ObjectiveError
 from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ConfigError,
-                      ExperimentConfig, export_experiment,
-                      load_experiment_config, run_experiment, summarize,
-                      write_search_history)
+                      ExperimentConfig, _build_config, export_experiment,
+                      load_experiment_config, run_experiment, runner,
+                      summarize, write_search_history)
 from .hypertune import (confusion, export_dataset, make_toy_dataset, metrics,
                         roc_auc, roc_points, save_model, train_toy_model,
                         tune)
-from .stochastic import ParameterError, make_rng
+from .stochastic import ParameterError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,8 +146,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_eval(args) -> int:
     func = benchmarks.lookup(args.function)
-    rng = make_rng(args.seed, stream=1) if func.noisy else None
-    value = func.evaluate(args.point, rng=rng)
+    value = func.evaluate(args.point, rng=func.noise_rng(args.seed))
     print(value)
     return 0
 
@@ -156,21 +154,10 @@ def _cmd_eval(args) -> int:
 def _cmd_diag(args) -> int:
     func = benchmarks.lookup(args.function)
     space = func.space(args.dim if func.scalable else None)
-    noise_rng = make_rng(args.seed, stream=1) if func.noisy else None
-    objective = func.objective(rng=noise_rng) if func.noisy else func.objective()
-    if args.algorithm in ("mfo", "nlcmfo"):
-        config = EngineConfig(algorithm=args.algorithm, pop_size=args.pop_size,
-                              max_iter=args.max_iter, seed=args.seed,
-                              record_history=True)
-        result = run(config, space, objective)
-    elif args.algorithm == "pso":
-        config = PsoConfig(pop_size=args.pop_size, max_iter=args.max_iter,
-                           seed=args.seed, record_history=True)
-        result = run_pso(config, space, objective)
-    else:
-        config = GwoConfig(pop_size=args.pop_size, max_iter=args.max_iter,
-                           seed=args.seed, record_history=True)
-        result = run_gwo(config, space, objective)
+    objective = func.objective(rng=func.noise_rng(args.seed))
+    config = _build_config(args.algorithm, args.pop_size, args.max_iter,
+                           args.seed, True, {})
+    result = runner(args.algorithm)(config, space, objective)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", parents=[], help="run an experiment grid")
     bench.add_argument("--config", help="JSON experiment config file")
     bench.add_argument("--algorithms", nargs="+", metavar="ALG",
-                       help=f"subset of {ALGORITHMS}")
+                       help=f"subset of {tuple(ALGORITHMS)}")
     bench.add_argument("--functions", nargs="+", metavar="FID",
                        help="function ids (F1..F29) or all/scalable/fixed")
     bench.add_argument("--dim", type=int)

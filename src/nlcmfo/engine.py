@@ -1,6 +1,9 @@
-"""Moth-flame search engines.
+"""Moth-flame search engines and the run loop every optimizer shares.
 
-Two variants share one loop skeleton:
+``drive`` owns the run contract for all four optimizers (these two and the
+PSO and GWO baselines): seeding, every objective evaluation, clipping each
+move into the box, the telemetry and the ``RunResult``.  An algorithm only
+supplies a search generator (see ``drive``).  The two moth-flame variants:
 
 * ``mfo``     - the classic logarithmic-spiral moth-flame search.
 * ``nlcmfo``  - the Levy-chaotic variant: spiral time comes from a chaotic
@@ -12,8 +15,8 @@ Two variants share one loop skeleton:
   iterations.
 
 A run costs exactly pop_size * (max_iter + 1) objective evaluations: the
-initial swarm is evaluated once before the first flame update, then every
-iteration moves and re-evaluates all moths.
+initial swarm is evaluated once before the first update, then every
+iteration moves and re-evaluates the whole swarm.
 """
 
 from __future__ import annotations
@@ -155,12 +158,6 @@ def spiral_step_nlcmfo(moth, flame, b: float, t, w: float, levy):
     return spiral + levy * np.asarray(flame)
 
 
-def assign_flame(moth_index: int, flame_no: int) -> int:
-    """Pair moth i with flame min(i, flame_no-1): ranked flame while one
-    survives for this moth, otherwise the worst surviving flame."""
-    return min(moth_index, flame_no - 1)
-
-
 def evaluate_swarm(objective: Objective, positions: np.ndarray) -> np.ndarray:
     """Objective value of every row; NaN/inf aborts with the position.
 
@@ -194,10 +191,8 @@ def update_flames(
 
     Stable ascending sort on fitness with archive rows listed first, so an
     earlier-seen solution wins ties and the archive never worsens.
+    The fitness values come from ``evaluate_swarm``, so they are finite.
     """
-    if not np.isfinite(moth_fit).all():
-        bad = int(np.flatnonzero(~np.isfinite(moth_fit))[0])
-        raise ObjectiveError(moth_pos[bad], float(moth_fit[bad]))
     pos = np.concatenate([flame_pos, moth_pos], axis=0)
     fit = np.concatenate([flame_fit, moth_fit])
     order = np.argsort(fit, kind="stable")[:keep]
@@ -265,20 +260,59 @@ def validate_config(config: EngineConfig) -> None:
             ChaoticMap(kind, config.map_state0).steps(2)
 
 
-def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
-    """Execute one seeded run; see the module docstring for the loop shape."""
-    validate_config(config)
+def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult:
+    """Execute one seeded run of ``search``; the loop every optimizer shares.
+
+    ``search(config, space, rng)`` is a generator over one run.  It yields
+    the start swarm, then each iteration's move, which is clipped into the
+    box here.  After each swarm is evaluated it is sent ``(positions,
+    fitness)`` and yields its best fitness so far.  After max_iter
+    iterations it yields ``(best_position, best_fitness)``.  ``config``
+    needs pop_size, max_iter, seed and record_history; the rng is
+    ``make_rng(config.seed)`` and belongs to the search alone.
+    """
     start = time.perf_counter()
-    rng = make_rng(config.seed)
+    n, big_t = config.pop_size, config.max_iter
+    steps = search(config, space, make_rng(config.seed))
+    pos = next(steps)
+    fit = evaluate_swarm(objective, pos)
+    steps.send((pos, fit))
+
+    convergence = np.empty(big_t)
+    mean_fitness = np.empty(big_t)
+    trajectory = np.empty(big_t)
+    history = np.empty((big_t, n, space.dim)) if config.record_history else None
+
+    for i in range(big_t):
+        pos = space.clip(next(steps))
+        fit = evaluate_swarm(objective, pos)
+        convergence[i] = steps.send((pos, fit))
+        mean_fitness[i] = fit.mean()
+        trajectory[i] = pos[0, 0]
+        if history is not None:
+            history[i] = pos
+
+    best_position, best_fitness = next(steps)
+    return RunResult(
+        best_position=best_position,
+        best_fitness=float(best_fitness),
+        convergence=convergence,
+        mean_fitness=mean_fitness,
+        trajectory=trajectory,
+        evaluations=n * (big_t + 1),
+        wall_time=time.perf_counter() - start,
+        history=history,
+    )
+
+
+def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
+    """mfo / nlcmfo search for ``drive``: spiral moves around ranked flames."""
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
     chaotic = config.algorithm == "nlcmfo"
 
-    moths = space.sample(n, rng)
-    fitness = evaluate_swarm(objective, moths)
-    evaluations = n
+    moths, fitness = yield space.sample(n, rng)
     order = np.argsort(fitness, kind="stable")
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
-
     if chaotic:
         sampler = LevySampler(config.levy_alpha)
         scheduler = MapScheduler(
@@ -286,48 +320,39 @@ def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunRe
             ChaoticMap(config.map_secondary, config.map_state0),
             config.stagnation_window,
         )
-        prev_fit = flame_fit.copy()
-
-    convergence = np.empty(big_t)
-    mean_fitness = np.empty(big_t)
-    trajectory = np.empty(big_t)
-    history = np.empty((big_t, n, dim)) if config.record_history else None
+    yield flame_fit[0]
 
     moth_idx = np.arange(n)
     for l in range(1, big_t + 1):
         k = flame_count(n, l, big_t)
         a = convergence_constant(l, big_t)
+        # moth i follows flame i while it survives, else the worst survivor
         paired = flame_pos[np.minimum(moth_idx, k - 1)]
         if chaotic:
             w = nonlinear_weight(l, big_t)
             cm = scheduler.active.steps(n)
             t = t_nlcmfo(a, cm)
             levy = sampler.matrix(n, dim, rng)
-            moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None], w, levy)
+            moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None],
+                                       w, levy)
         else:
             t = t_mfo(a, rng, size=n)
             moths = spiral_step_mfo(moths, paired, config.b, t[:, None])
-        moths = space.clip(moths)
-        fitness = evaluate_swarm(objective, moths)
-        evaluations += n
+        # the move rebinds ``moths`` before it is yielded, which frees the
+        # previous swarm as early as a plain loop would; yielding the
+        # spiral expression directly changed glibc's heap trimming at
+        # d=1000 enough to cost mfo 65x the page faults and ~1.5x the time
+        moths, fitness = yield moths
+        prev_fit = flame_fit
         flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths, fitness, n)
-
-        convergence[l - 1] = flame_fit[0]
-        mean_fitness[l - 1] = fitness.mean()
-        trajectory[l - 1] = moths[0, 0]
-        if history is not None:
-            history[l - 1] = moths
         if chaotic:
             scheduler.observe(flame_fit, prev_fit)
-            prev_fit = flame_fit.copy()
+        yield flame_fit[0]
 
-    return RunResult(
-        best_position=flame_pos[0].copy(),
-        best_fitness=float(flame_fit[0]),
-        convergence=convergence,
-        mean_fitness=mean_fitness,
-        trajectory=trajectory,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-        history=history,
-    )
+    yield flame_pos[0].copy(), flame_fit[0]
+
+
+def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
+    """Execute one seeded mfo or nlcmfo run; see the module docstring."""
+    validate_config(config)
+    return drive(config, space, objective, _moth_flame)

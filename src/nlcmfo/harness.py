@@ -31,9 +31,16 @@ from . import benchmarks
 from .baselines import (GwoConfig, PsoConfig, run_gwo, run_pso,
                         validate_gwo_config, validate_pso_config)
 from .engine import EngineConfig, ObjectiveError, run, validate_config
-from .stochastic import make_rng
 
-ALGORITHMS = ("mfo", "nlcmfo", "pso", "gwo")
+# The one algorithm registry: name -> (config class, validator, runner name).
+# A runner is looked up in this module by name when a run starts, so a
+# wrapper installed on harness.run / run_pso / run_gwo sees every run.
+ALGORITHMS = {
+    "mfo": (EngineConfig, validate_config, "run"),
+    "nlcmfo": (EngineConfig, validate_config, "run"),
+    "pso": (PsoConfig, validate_pso_config, "run_pso"),
+    "gwo": (GwoConfig, validate_gwo_config, "run_gwo"),
+}
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
 
 WORKERS_ENV_VAR = "NLCMFO_WORKERS"
@@ -75,15 +82,6 @@ class RunRecord:
     mean_curve: Optional[np.ndarray] = None
     trajectory: Optional[np.ndarray] = None
     history: Optional[np.ndarray] = None
-
-
-@dataclass
-class CellStats:
-    ave: float
-    std: float
-    ave_runtime_s: float
-    std_runtime_s: float
-    single_sample: bool = False
 
 
 @dataclass
@@ -141,7 +139,7 @@ def _validate(config: ExperimentConfig) -> None:
     for algorithm in config.algorithms:
         if algorithm not in ALGORITHMS:
             raise ConfigError(
-                f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
+                f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}"
             )
     if not config.functions:
         raise ConfigError("no functions selected")
@@ -163,7 +161,7 @@ def _validate(config: ExperimentConfig) -> None:
     if config.params:
         legal = set()
         for algorithm in config.algorithms:
-            legal |= {f.name for f in fields(_CONFIG_TYPES[algorithm])}
+            legal |= {f.name for f in fields(ALGORITHMS[algorithm][0])}
         unknown = set(config.params) - legal
         if unknown:
             raise ConfigError(f"unknown params keys: {sorted(unknown)}")
@@ -171,17 +169,12 @@ def _validate(config: ExperimentConfig) -> None:
     # params checks
     for algorithm in config.algorithms:
         try:
-            _VALIDATORS[algorithm](_build_config(
+            ALGORITHMS[algorithm][1](_build_config(
                 algorithm, config.pop_size, config.max_iter, config.base_seed,
                 config.telemetry == "full-history", config.params))
         except (TypeError, ValueError) as exc:  # TypeError: e.g. "1.5" from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
 
-
-_CONFIG_TYPES = {"mfo": EngineConfig, "nlcmfo": EngineConfig,
-                 "pso": PsoConfig, "gwo": GwoConfig}
-_VALIDATORS = {"mfo": validate_config, "nlcmfo": validate_config,
-               "pso": validate_pso_config, "gwo": validate_gwo_config}
 
 _loaded_packs: set = set()
 
@@ -207,7 +200,7 @@ def _cell_dim(func: benchmarks.BenchmarkFunction, dim: Optional[int]) -> int:
 
 def _build_config(algorithm: str, pop_size: int, max_iter: int, seed: int,
                   record_history: bool, params: dict):
-    cls = _CONFIG_TYPES[algorithm]
+    cls = ALGORITHMS[algorithm][0]
     legal = {f.name for f in fields(cls)}
     kwargs = {k: v for k, v in params.items() if k in legal}
     kwargs.update(pop_size=pop_size, max_iter=max_iter, seed=seed,
@@ -217,6 +210,11 @@ def _build_config(algorithm: str, pop_size: int, max_iter: int, seed: int,
     return cls(**kwargs)
 
 
+def runner(algorithm: str):
+    """The run function registered for ``algorithm``."""
+    return globals()[ALGORITHMS[algorithm][2]]
+
+
 def _execute_task(task) -> RunRecord:
     (algorithm, fid, dim, run_index, seed, pop_size, max_iter, telemetry,
      params, pack_dir) = task
@@ -224,13 +222,11 @@ def _execute_task(task) -> RunRecord:
         _ensure_pack(pack_dir)
     func = benchmarks.lookup(fid)
     space = func.space(dim)
-    noise_rng = make_rng(seed, stream=1) if func.noisy else None
-    objective = func.objective(rng=noise_rng) if func.noisy else func.objective()
+    objective = func.objective(rng=func.noise_rng(seed))
     config = _build_config(algorithm, pop_size, max_iter, seed,
                            telemetry == "full-history", params)
-    runner = {"mfo": run, "nlcmfo": run, "pso": run_pso, "gwo": run_gwo}[algorithm]
     try:
-        result = runner(config, space, objective)
+        result = runner(algorithm)(config, space, objective)
     except ObjectiveError as exc:
         return RunRecord(algorithm, fid, dim, run_index, seed,
                          float("nan"), None, 0, 0.0, aborted=True,
@@ -283,26 +279,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # aggregation
 # ---------------------------------------------------------------------------
 
-def summarize_cell(finals, runtimes) -> CellStats:
-    """Mean and sample std (ddof=1) of one cell's finals and runtimes.
-
-    A single-run cell reports std 0 and is flagged single_sample.
-    """
-    finals = np.asarray(finals, dtype=np.float64)
-    runtimes = np.asarray(runtimes, dtype=np.float64)
-    if finals.size == 0 or finals.size != runtimes.size:
-        raise ValueError("finals and runtimes must be equal-length and nonempty")
-    single = finals.size == 1
-    std = 0.0 if single else float(np.std(finals, ddof=1))
-    std_rt = 0.0 if single else float(np.std(runtimes, ddof=1))
-    return CellStats(float(np.mean(finals)), std,
-                     float(np.mean(runtimes)), std_rt, single)
-
-
 def summarize(records) -> list:
     """One SummaryRow per grid cell, in first-seen cell order.
 
     Aborted runs are counted but excluded from the fitness statistics.
+    ave/std are the mean and sample std (ddof=1) of the finished runs' best
+    fitness, likewise for runtime; a single-run cell reports std 0 and is
+    flagged single_sample.
     """
     cells: dict = {}
     for rec in records:
@@ -317,13 +300,15 @@ def summarize(records) -> list:
                                    nan, nan, nan, nan, nan, nan, nan))
             continue
         fits = np.array([r.best_fitness for r in finished])
-        stats = summarize_cell(fits, [r.runtime_s for r in finished])
+        runtimes = np.array([r.runtime_s for r in finished])
+        single = len(finished) == 1
         rows.append(SummaryRow(
             algorithm, fid, dim, len(finished), aborted,
-            stats.ave, stats.std,
+            float(np.mean(fits)), 0.0 if single else float(np.std(fits, ddof=1)),
             float(np.min(fits)), float(np.max(fits)), float(np.median(fits)),
-            stats.ave_runtime_s, stats.std_runtime_s,
-            single_sample=stats.single_sample,
+            float(np.mean(runtimes)),
+            0.0 if single else float(np.std(runtimes, ddof=1)),
+            single_sample=single,
         ))
     return rows
 

@@ -93,6 +93,8 @@ def test_bad_iteration_count_rejected(runner, cfg):
     (run_pso, PsoConfig, {"velocity_clamp": None}, TypeError),
     (run_gwo, GwoConfig, {"a_start": "2"}, TypeError),
     (run_gwo, GwoConfig, {"a_end": float("nan")}, ValueError),
+    (run_pso, PsoConfig, {"velocity_clamp": -0.2}, ValueError),
+    (run_pso, PsoConfig, {"velocity_clamp": 0.0}, ValueError),
 ])
 def test_bad_real_params_rejected_before_any_evaluation(runner, cfg, params,
                                                         cause):

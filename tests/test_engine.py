@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlcmfo import engine
 from nlcmfo.engine import (EngineConfig, MapScheduler, ObjectiveError,
-                           assign_flame, convergence_constant, evaluate_swarm,
+                           convergence_constant, evaluate_swarm,
                            flame_count, nonlinear_weight, run,
                            spiral_step_mfo, spiral_step_nlcmfo, t_mfo,
                            t_nlcmfo, update_flames, validate_config)
@@ -157,11 +158,18 @@ def test_spiral_broadcast_shapes():
 # ---------------------------------------------------------------------------
 
 
-def test_assign_flame_pairing():
-    assert assign_flame(0, 5) == 0
-    assert assign_flame(3, 5) == 3
-    assert assign_flame(7, 5) == 4   # beyond the surviving flames: use worst
-    assert assign_flame(7, 1) == 0
+def test_run_pairs_moths_with_ranked_flames_then_the_worst(monkeypatch):
+    # at t = 1/4 the spiral lands exactly on the paired flame, so the first
+    # post-move swarm shows the pairing: flame_count(5, 1, 2) = 3 flames
+    # survive, moths 0-2 take flames 0-2 and moths 3-4 the worst of them
+    monkeypatch.setattr(engine, "t_mfo",
+                        lambda a, rng, size=None: np.full(size, 0.25))
+    space = SearchSpace.cube(2, -5.0, 5.0)
+    result = run(EngineConfig(algorithm="mfo", pop_size=5, max_iter=2, seed=4,
+                              record_history=True), space, sphere)
+    start = space.sample(5, make_rng(4))
+    flames = start[np.argsort([sphere(x) for x in start], kind="stable")]
+    assert np.array_equal(result.history[0], flames[[0, 1, 2, 2, 2]])
 
 
 def test_evaluate_swarm_values():
@@ -235,13 +243,6 @@ def test_update_flames_never_worsens():
     pos, fit = update_flames(flame_pos, flame_fit, moth_pos, moth_fit, 5)
     assert np.array_equal(fit, flame_fit)
     assert np.array_equal(pos, flame_pos)
-
-
-def test_update_flames_rejects_nonfinite_fitness():
-    with pytest.raises(ObjectiveError) as exc:
-        update_flames(np.zeros((1, 2)), np.zeros(1),
-                      np.array([[7.0, 8.0]]), np.array([float("inf")]), 1)
-    assert np.array_equal(exc.value.position, [7.0, 8.0])
 
 
 # ---------------------------------------------------------------------------

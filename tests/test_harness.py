@@ -23,9 +23,9 @@ from nlcmfo.harness import (
     export_experiment,
     load_experiment_config,
     resolve_workers,
+    RunRecord,
     run_experiment,
     summarize,
-    summarize_cell,
     write_finals,
     write_search_history,
     write_stats,
@@ -64,27 +64,26 @@ def nan_composite(composite_sandbox):
 # cell statistics
 # ---------------------------------------------------------------------------
 
+def cell_records(finals, runtimes):
+    return [RunRecord("mfo", "F1", 2, i, i, fit, np.zeros(2), 12, rt)
+            for i, (fit, rt) in enumerate(zip(finals, runtimes))]
+
+
 class TestSummarizeCell:
     def test_sample_std_uses_ddof_one(self):
-        stats = summarize_cell([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
-        assert stats.ave == 2.0
-        assert stats.std == 1.0
-        assert not stats.single_sample
+        [row] = summarize(cell_records([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]))
+        assert row.ave == 2.0
+        assert row.std == 1.0
+        assert row.ave_runtime_s == pytest.approx(0.2)
+        assert row.std_runtime_s == pytest.approx(0.1)
+        assert not row.single_sample
 
     def test_single_run_flagged_with_zero_std(self):
-        stats = summarize_cell([5.0], [0.2])
-        assert stats.ave == 5.0
-        assert stats.std == 0.0
-        assert stats.std_runtime_s == 0.0
-        assert stats.single_sample
-
-    def test_empty_cell_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_cell([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_cell([1.0, 2.0], [0.1])
+        [row] = summarize(cell_records([5.0], [0.2]))
+        assert row.ave == 5.0
+        assert row.std == 0.0
+        assert row.std_runtime_s == 0.0
+        assert row.single_sample
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +155,8 @@ class TestConfigValidation:
         (("mfo", "pso"), {"velocity_clamp": float("inf")}, ValueError),
         (("mfo", "gwo"), {"a_start": "2"}, TypeError),
         (("mfo", "gwo"), {"a_end": float("-inf")}, ValueError),
+        (("mfo", "pso"), {"velocity_clamp": -0.2}, ValueError),
+        (("mfo", "pso"), {"velocity_clamp": 0.0}, ValueError),
     ])
     def test_bad_pso_gwo_params_rejected_before_running(
             self, monkeypatch, algorithms, params, cause):
