@@ -333,8 +333,7 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
             cm = scheduler.active.steps(n)
             t = t_nlcmfo(a, cm)
             levy = sampler.matrix(n, dim, rng)
-            moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None],
-                                       w, levy)
+            moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None], w, levy)
         else:
             t = t_mfo(a, rng, size=n)
             moths = spiral_step_mfo(moths, paired, config.b, t[:, None])
