@@ -19,9 +19,9 @@ from .harness import (ConfigError, ExperimentConfig, ExperimentResult,
                       run_experiment, summarize)
 from .hypertune import (ConfusionCounts, HyperParams, MetricsReport,
                         ToyDataset, ToyLogisticClassifier, TuneResult,
-                        confusion, decode_hyperparams, error_rate,
-                        evaluate_L_D, make_toy_dataset, metrics, roc_auc,
-                        roc_points, train_toy_model, tune)
+                        confusion, decode_hyperparams, evaluate_L_D,
+                        make_toy_dataset, metrics, roc_auc, roc_points,
+                        train_toy_model, tune)
 from .space import SearchSpace
 from .stochastic import (ChaoticDomainError, ChaoticMap, LevySampler,
                          ParameterError, levy_sigma_x, make_rng)
@@ -36,7 +36,7 @@ __all__ = [
     "ObjectiveError", "ParameterError", "PsoConfig", "RunResult",
     "SearchSpace", "ToyDataset", "ToyLogisticClassifier", "TuneResult",
     "UnknownFunctionError", "clear_composites", "confusion",
-    "decode_hyperparams", "error_rate", "evaluate", "evaluate_L_D",
+    "decode_hyperparams", "evaluate", "evaluate_L_D",
     "export_experiment", "flame_count", "levy_sigma_x",
     "load_composite_pack", "load_experiment_config", "lookup", "make_rng",
     "make_toy_dataset", "metrics", "register_composite", "roc_auc",

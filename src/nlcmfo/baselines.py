@@ -8,16 +8,14 @@ can mix them into one comparison grid.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 # evaluate_swarm is bound here too: perfbench's tracer wraps this module's name
-from .engine import (Objective, RunResult, drive, evaluate_swarm,  # noqa: F401
-                     update_flames)
+from .engine import (Objective, RunResult, check_swarm_config, drive,  # noqa: F401
+                     evaluate_swarm, update_flames)
 from .space import SearchSpace
 
 
@@ -45,19 +43,6 @@ class GwoConfig:
     initial_positions: Optional[np.ndarray] = None
 
 
-def _check_swarm_config(config, min_pop_size: int, reals: tuple) -> None:
-    if config.pop_size < min_pop_size:
-        raise ValueError(f"pop_size must be >= {min_pop_size}")
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    for name in reals:
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def validate_pso_config(config: PsoConfig) -> None:
     """Raise the error a PSO run with this config would raise, before it starts.
 
@@ -67,7 +52,7 @@ def validate_pso_config(config: PsoConfig) -> None:
     velocity_clamp > 0: a negative clamp moves every particle by the
     constant clamp, and 0 freezes the swarm on its start points.
     """
-    _check_swarm_config(config, 2, ("inertia", "c1", "c2", "velocity_clamp"))
+    check_swarm_config(config, 2, ("inertia", "c1", "c2", "velocity_clamp"))
     if config.velocity_clamp <= 0:
         raise ValueError(
             f"velocity_clamp must be > 0, got {config.velocity_clamp!r}")
@@ -80,7 +65,7 @@ def validate_gwo_config(config: GwoConfig) -> None:
     leaders), max_iter >= 1, and that a_start and a_end are finite real
     numbers.
     """
-    _check_swarm_config(config, 3, ("a_start", "a_end"))
+    check_swarm_config(config, 3, ("a_start", "a_end"))
 
 
 def _initial_swarm(config, space: SearchSpace, rng) -> np.ndarray:
@@ -106,7 +91,6 @@ def _pso(config: PsoConfig, space: SearchSpace, rng):
     g = int(np.argmin(pbest_fit))
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
-    yield gbest_fit
 
     for _ in range(config.max_iter):
         r1 = rng.random((n, dim))
@@ -126,9 +110,6 @@ def _pso(config: PsoConfig, space: SearchSpace, rng):
         if pbest_fit[g] < gbest_fit:
             gbest = pbest[g].copy()
             gbest_fit = float(pbest_fit[g])
-        yield gbest_fit
-
-    yield gbest, gbest_fit
 
 
 def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunResult:
@@ -149,7 +130,6 @@ def _gwo(config: GwoConfig, space: SearchSpace, rng):
     order = np.argsort(fit, kind="stable")[:3]
     leaders = pos[order].copy()
     leader_fit = fit[order].copy()
-    yield leader_fit[0]
 
     for l in range(1, big_t + 1):
         a = config.a_start - (config.a_start - config.a_end) * (l - 1) / big_t
@@ -166,9 +146,6 @@ def _gwo(config: GwoConfig, space: SearchSpace, rng):
         # fold the new wolves into the alpha/beta/delta hierarchy: a stable
         # top-3 with the leaders listed first, so a tie never unseats one
         leaders, leader_fit = update_flames(leaders, leader_fit, pos, fit, 3)
-        yield leader_fit[0]
-
-    yield leaders[0].copy(), leader_fit[0]
 
 
 def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunResult:

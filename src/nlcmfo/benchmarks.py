@@ -446,7 +446,7 @@ def register_composite(pack) -> None:
             raise UnknownFunctionError(
                 f"composite id must be one of {COMPOSITE_IDS}, got {fid!r}"
             )
-        if fid in _composites:
+        if fid in _composites or any(e.fid == fid for e in staged):
             raise CompositeCollisionError(f"composite {fid} already registered")
         fn = get("eval")
         if not callable(fn):
@@ -486,46 +486,66 @@ def load_composite_pack(directory) -> list[str]:
     Evaluation is bias + sum_j weight_j * basis_j(R_j @ (x - shift_j)).
     This is a plugin data format, not an official competition definition;
     packs needing richer semantics register eval callables directly.
+
+    The pack loads whole or not at all: every file is parsed and checked
+    (a malformed file, an unknown basis or a shift/rotation whose shape
+    does not match dim is a ValueError) before one ``register_composite``
+    call registers them all.
     """
     directory = Path(directory)
     files = sorted(directory.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no composite definitions (*.json) in {directory}")
-    loaded = []
+    specs = []
     for path in files:
-        with open(path) as fh:
-            raw = json.load(fh)
-        dim = int(raw["dim"])
-        bias = float(raw.get("bias", 0.0))
-        parts = []
-        for comp in raw.get("components", []):
-            basis = BASIS_FUNCTIONS[comp["basis"]]
-            weight = float(comp.get("weight", 1.0))
-            shift = np.asarray(comp.get("shift", np.zeros(dim)), dtype=np.float64)
-            rotation = comp.get("rotation")
-            rotation = None if rotation is None else np.asarray(rotation, dtype=np.float64)
-            parts.append((basis, weight, shift, rotation))
+        try:
+            specs.append(_composite_spec(path))
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path.name}: {detail}") from exc
+    register_composite(specs)
+    return [spec["id"] for spec in specs]
 
-        def make_eval(parts=parts, bias=bias):
-            def f(x):
-                total = bias
-                for basis, weight, shift, rotation in parts:
-                    z = x - shift
-                    if rotation is not None:
-                        z = rotation @ z
-                    total += weight * basis(z[None, :])[0]
-                return total
-            return f
 
-        register_composite({
-            "id": raw["id"],
-            "name": raw.get("name", str(raw["id"]).lower()),
-            "dim": dim,
-            "lower": raw["lower"],
-            "upper": raw["upper"],
-            "f_min": raw.get("f_min"),
-            "minimizer": raw.get("minimizer"),
-            "eval": make_eval(),
-        })
-        loaded.append(str(raw["id"]).upper())
-    return loaded
+def _composite_spec(path: Path) -> dict:
+    with open(path) as fh:
+        raw = json.load(fh)
+    dim = int(raw["dim"])
+    bias = float(raw.get("bias", 0.0))
+    parts = []
+    for comp in raw.get("components", []):
+        if comp["basis"] not in BASIS_FUNCTIONS:
+            raise ValueError(f"unknown basis {comp['basis']!r}; choose from "
+                             f"{tuple(BASIS_FUNCTIONS)}")
+        basis = BASIS_FUNCTIONS[comp["basis"]]
+        weight = float(comp.get("weight", 1.0))
+        shift = np.asarray(comp.get("shift", np.zeros(dim)), dtype=np.float64)
+        if shift.shape != (dim,):
+            raise ValueError(f"shift shape {shift.shape} != ({dim},)")
+        rotation = comp.get("rotation")
+        if rotation is not None:
+            rotation = np.asarray(rotation, dtype=np.float64)
+            if rotation.shape != (dim, dim):
+                raise ValueError(f"rotation shape {rotation.shape} != ({dim}, {dim})")
+        parts.append((basis, weight, shift, rotation))
+
+    def f(x):
+        total = bias
+        for basis, weight, shift, rotation in parts:
+            z = x - shift
+            if rotation is not None:
+                z = rotation @ z
+            total += weight * basis(z[None, :])[0]
+        return total
+
+    fid = str(raw["id"]).upper()
+    return {
+        "id": fid,
+        "name": raw.get("name", fid.lower()),
+        "dim": dim,
+        "lower": float(raw["lower"]),
+        "upper": float(raw["upper"]),
+        "f_min": raw.get("f_min"),
+        "minimizer": raw.get("minimizer"),
+        "eval": f,
+    }

@@ -185,10 +185,9 @@ def _ensure_pack(directory) -> None:
         return
     try:
         benchmarks.load_composite_pack(directory)
-    except benchmarks.CompositeCollisionError:
-        pass  # already registered in this process
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (OSError, LookupError, ValueError) as exc:
+        # a collision means other functions already hold this pack's ids
+        raise ConfigError(f"composite pack {directory}: {exc}") from exc
     _loaded_packs.add(key)
 
 

@@ -265,15 +265,13 @@ def tune(config: Optional[EngineConfig] = None,
     if config is None:
         config = EngineConfig(pop_size=30, max_iter=20, seed=0)
     space = SearchSpace(HYPER_LB.copy(), HYPER_UB.copy())
-    counter = {"n": 0}
 
     def objective(x):
-        counter["n"] += 1
         return float(trainer(decode_hyperparams(x)))
 
     result = run(config, space, objective)
     best = decode_hyperparams(result.best_position)
-    return TuneResult(best, result.best_fitness, counter["n"], result)
+    return TuneResult(best, result.best_fitness, result.evaluations, result)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,6 @@ class MetricsReport:
     fpr: float
     f1: float
     degenerate: tuple = field(default_factory=tuple)
-    roc: Optional[np.ndarray] = None
 
     def as_dict(self) -> dict:
         return {
@@ -352,13 +349,6 @@ def metrics(cm: ConfusionCounts) -> MetricsReport:
     f1 = ratio(2.0 * precision * sensitivity, precision + sensitivity, "f1")
     return MetricsReport(accuracy, sensitivity, specificity, precision, fpr,
                          f1, tuple(degenerate))
-
-
-def error_rate(cm: ConfusionCounts) -> float:
-    """(fp + fn) / total; identical to 1 - accuracy on the same counts."""
-    if cm.total == 0:
-        return 0.0
-    return (cm.fp + cm.fn) / cm.total
 
 
 def roc_points(scores, labels) -> np.ndarray:

@@ -198,13 +198,6 @@ class LevySampler:
         self.scale = float(scale)
         self.sigma_x = levy_sigma_x(self.alpha)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        x = rng.normal(0.0, self.sigma_x)
-        y = rng.normal(0.0, 1.0)
-        while y == 0.0:
-            y = rng.normal(0.0, 1.0)
-        return self.scale * x / abs(y) ** (1.0 / self.alpha)
-
     def matrix(self, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
         """rows x cols array of independent draws (fresh per call)."""
         if rows < 1 or cols < 1:

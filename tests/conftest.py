@@ -1,6 +1,7 @@
 """Fixtures shared by several test modules."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +24,27 @@ def reference_history_writer():
                         writer.writerow(
                             [l + 1, m, j + 1, repr(float(history[l, m, j]))])
     return write
+
+
+@pytest.fixture
+def make_pack(tmp_path):
+    """``make(name, f25_basis)`` writes a two-file composite pack, F24 (d=2,
+    bias 10) and F25 (d=3), into ``tmp_path / name`` and returns its path;
+    an unknown ``f25_basis`` makes the second file bad."""
+    def make(name="pack", f25_basis="sphere"):
+        directory = tmp_path / name
+        directory.mkdir()
+        specs = {
+            "f24.json": {"id": "F24", "dim": 2, "lower": -5, "upper": 5,
+                         "bias": 10.0, "components": [
+                             {"basis": "sphere", "shift": [1.0, -1.0]}]},
+            "f25.json": {"id": "F25", "dim": 3, "lower": -5, "upper": 5,
+                         "components": [{"basis": f25_basis, "weight": 2.0}]},
+        }
+        for file_name, spec in specs.items():
+            (directory / file_name).write_text(json.dumps(spec))
+        return str(directory)
+    return make
 
 
 @pytest.fixture

@@ -410,3 +410,39 @@ def test_composite_objective_is_called_per_row(composite_sandbox):
 def test_load_composite_pack_empty_directory(tmp_path, composite_sandbox):
     with pytest.raises(FileNotFoundError):
         load_composite_pack(tmp_path)
+
+
+_GOOD_F24 = {"id": "F24", "dim": 2, "lower": -5, "upper": 5,
+             "components": [{"basis": "sphere", "shift": [1.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"basis": "nope"}, "unknown basis"),
+    ({"basis": "sphere", "shift": [1.0, 2.0, 3.0]}, "shift shape"),
+    ({"basis": "sphere", "rotation": [[1.0, 0.0]]}, "rotation shape"),
+    ({"weight": 1.0}, "basis"),   # a component without a basis
+])
+def test_load_composite_pack_registers_nothing_on_a_bad_file(
+        tmp_path, composite_sandbox, bad, message):
+    # f24.json sorts first and is fine; f25.json fails after it is parsed
+    _write_pack(tmp_path, {
+        "f24.json": _GOOD_F24,
+        "f25.json": {"id": "F25", "dim": 2, "lower": -5, "upper": 5,
+                     "components": [bad]},
+    })
+    with pytest.raises(ValueError, match=message) as excinfo:
+        load_composite_pack(tmp_path)
+    assert "f25.json" in str(excinfo.value)
+    for fid in ("F24", "F25"):
+        with pytest.raises(CompositeUnavailableError):
+            lookup(fid)
+
+
+def test_load_composite_pack_rejects_one_id_in_two_files(tmp_path,
+                                                         composite_sandbox):
+    _write_pack(tmp_path, {"a.json": _GOOD_F24,
+                           "b.json": dict(_GOOD_F24, bias=1.0)})
+    with pytest.raises(CompositeCollisionError):
+        load_composite_pack(tmp_path)
+    with pytest.raises(CompositeUnavailableError):
+        lookup("F24")

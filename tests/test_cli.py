@@ -103,6 +103,27 @@ class TestBench:
         assert len(finals) == 1 + 2
         assert (out / "stats_full.csv").exists()
 
+    def test_composite_pack_functions_run(self, tmp_path, capsys, make_pack,
+                                          composite_sandbox):
+        out = tmp_path / "results"
+        rc = main(["bench", "--functions", "F24", "F25", "--runs", "1",
+                   "--pop-size", "4", "--max-iter", "3", "--composite-pack",
+                   make_pack(), "--out", str(out)])
+        assert rc == 0
+        finals = read_csv(out / "finals.csv")
+        assert [row[1] for row in finals[1:]] == ["F24", "F25"]
+
+    def test_bad_composite_pack_fails_and_registers_nothing(
+            self, tmp_path, capsys, make_pack, composite_sandbox):
+        out = tmp_path / "results"
+        rc = main(["bench", "--functions", "F24", "--composite-pack",
+                   make_pack(f25_basis="nope"), "--out", str(out)])
+        assert rc == 1
+        assert "unknown basis" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(benchmarks.CompositeUnavailableError):
+            benchmarks.lookup("F24")
+
     def test_unknown_function_fails_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"
         rc = main(["bench", "--functions", "F99", "--out", str(out)])

@@ -291,11 +291,6 @@ def test_scheduler_toggles_back_after_another_window():
     assert s.active is s.primary
 
 
-def test_scheduler_rejects_bad_window():
-    with pytest.raises(ValueError):
-        _scheduler(window=0)
-
-
 def test_scheduler_near_equal_is_progress():
     # stagnation means an exactly repeated fitness vector, not a close one
     s = _scheduler(window=1)

@@ -293,6 +293,41 @@ class TestRunExperiment:
             assert rs.seed == rp.seed
 
 
+class TestCompositePack:
+    def test_pack_functions_run_serially_and_pooled(self, make_pack,
+                                                    composite_sandbox):
+        grid = dict(algorithms=("mfo", "gwo"), functions=("F24", "F25"),
+                    runs=2, composite_pack=make_pack())
+        serial = run_experiment(tiny_config(workers=1, **grid))
+        pooled = run_experiment(tiny_config(workers=2, **grid))
+        assert {(r.function, r.dim) for r in serial.records} == {
+            ("F24", 2), ("F25", 3)}
+        for rs, rp in zip(serial.records, pooled.records):
+            assert not rs.aborted and rs.evaluations == 6 * (10 + 1)
+            assert rs.function != "F24" or rs.best_fitness >= 10.0
+            assert rs.best_fitness == rp.best_fitness
+            assert np.array_equal(rs.best_position, rp.best_position)
+
+    def test_bad_second_file_registers_nothing(self, make_pack, monkeypatch,
+                                               composite_sandbox):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        pack = make_pack(f25_basis="nope")
+        with pytest.raises(ConfigError, match="unknown basis"):
+            run_experiment(tiny_config(functions=("F24",),
+                                       composite_pack=pack))
+        assert ran == []
+        with pytest.raises(CompositeUnavailableError):
+            run_experiment(tiny_config(functions=("F24",)))
+
+    def test_different_pack_under_registered_ids_rejected(self, make_pack,
+                                                          composite_sandbox):
+        grid = dict(functions=("F24",), runs=1)
+        run_experiment(tiny_config(composite_pack=make_pack("a"), **grid))
+        with pytest.raises(ConfigError, match="already registered"):
+            run_experiment(tiny_config(composite_pack=make_pack("b"), **grid))
+
+
 class TestTelemetryLevels:
     def test_summary_keeps_no_curves(self):
         result = run_experiment(tiny_config(functions=("F1",), dim=3, runs=1))

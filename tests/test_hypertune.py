@@ -14,7 +14,6 @@ from nlcmfo.hypertune import (
     ToyLogisticClassifier,
     confusion,
     decode_hyperparams,
-    error_rate,
     evaluate_L_D,
     export_dataset,
     import_dataset,
@@ -344,7 +343,7 @@ class TestEvaluateLD:
         pred = model.predict(data.X_test)
         cm = confusion(pred, data.y_test)
         assert evaluate_L_D(model, data) == pytest.approx(
-            error_rate(cm) * 100.0, abs=1e-12)
+            (1.0 - metrics(cm).accuracy) * 100.0, abs=1e-12)
 
     def test_empty_test_split_rejected(self):
         data = make_toy_dataset(100, 2, seed=0)
@@ -508,17 +507,9 @@ class TestMetrics:
         assert report.sensitivity == 0.0
         assert report.specificity == 1.0
 
-    def test_error_rate_complements_accuracy(self):
-        cm = ConfusionCounts(305, 37, 16, 336)
-        assert error_rate(cm) == pytest.approx(
-            1.0 - metrics(cm).accuracy, abs=1e-15)
-
-    def test_error_rate_of_empty_counts_is_zero(self):
-        assert error_rate(ConfusionCounts(0, 0, 0, 0)) == 0.0
-
     def test_reference_error_rate_in_percent(self):
         cm = ConfusionCounts(tp=320, fn=30, fp=23, tn=321)
-        assert error_rate(cm) * 100.0 == pytest.approx(
+        assert (1.0 - metrics(cm).accuracy) * 100.0 == pytest.approx(
             7.636887608069164, abs=1e-12)
 
     @given(st.integers(1, 500), st.integers(0, 500),

@@ -1,6 +1,9 @@
-"""Tests for the run contract all four optimizers share: every runner
-replays the original per-algorithm loops byte for byte, and grid runs keep
-the contract's properties serially and on a worker pool."""
+"""Tests for the run contract all four optimizers share: ``drive`` keeps
+the best-so-far of any search, every runner replays the original
+per-algorithm loops byte for byte, and grid runs keep the contract's
+properties serially and on a worker pool."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from nlcmfo.baselines import GwoConfig, PsoConfig, run_gwo, run_pso
 from nlcmfo.benchmarks import lookup
-from nlcmfo.engine import EngineConfig, run
+from nlcmfo.engine import EngineConfig, drive, run
 from nlcmfo.harness import ExperimentConfig, run_experiment
 from nlcmfo.space import SearchSpace
 from nlcmfo.stochastic import make_rng
@@ -30,10 +33,24 @@ def _per_row(x):
     return float(np.sum(x * x - 3.0 * np.cos(x)) + x[0])
 
 
+def _plateau(x):
+    """Coarse steps signed by x[0]: many exact ties, and -0.0 against 0.0."""
+    return math.copysign(math.floor(float(np.sum(x * x)) / 4.0), x[0])
+
+
+def _signed_zero(x):
+    """Every point ties: -0.0 left of the origin, 0.0 elsewhere."""
+    return -0.0 if x[0] < 0 else 0.0
+
+
+_PER_ROW = {"per-row": _per_row, "plateau": _plateau,
+            "signed-zero": _signed_zero}
+
+
 def _problem(kind, seed):
     """A fresh (space, objective) pair; F7's noise stream restarts each call."""
-    if kind == "per-row":
-        return SearchSpace([-4.0, -1.0, 0.5], [3.0, 2.0, 6.0]), _per_row
+    if kind in _PER_ROW:
+        return SearchSpace([-4.0, -1.0, 0.5], [3.0, 2.0, 6.0]), _PER_ROW[kind]
     func = lookup(kind)
     rng = make_rng(seed, stream=1) if func.noisy else None
     return func.space(3), func.objective(rng=rng)
@@ -49,7 +66,8 @@ def _result_bytes(result):
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("record_history", [False, True])
-@pytest.mark.parametrize("kind", ["F1", "per-row", "F7"])
+@pytest.mark.parametrize("kind", ["F1", "per-row", "F7", "plateau",
+                                  "signed-zero"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
                                                 kind, record_history, seed):
@@ -74,6 +92,67 @@ def test_initial_positions_match_reference_loops_bytewise(reference_runs,
     got = RUNNERS[algorithm](config, space, objective)
     want = reference_runs[algorithm](config, space, objective)
     assert _result_bytes(got) == _result_bytes(want)
+
+
+# ---------------------------------------------------------------------------
+# drive's own contract, on a search that yields nothing but moves
+# ---------------------------------------------------------------------------
+
+class _Walk:
+    pop_size, max_iter, record_history = 5, 9, False
+
+    def __init__(self, seed):
+        self.seed = seed
+
+
+def _random_walk(sent):
+    """A search that moves every row by a seeded step and records each
+    ``(positions, fitness)`` it is sent.  Each odd row repeats the row
+    before it with its last two coordinates swapped: a different point with
+    the same plateau value, so ties inside one swarm are common."""
+    def search(config, space, rng):
+        pos = space.sample(config.pop_size, rng)
+        while True:
+            move = pos + rng.normal(0.0, 1.0, pos.shape)
+            move[1::2] = move[0:-1:2][:, [0, 2, 1]]
+            pos, fit = yield move
+            sent.append((pos.copy(), fit.copy()))
+    return search
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["per-row", "plateau", "signed-zero"])
+def test_drive_keeps_the_first_lowest_row_of_every_swarm(kind, seed):
+    space, objective = SearchSpace.cube(3, -4.0, 4.0), _PER_ROW[kind]
+    evaluated = []
+
+    def recorded(x):
+        value = objective(x)
+        evaluated.append((x.copy(), value))
+        return value
+
+    config, sent = _Walk(seed), []
+    result = drive(config, space, recorded, _random_walk(sent))
+    n, big_t = config.pop_size, config.max_iter
+    assert result.evaluations == len(evaluated) == n * (big_t + 1)
+    assert len(sent) == big_t
+    for i, (pos, fit) in enumerate(sent):
+        rows = evaluated[i * n:(i + 1) * n]
+        assert np.array_equal(pos, [x for x, _ in rows])
+        assert fit.tobytes() == np.array([v for _, v in rows]).tobytes()
+
+    # the first point of the lowest fitness so far, swarm by swarm and row
+    # by row; a tie (-0.0 against 0.0 included) never replaces it
+    best_x, best = evaluated[0]
+    want = []
+    for k, (x, value) in enumerate(evaluated):
+        if value < best:
+            best_x, best = x, value
+        if k >= n and (k + 1) % n == 0:
+            want.append(best)
+    assert result.convergence.tobytes() == np.array(want).tobytes()
+    assert np.float64(result.best_fitness).tobytes() == np.float64(best).tobytes()
+    assert result.best_position.tobytes() == best_x.tobytes()
 
 
 # ---------------------------------------------------------------------------
