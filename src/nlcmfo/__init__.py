@@ -10,8 +10,8 @@ gradient-trained classifier.
 from .baselines import GwoConfig, PsoConfig, run_gwo, run_pso
 from .benchmarks import (BenchmarkFunction, CompositeCollisionError,
                          CompositeUnavailableError, UnknownFunctionError,
-                         clear_composites, evaluate, load_composite_pack,
-                         lookup, register_composite)
+                         clear_composites, load_composite_pack, lookup,
+                         register_composite)
 from .engine import (EngineConfig, ObjectiveError, RunResult, flame_count,
                      run)
 from .harness import (ConfigError, ExperimentConfig, ExperimentResult,
@@ -36,7 +36,7 @@ __all__ = [
     "ObjectiveError", "ParameterError", "PsoConfig", "RunResult",
     "SearchSpace", "ToyDataset", "ToyLogisticClassifier", "TuneResult",
     "UnknownFunctionError", "clear_composites", "confusion",
-    "decode_hyperparams", "evaluate", "evaluate_L_D",
+    "decode_hyperparams", "evaluate_L_D",
     "export_experiment", "flame_count", "levy_sigma_x",
     "load_composite_pack", "load_experiment_config", "lookup", "make_rng",
     "make_toy_dataset", "metrics", "register_composite", "roc_auc",

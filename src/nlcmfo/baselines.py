@@ -9,7 +9,6 @@ can mix them into one comparison grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ class PsoConfig:
     c2: float = 2.0
     velocity_clamp: float = 0.2       # fraction of the per-dimension range
     record_history: bool = False
-    initial_positions: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -40,7 +38,6 @@ class GwoConfig:
     a_start: float = 2.0
     a_end: float = 0.0
     record_history: bool = False
-    initial_positions: Optional[np.ndarray] = None
 
 
 def validate_pso_config(config: PsoConfig) -> None:
@@ -68,27 +65,15 @@ def validate_gwo_config(config: GwoConfig) -> None:
     check_swarm_config(config, 3, ("a_start", "a_end"))
 
 
-def _initial_swarm(config, space: SearchSpace, rng) -> np.ndarray:
-    if config.initial_positions is not None:
-        pos = np.array(config.initial_positions, dtype=np.float64)
-        if pos.shape != (config.pop_size, space.dim):
-            raise ValueError(
-                f"initial_positions shape {pos.shape} != "
-                f"({config.pop_size}, {space.dim})"
-            )
-        return space.clip(pos)
-    return space.sample(config.pop_size, rng)
-
-
 def _pso(config: PsoConfig, space: SearchSpace, rng):
     """PSO search for ``drive``: velocities pulled to pbest and gbest."""
     n, dim = config.pop_size, space.dim
-    pos, fit = yield _initial_swarm(config, space, rng)
+    pos, fit = yield space.sample(n, rng)
     vel = np.zeros((n, dim))
     vmax = config.velocity_clamp * (space.upper - space.lower)
     pbest = pos.copy()
     pbest_fit = fit.copy()
-    g = int(np.argmin(pbest_fit))
+    g = pbest_fit.argmin()
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
 
@@ -106,7 +91,7 @@ def _pso(config: PsoConfig, space: SearchSpace, rng):
         improved = fit < pbest_fit
         pbest[improved] = pos[improved]
         pbest_fit[improved] = fit[improved]
-        g = int(np.argmin(pbest_fit))
+        g = pbest_fit.argmin()
         if pbest_fit[g] < gbest_fit:
             gbest = pbest[g].copy()
             gbest_fit = float(pbest_fit[g])
@@ -126,8 +111,8 @@ def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunR
 def _gwo(config: GwoConfig, space: SearchSpace, rng):
     """GWO search for ``drive``: wolves encircle the alpha, beta and delta."""
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
-    pos, fit = yield _initial_swarm(config, space, rng)
-    order = np.argsort(fit, kind="stable")[:3]
+    pos, fit = yield space.sample(n, rng)
+    order = fit.argsort(kind="stable")[:3]
     leaders = pos[order].copy()
     leader_fit = fit[order].copy()
 

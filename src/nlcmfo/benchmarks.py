@@ -406,6 +406,7 @@ BUILTIN_IDS = tuple(_BUILTIN)
 COMPOSITE_IDS = ("F24", "F25", "F26", "F27", "F28", "F29")
 
 _composites: dict[str, BenchmarkFunction] = {}
+_loaded_packs: dict[str, tuple] = {}  # resolved pack directory -> its ids
 
 
 def lookup(fid: str) -> BenchmarkFunction:
@@ -422,11 +423,6 @@ def lookup(fid: str) -> BenchmarkFunction:
             f"load_composite_pack"
         )
     raise UnknownFunctionError(f"unknown benchmark function id {fid!r}")
-
-
-def evaluate(fid: str, x, rng: Optional[np.random.Generator] = None) -> float:
-    """Evaluate a benchmark at a point (validates dimension; F7 needs rng)."""
-    return lookup(fid).evaluate(x, rng=rng)
 
 
 def register_composite(pack) -> None:
@@ -461,8 +457,9 @@ def register_composite(pack) -> None:
 
 
 def clear_composites() -> None:
-    """Drop all registered composites (test isolation hook)."""
+    """Drop all registered composites and the record of loaded packs."""
     _composites.clear()
+    _loaded_packs.clear()
 
 
 def load_composite_pack(directory) -> list[str]:
@@ -490,9 +487,13 @@ def load_composite_pack(directory) -> list[str]:
     The pack loads whole or not at all: every file is parsed and checked
     (a malformed file, an unknown basis or a shift/rotation whose shape
     does not match dim is a ValueError) before one ``register_composite``
-    call registers them all.
+    call registers them all.  A directory loaded since the last
+    ``clear_composites`` is not read again; the call returns its ids.
     """
     directory = Path(directory)
+    key = str(directory.resolve())
+    if key in _loaded_packs:
+        return list(_loaded_packs[key])
     files = sorted(directory.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no composite definitions (*.json) in {directory}")
@@ -504,7 +505,8 @@ def load_composite_pack(directory) -> list[str]:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path.name}: {detail}") from exc
     register_composite(specs)
-    return [spec["id"] for spec in specs]
+    _loaded_packs[key] = tuple(spec["id"] for spec in specs)
+    return list(_loaded_packs[key])
 
 
 def _composite_spec(path: Path) -> dict:

@@ -21,9 +21,9 @@ from pathlib import Path
 from . import benchmarks
 from .engine import EngineConfig, ObjectiveError
 from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ConfigError,
-                      ExperimentConfig, _build_config, export_experiment,
-                      load_experiment_config, run_experiment, runner,
-                      summarize, write_search_history)
+                      ExperimentConfig, export_experiment,
+                      load_experiment_config, run_experiment, summarize,
+                      write_search_history)
 from .hypertune import (confusion, export_dataset, make_toy_dataset, metrics,
                         roc_auc, roc_points, save_model, train_toy_model,
                         tune)
@@ -152,26 +152,27 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    func = benchmarks.lookup(args.function)
-    space = func.space(args.dim if func.scalable else None)
-    objective = func.objective(rng=func.noise_rng(args.seed))
-    config = _build_config(args.algorithm, args.pop_size, args.max_iter,
-                           args.seed, True, {})
-    result = runner(args.algorithm)(config, space, objective)
+    rec = run_experiment(ExperimentConfig(
+        algorithms=(args.algorithm,), functions=(args.function,),
+        dim=args.dim, runs=1, pop_size=args.pop_size, max_iter=args.max_iter,
+        base_seed=args.seed, telemetry="full-history", workers=1)).records[0]
+    if rec.aborted:
+        print(f"error: {rec.error}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, header, curve in (
-            ("convergence", "best_so_far", result.convergence),
-            ("mean_fitness", "mean_fitness", result.mean_fitness),
-            ("trajectory", "first_variable", result.trajectory)):
+            ("convergence", "best_so_far", rec.convergence),
+            ("mean_fitness", "mean_fitness", rec.mean_curve),
+            ("trajectory", "first_variable", rec.trajectory)):
         with open(out_dir / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", header])
             for l, value in enumerate(curve, start=1):
                 writer.writerow([l, repr(float(value))])
-    write_search_history(result.history, out_dir / "search_history.csv")
-    print(f"best={result.best_fitness:.6g} evaluations={result.evaluations}")
+    write_search_history(rec.history, out_dir / "search_history.csv")
+    print(f"best={rec.best_fitness:.6g} evaluations={rec.evaluations}")
     print(f"wrote telemetry to {out_dir}")
     return 0
 

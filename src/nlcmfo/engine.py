@@ -197,7 +197,7 @@ def update_flames(
     """
     pos = np.concatenate([flame_pos, moth_pos], axis=0)
     fit = np.concatenate([flame_fit, moth_fit])
-    order = np.argsort(fit, kind="stable")[:keep]
+    order = fit.argsort(kind="stable")[:keep]
     return pos[order].copy(), fit[order].copy()
 
 
@@ -330,7 +330,7 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     chaotic = config.algorithm == "nlcmfo"
 
     moths, fitness = yield space.sample(n, rng)
-    order = np.argsort(fitness, kind="stable")
+    order = fitness.argsort(kind="stable")
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
     if chaotic:
         sampler = LevySampler(config.levy_alpha)

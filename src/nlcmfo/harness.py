@@ -21,7 +21,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -133,7 +133,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _validate(config: ExperimentConfig) -> dict:
+    """Check the whole grid before any run; return each algorithm's config.
+
+    A returned config carries ``seed=base_seed``; each run replaces the seed
+    with its own.
+    """
     if not config.algorithms:
         raise ConfigError("no algorithms selected")
     for algorithm in config.algorithms:
@@ -158,37 +163,37 @@ def _validate(config: ExperimentConfig) -> None:
     if config.dim is not None and config.dim < 1:
         raise ConfigError("dim must be >= 1")
     # reject override keys that fit no selected algorithm's config up front
-    if config.params:
-        legal = set()
-        for algorithm in config.algorithms:
-            legal |= {f.name for f in fields(ALGORITHMS[algorithm][0])}
-        unknown = set(config.params) - legal
-        if unknown:
-            raise ConfigError(f"unknown params keys: {sorted(unknown)}")
+    legal = {algorithm: {f.name for f in fields(ALGORITHMS[algorithm][0])}
+             for algorithm in config.algorithms}
+    unknown = set(config.params).difference(*legal.values())
+    if unknown:
+        raise ConfigError(f"unknown params keys: {sorted(unknown)}")
     # each optimizer's own validator owns its pop_size floor, max_iter and
     # params checks
+    configs = {}
     for algorithm in config.algorithms:
+        cls, validate, _ = ALGORITHMS[algorithm]
+        kwargs = {k: v for k, v in config.params.items()
+                  if k in legal[algorithm]}
+        kwargs.update(pop_size=config.pop_size, max_iter=config.max_iter,
+                      seed=config.base_seed,
+                      record_history=config.telemetry == "full-history")
+        if cls is EngineConfig:
+            kwargs["algorithm"] = algorithm
         try:
-            ALGORITHMS[algorithm][1](_build_config(
-                algorithm, config.pop_size, config.max_iter, config.base_seed,
-                config.telemetry == "full-history", config.params))
+            configs[algorithm] = cls(**kwargs)
+            validate(configs[algorithm])
         except (TypeError, ValueError) as exc:  # TypeError: e.g. "1.5" from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
-
-
-_loaded_packs: set = set()
+    return configs
 
 
 def _ensure_pack(directory) -> None:
-    key = str(Path(directory).resolve())
-    if key in _loaded_packs:
-        return
     try:
         benchmarks.load_composite_pack(directory)
     except (OSError, LookupError, ValueError) as exc:
         # a collision means other functions already hold this pack's ids
         raise ConfigError(f"composite pack {directory}: {exc}") from exc
-    _loaded_packs.add(key)
 
 
 def _cell_dim(func: benchmarks.BenchmarkFunction, dim: Optional[int]) -> int:
@@ -197,42 +202,22 @@ def _cell_dim(func: benchmarks.BenchmarkFunction, dim: Optional[int]) -> int:
     return func.dim
 
 
-def _build_config(algorithm: str, pop_size: int, max_iter: int, seed: int,
-                  record_history: bool, params: dict):
-    cls = ALGORITHMS[algorithm][0]
-    legal = {f.name for f in fields(cls)}
-    kwargs = {k: v for k, v in params.items() if k in legal}
-    kwargs.update(pop_size=pop_size, max_iter=max_iter, seed=seed,
-                  record_history=record_history)
-    if cls is EngineConfig:
-        kwargs["algorithm"] = algorithm
-    return cls(**kwargs)
-
-
-def runner(algorithm: str):
-    """The run function registered for ``algorithm``."""
-    return globals()[ALGORITHMS[algorithm][2]]
-
-
 def _execute_task(task) -> RunRecord:
-    (algorithm, fid, dim, run_index, seed, pop_size, max_iter, telemetry,
-     params, pack_dir) = task
+    algorithm, fid, dim, run_index, config, telemetry, pack_dir = task
     if pack_dir is not None:
         _ensure_pack(pack_dir)
     func = benchmarks.lookup(fid)
     space = func.space(dim)
-    objective = func.objective(rng=func.noise_rng(seed))
-    config = _build_config(algorithm, pop_size, max_iter, seed,
-                           telemetry == "full-history", params)
+    objective = func.objective(rng=func.noise_rng(config.seed))
     try:
-        result = runner(algorithm)(config, space, objective)
+        result = globals()[ALGORITHMS[algorithm][2]](config, space, objective)
     except ObjectiveError as exc:
-        return RunRecord(algorithm, fid, dim, run_index, seed,
+        return RunRecord(algorithm, fid, dim, run_index, config.seed,
                          float("nan"), None, 0, 0.0, aborted=True,
                          error=str(exc))
     keep_curves = telemetry in ("curves", "full-history")
     return RunRecord(
-        algorithm, fid, dim, run_index, seed,
+        algorithm, fid, dim, run_index, config.seed,
         result.best_fitness, result.best_position,
         result.evaluations, result.wall_time,
         convergence=result.convergence if keep_curves else None,
@@ -252,7 +237,7 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid; per-run failures are recorded, not raised."""
-    _validate(config)
+    configs = _validate(config)
     workers = resolve_workers(config.workers)
     tasks = []
     for algorithm in config.algorithms:
@@ -261,9 +246,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             dim = _cell_dim(func, config.dim)
             for r in range(config.runs):
                 tasks.append((
-                    algorithm, str(fid).upper(), dim, r, config.base_seed + r,
-                    config.pop_size, config.max_iter, config.telemetry,
-                    dict(config.params), config.composite_pack,
+                    algorithm, str(fid).upper(), dim, r,
+                    replace(configs[algorithm], seed=config.base_seed + r),
+                    config.telemetry, config.composite_pack,
                 ))
     if workers == 1 or len(tasks) == 1:
         records = [_execute_task(t) for t in tasks]

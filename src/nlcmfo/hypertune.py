@@ -59,7 +59,7 @@ def decode_hyperparams(x) -> HyperParams:
     if x.shape != (4,):
         raise ValueError(f"hyperparameter vector must have shape (4,), got {x.shape}")
     clipped = np.clip(x, HYPER_LB, HYPER_UB)
-    epochs = int(min(15, max(5, math.floor(clipped[2] + 0.5))))
+    epochs = math.floor(clipped[2] + 0.5)
     return HyperParams(float(clipped[0]), float(clipped[1]), epochs,
                        float(clipped[3]))
 

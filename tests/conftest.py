@@ -108,12 +108,6 @@ def reference_runs():
                                t_nlcmfo, update_flames)
     from nlcmfo.stochastic import ChaoticMap, LevySampler
 
-    def initial_swarm(config, space, rng):
-        if config.initial_positions is not None:
-            return space.clip(np.array(config.initial_positions,
-                                       dtype=np.float64))
-        return space.sample(config.pop_size, rng)
-
     def telemetry(config, space):
         big_t = config.max_iter
         history = (np.empty((big_t, config.pop_size, space.dim))
@@ -171,7 +165,7 @@ def reference_runs():
     def pso(config, space, objective):
         rng = make_rng(config.seed)
         n, big_t, dim = config.pop_size, config.max_iter, space.dim
-        pos = initial_swarm(config, space, rng)
+        pos = space.sample(n, rng)
         vel = np.zeros((n, dim))
         vmax = config.velocity_clamp * (space.upper - space.lower)
         fit = evaluate_swarm(objective, pos)
@@ -209,7 +203,7 @@ def reference_runs():
     def gwo(config, space, objective):
         rng = make_rng(config.seed)
         n, big_t, dim = config.pop_size, config.max_iter, space.dim
-        pos = initial_swarm(config, space, rng)
+        pos = space.sample(n, rng)
         fit = evaluate_swarm(objective, pos)
         evaluations = n
         order = np.argsort(fit, kind="stable")[:3]

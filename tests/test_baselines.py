@@ -52,17 +52,6 @@ def test_bitwise_replay(runner, cfg):
     assert np.array_equal(a.history, b.history)
 
 
-def test_pso_initial_velocities_are_zero():
-    # a swarm started at a single point has pbest = gbest = position, so the
-    # first velocity update is exactly zero and the swarm never moves
-    init = np.tile(np.array([3.0, -4.0]), (6, 1))
-    result = run_pso(PsoConfig(pop_size=6, max_iter=10, seed=0,
-                               initial_positions=init, record_history=True),
-                     _space(), sphere)
-    assert result.best_fitness == 25.0
-    assert np.all(result.history == init[None, :, :])
-
-
 def test_pso_velocity_clamp_bounds_step_size():
     space = _space(2, 5.0)
     clamp = 0.01
@@ -107,13 +96,6 @@ def test_bad_real_params_rejected_before_any_evaluation(runner, cfg, params,
     with pytest.raises(cause):
         runner(cfg(pop_size=5, max_iter=3, **params), _space(), objective)
     assert calls == []
-
-
-def test_initial_positions_shape_checked():
-    bad = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        run_pso(PsoConfig(pop_size=5, max_iter=5, initial_positions=bad),
-                _space(), sphere)
 
 
 @pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),

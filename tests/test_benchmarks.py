@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from nlcmfo import benchmarks
 from nlcmfo.benchmarks import (BUILTIN_IDS, COMPOSITE_IDS,
                                CompositeCollisionError,
                                CompositeUnavailableError,
@@ -38,6 +37,7 @@ def test_builtin_ids_complete():
 
 def test_lookup_is_case_insensitive():
     assert lookup("f1") is lookup("F1")
+    assert lookup("f18").evaluate([0.0, -1.0]) == pytest.approx(3.0)
 
 
 def test_unknown_id_rejected():
@@ -245,11 +245,6 @@ def test_dimension_validation():
         lookup("F16").evaluate([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         lookup("F1").evaluate(np.zeros((3, 3)))
-
-
-def test_module_level_evaluate():
-    assert benchmarks.evaluate("F1", np.zeros(30)) == 0.0
-    assert benchmarks.evaluate("f18", [0.0, -1.0]) == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------

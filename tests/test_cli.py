@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from nlcmfo import benchmarks
+from nlcmfo import benchmarks, harness
 from nlcmfo.benchmarks import clear_composites, register_composite
 from nlcmfo.cli import _expand_functions, main
 from nlcmfo.engine import EngineConfig, run
@@ -304,6 +304,38 @@ class TestDiag:
         rc = main(["diag", "--function", "F7", "--dim", "3",
                    "--pop-size", "5", "--max-iter", "5", "--out", str(out)])
         assert rc == 0
+
+    def test_aborted_run_exits_2_without_outputs(self, tmp_path, capsys,
+                                                 composite_sandbox):
+        register_composite({
+            "id": "F24", "dim": 2, "lower": -5.0, "upper": 5.0,
+            "eval": lambda x: float("nan"),
+        })
+        out = tmp_path / "diag"
+        rc = main(["diag", "--function", "F24", "--pop-size", "4",
+                   "--max-iter", "3", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: objective returned non-finite value")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--pop-size", "1"),
+                                             ("--seed", "-1")])
+    def test_bad_settings_fail_before_running(self, flag, value, tmp_path,
+                                              capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        out = tmp_path / "diag"
+        rc = main(["diag", "--function", "F1", "--dim", "3", flag, value,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ran == []
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

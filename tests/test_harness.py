@@ -327,6 +327,17 @@ class TestCompositePack:
         with pytest.raises(ConfigError, match="already registered"):
             run_experiment(tiny_config(composite_pack=make_pack("b"), **grid))
 
+    def test_same_pack_loads_again_after_clear_composites(self, make_pack,
+                                                          composite_sandbox):
+        grid = dict(functions=("F24",), runs=1, composite_pack=make_pack())
+        first = run_experiment(tiny_config(**grid))
+        clear_composites()
+        again = run_experiment(tiny_config(**grid))
+        assert again.records[0].best_fitness == first.records[0].best_fitness
+        with pytest.raises(ConfigError, match="already registered"):
+            run_experiment(tiny_config(composite_pack=make_pack("b"),
+                                       functions=("F24",), runs=1))
+
 
 class TestTelemetryLevels:
     def test_summary_keeps_no_curves(self):

@@ -80,20 +80,6 @@ def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
     assert _result_bytes(got) == _result_bytes(want)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("algorithm", ["pso", "gwo"])
-def test_initial_positions_match_reference_loops_bytewise(reference_runs,
-                                                          algorithm, seed):
-    # rows partly outside the box, so the start swarm is clipped first
-    start = make_rng(100 + seed).uniform(-6.0, 6.0, size=(6, 3))
-    config = _config(algorithm, pop_size=6, max_iter=9, seed=seed,
-                     record_history=True, initial_positions=start)
-    space, objective = _problem("per-row", seed)
-    got = RUNNERS[algorithm](config, space, objective)
-    want = reference_runs[algorithm](config, space, objective)
-    assert _result_bytes(got) == _result_bytes(want)
-
-
 # ---------------------------------------------------------------------------
 # drive's own contract, on a search that yields nothing but moves
 # ---------------------------------------------------------------------------
