@@ -272,8 +272,7 @@ BASIS_FUNCTIONS = {
 class BenchmarkFunction:
     """One benchmark entry: metadata plus a pure evaluation function.
 
-    ``_eval`` maps an (n, d) swarm to its n values for the built-ins
-    (``batched``) and one point to one value for registered composites.
+    ``_eval`` maps an (n, d) swarm to its n values.
     """
 
     fid: str
@@ -286,7 +285,6 @@ class BenchmarkFunction:
     scalable: bool
     noisy: bool = False
     _eval: Callable = None
-    _batched: bool = True
 
     def space(self, dim: Optional[int] = None) -> SearchSpace:
         """The function's box; scalable functions accept a dim override."""
@@ -321,10 +319,9 @@ class BenchmarkFunction:
     def objective(self, rng: Optional[np.random.Generator] = None):
         """Unvalidated closure for optimizer loops (dims come from space()).
 
-        A built-in's closure takes one point (returning a float) or an
-        (n, d) swarm (returning its n values, each bitwise equal to the
-        point's own) and carries ``vectorized = True``; a composite's takes
-        one point only.
+        The closure takes one point (returning a float) or an (n, d) swarm
+        (returning its n values, each bitwise equal to the point's own) and
+        carries ``vectorized = True``.
         """
         body = self._eval
         if self.noisy:
@@ -333,8 +330,6 @@ class BenchmarkFunction:
                     f"{self.fid} adds uniform noise per evaluation; pass a seeded rng"
                 )
             body = functools.partial(body, rng=rng)
-        if not self._batched:
-            return body
 
         def objective(x):
             x = np.asarray(x, dtype=np.float64)
@@ -347,10 +342,10 @@ class BenchmarkFunction:
 
 
 def _entry(fid, name, dim, lower, upper, f_min, minimizer, fn,
-           scalable=False, noisy=False, batched=True):
+           scalable=False, noisy=False):
     m = None if minimizer is None else np.asarray(minimizer, dtype=np.float64)
     return BenchmarkFunction(fid, name, dim, float(lower), float(upper),
-                             f_min, m, scalable, noisy, fn, batched)
+                             f_min, m, scalable, noisy, fn)
 
 
 # Reference minimizers for F14-F23 were polished offline to full float
@@ -428,29 +423,29 @@ def lookup(fid: str) -> BenchmarkFunction:
 def register_composite(pack) -> None:
     """Register composite implementations for the F24-F29 slots.
 
-    ``pack`` is one spec or an iterable of specs; a spec is a mapping or an
-    object with fields id, dim, lower, upper, eval (callable vector->real)
-    and optionally name, f_min, minimizer.  Ids must be F24-F29 and not yet
-    registered.
+    ``pack`` is one mapping or a list of mappings, each with keys id, dim,
+    lower, upper, eval (callable vector->real) and optionally name, f_min,
+    minimizer.  Ids must be F24-F29 and not yet registered.  The registered
+    objective is vectorized: it calls ``eval`` once per row of a swarm.
     """
     specs = pack if isinstance(pack, (list, tuple)) else [pack]
     staged = []
     for spec in specs:
-        get = spec.get if isinstance(spec, dict) else lambda k, d=None: getattr(spec, k, d)
-        fid = str(get("id")).upper()
+        fid = str(spec.get("id")).upper()
         if fid not in COMPOSITE_IDS:
             raise UnknownFunctionError(
                 f"composite id must be one of {COMPOSITE_IDS}, got {fid!r}"
             )
         if fid in _composites or any(e.fid == fid for e in staged):
             raise CompositeCollisionError(f"composite {fid} already registered")
-        fn = get("eval")
+        fn = spec.get("eval")
         if not callable(fn):
             raise ValueError(f"composite {fid} needs a callable 'eval'")
         staged.append(_entry(
-            fid, get("name", fid.lower()), int(get("dim")),
-            get("lower"), get("upper"), get("f_min"), get("minimizer"),
-            lambda x, _fn=fn: float(_fn(x)), batched=False,
+            fid, spec.get("name", fid.lower()), int(spec.get("dim")),
+            spec.get("lower"), spec.get("upper"), spec.get("f_min"),
+            spec.get("minimizer"),
+            lambda x, _fn=fn: np.array([float(_fn(row)) for row in x]),
         ))
     for entry in staged:
         _composites[entry.fid] = entry

@@ -20,14 +20,13 @@ from pathlib import Path
 
 from . import benchmarks
 from .engine import EngineConfig, ObjectiveError
-from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ConfigError,
-                      ExperimentConfig, export_experiment,
-                      load_experiment_config, run_experiment, summarize,
+from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ExperimentConfig,
+                      export_experiment, load_experiment_config,
+                      run_experiment, summarize, write_curves,
                       write_search_history)
 from .hypertune import (confusion, export_dataset, make_toy_dataset, metrics,
                         roc_auc, roc_points, save_model, train_toy_model,
                         tune)
-from .stochastic import ParameterError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +154,7 @@ def _cmd_diag(args) -> int:
     rec = run_experiment(ExperimentConfig(
         algorithms=(args.algorithm,), functions=(args.function,),
         dim=args.dim, runs=1, pop_size=args.pop_size, max_iter=args.max_iter,
-        base_seed=args.seed, telemetry="full-history", workers=1)).records[0]
+        base_seed=args.seed, telemetry="full-history")).records[0]
     if rec.aborted:
         print(f"error: {rec.error}", file=sys.stderr)
         return 2
@@ -166,11 +165,7 @@ def _cmd_diag(args) -> int:
             ("convergence", "best_so_far", rec.convergence),
             ("mean_fitness", "mean_fitness", rec.mean_curve),
             ("trajectory", "first_variable", rec.trajectory)):
-        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", header])
-            for l, value in enumerate(curve, start=1):
-                writer.writerow([l, repr(float(value))])
+        write_curves(out_dir / f"{name}.csv", [header], [curve])
     write_search_history(rec.history, out_dir / "search_history.csv")
     print(f"best={rec.best_fitness:.6g} evaluations={rec.evaluations}")
     print(f"wrote telemetry to {out_dir}")
@@ -242,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, benchmarks.UnknownFunctionError,
+    except (benchmarks.UnknownFunctionError,
             benchmarks.CompositeUnavailableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

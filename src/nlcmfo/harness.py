@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -43,8 +42,6 @@ ALGORITHMS = {
 }
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
 
-WORKERS_ENV_VAR = "NLCMFO_WORKERS"
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (caught before any run starts)."""
@@ -60,7 +57,7 @@ class ExperimentConfig:
     max_iter: int = 500
     base_seed: int = 0
     telemetry: str = "summary"
-    workers: Optional[int] = None    # None: NLCMFO_WORKERS env var, else 1
+    workers: int = 1
     composite_pack: Optional[str] = None
     params: dict = field(default_factory=dict)  # overrides for config fields
 
@@ -152,10 +149,17 @@ def _validate(config: ExperimentConfig) -> dict:
         _ensure_pack(config.composite_pack)
     for fid in config.functions:
         benchmarks.lookup(fid)  # raises on unknown / unavailable ids
+    counts = ("runs", "base_seed", "workers", "pop_size", "max_iter")
+    for name in counts + (() if config.dim is None else ("dim",)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if config.runs < 1:
         raise ConfigError("runs must be >= 1")
     if config.base_seed < 0:
         raise ConfigError("base_seed must be >= 0")
+    if config.workers < 1:
+        raise ConfigError("workers must be >= 1")
     if config.telemetry not in TELEMETRY_LEVELS:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
@@ -227,18 +231,9 @@ def _execute_task(task) -> RunRecord:
     )
 
 
-def resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    return workers
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid; per-run failures are recorded, not raised."""
     configs = _validate(config)
-    workers = resolve_workers(config.workers)
     tasks = []
     for algorithm in config.algorithms:
         for fid in config.functions:
@@ -250,11 +245,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     replace(configs[algorithm], seed=config.base_seed + r),
                     config.telemetry, config.composite_pack,
                 ))
-    if workers == 1 or len(tasks) == 1:
+    if config.workers == 1 or len(tasks) == 1:
         records = [_execute_task(t) for t in tasks]
     else:
         # map() preserves task order, so output is independent of scheduling
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_execute_task, tasks))
     return ExperimentResult(config, records)
 
@@ -365,12 +360,8 @@ def export_curves(records, out_dir) -> list:
                              ("mean_fitness", "mean_curve"),
                              ("trajectory", "trajectory")):
             path = out_dir / f"{stem}_{metric}.csv"
-            curves = [getattr(r, attr) for r in group]
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iter"] + [f"run{r.run_index}" for r in group])
-                for l in range(len(curves[0])):
-                    writer.writerow([l + 1] + [repr(float(c[l])) for c in curves])
+            write_curves(path, [f"run{r.run_index}" for r in group],
+                         [getattr(r, attr) for r in group])
             written.append(path)
         for rec in group:
             if rec.history is None:
@@ -379,6 +370,18 @@ def export_curves(records, out_dir) -> list:
             write_search_history(rec.history, path)
             written.append(path)
     return written
+
+
+def write_curves(path, names, curves) -> None:
+    """An ``iter`` column counting from 1, then one column per curve.
+
+    ``names`` head the curve columns; values are repr() of the float.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", *names])
+        for l, values in enumerate(zip(*curves), start=1):
+            writer.writerow([l] + [repr(float(v)) for v in values])
 
 
 def write_search_history(history: np.ndarray, path) -> None:

@@ -122,17 +122,21 @@ def _logistic_loss(z, w, y, l2):
     return float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
 
 
+def _logistic_grad(X, y, w, b, l2):
+    """Gradient (grad_w, grad_b) of the regularized mean cross-entropy."""
+    resid = _sigmoid(X @ w + b) - y
+    m = len(resid)
+    # add.reduce / m is np.mean's arithmetic without its Python-level wrapper
+    return X.T @ resid / m + l2 * w, float(np.add.reduce(resid) / m)
+
+
 def logistic_loss_grad(w, b, X, y, l2=0.0):
     """Mean cross-entropy + 0.5*l2*|w|^2 and its exact gradient.
 
     The penalty applies to the weights only, never the bias.  Exposed so the
-    analytic gradient can be checked against finite differences.
+    gradient SGD steps on can be checked against finite differences.
     """
-    z = X @ w + b
-    resid = _sigmoid(z) - y
-    grad_w = X.T @ resid / len(y) + l2 * w
-    grad_b = float(np.mean(resid))
-    return _logistic_loss(z, w, y, l2), grad_w, grad_b
+    return (_logistic_loss(X @ w + b, w, y, l2), *_logistic_grad(X, y, w, b, l2))
 
 
 class ToyLogisticClassifier:
@@ -181,14 +185,9 @@ class ToyLogisticClassifier:
             order = rng.permutation(n)
             Xe, ye = X[order], y[order]
             for start in range(0, n, bs):
-                # the gradient half of logistic_loss_grad, op for op (its
-                # np.mean is add.reduce over the count), on a contiguous
-                # slice holding the same rows as X[order[start:start + bs]]
-                Xb = Xe[start:start + bs]
-                resid = _sigmoid(Xb @ w + b) - ye[start:start + bs]
-                m = len(resid)
-                gw = Xb.T @ resid / m + l2 * w
-                gb = float(np.add.reduce(resid) / m)
+                # contiguous slices with the rows of X[order[start:start + bs]]
+                gw, gb = _logistic_grad(Xe[start:start + bs],
+                                        ye[start:start + bs], w, b, l2)
                 vw = momentum * vw - lr * gw
                 vb = momentum * vb - lr * gb
                 w = w + vw

@@ -397,9 +397,35 @@ def test_composite_objective_is_called_per_row(composite_sandbox):
     register_composite({"id": "F24", "dim": 3, "lower": -1, "upper": 1,
                         "eval": fn})
     obj = lookup("F24").objective()
-    assert not getattr(obj, "vectorized", False)
-    assert obj(np.array([1.0, 2.0, 3.0])) == 6.0
+    assert obj.vectorized is True
+    value = obj(np.array([1.0, 2.0, 3.0]))
+    assert type(value) is float and value == 6.0
     assert seen == [(3,)]
+    swarm = obj(np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]))
+    assert np.array_equal(swarm, [6.0, -0.5])
+    assert seen == [(3,), (3,), (3,)]
+
+
+def test_composite_pack_swarm_call_equals_per_row_calls_bitwise(
+        tmp_path, composite_sandbox):
+    rng = make_rng(5)
+    _write_pack(tmp_path, {
+        "f24.json": {
+            "id": "F24", "dim": 3, "lower": -5, "upper": 5, "bias": 2400.0,
+            "components": [
+                {"basis": "rastrigin", "weight": 0.7,
+                 "shift": rng.uniform(-2, 2, 3).tolist(),
+                 "rotation": rng.standard_normal((3, 3)).tolist()},
+                {"basis": "ackley", "weight": 1.3,
+                 "shift": rng.uniform(-2, 2, 3).tolist()},
+            ],
+        },
+    })
+    load_composite_pack(tmp_path)
+    obj = lookup("F24").objective()
+    swarm = rng.uniform(-5, 5, (7, 3))
+    rows = [obj(row) for row in swarm]
+    assert obj(swarm).tobytes() == np.array(rows).tobytes()
 
 
 def test_load_composite_pack_empty_directory(tmp_path, composite_sandbox):

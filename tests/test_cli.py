@@ -166,6 +166,18 @@ class TestBench:
         finals = read_csv(out / "finals.csv")
         assert len(finals) == 1 + 2
 
+    def test_non_integer_config_dim_fails_before_running(self, tmp_path,
+                                                          capsys):
+        config = tmp_path / "exp.json"
+        config.write_text('{"algorithms": "mfo", "functions": ["F1"],'
+                          ' "dim": 2.5, "runs": 1, "pop_size": 5,'
+                          ' "max_iter": 5}')
+        out = tmp_path / "results"
+        rc = main(["bench", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert "error: dim must be an integer" in capsys.readouterr().err
+        assert not (out / "finals.csv").exists()
+
     def test_curves_telemetry_writes_curve_files(self, tmp_path):
         out = tmp_path / "results"
         rc = main(["bench", "--algorithms", "mfo", "--functions", "F1",

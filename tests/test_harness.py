@@ -1,5 +1,5 @@
 """Tests for the experiment harness: grid execution, aggregation,
-telemetry levels, worker resolution, and CSV export."""
+telemetry levels, and CSV export."""
 
 import csv
 import json
@@ -22,14 +22,12 @@ from nlcmfo.harness import (
     export_curves,
     export_experiment,
     load_experiment_config,
-    resolve_workers,
     RunRecord,
     run_experiment,
     summarize,
     write_finals,
     write_search_history,
     write_stats,
-    WORKERS_ENV_VAR,
 )
 from nlcmfo.stochastic import ChaoticDomainError, ParameterError
 
@@ -190,6 +188,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(functions=("F1",), workers=0))
 
+    @pytest.mark.parametrize("name, value", [
+        ("runs", "2"), ("dim", "5"), ("workers", "2"), ("runs", 1.5),
+        ("base_seed", 1.5), ("pop_size", 5.5), ("max_iter", 2.5),
+        ("dim", 2.5), ("runs", True), ("workers", None),
+    ])
+    def test_non_integer_count_rejected_before_running(self, monkeypatch,
+                                                       name, value):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            run_experiment(tiny_config(functions=("F1",), **{name: value}))
+        assert ran == []
+
 
 class TestLoadExperimentConfig:
     def test_json_round_trip_with_string_coercion(self, tmp_path):
@@ -209,24 +220,6 @@ class TestLoadExperimentConfig:
         path.write_text(json.dumps({"functions": ["F1"], "budget": 100}))
         with pytest.raises(ConfigError):
             load_experiment_config(path)
-
-
-class TestResolveWorkers:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert resolve_workers(None) == 4
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(None) == 1
-
-    def test_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_workers(0)
 
 
 # ---------------------------------------------------------------------------
