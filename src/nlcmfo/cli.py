@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error (bad arguments, unknown
 function or algorithm, unreadable config) detected before any runs,
-2 runtime failure (an objective aborted mid-experiment).
+2 runtime failure (a run aborted mid-experiment).
 """
 
 from __future__ import annotations
@@ -128,6 +128,16 @@ def _cmd_tune(args) -> int:
         writer.writerow(["fpr", "tpr"])
         for fpr, tpr in points:
             writer.writerow([repr(float(fpr)), repr(float(tpr))])
+    names = list(outcome.best_hyperparams.as_dict())
+    lower, upper = outcome.bound_hits.tolist()
+    with open(out_dir / "tune_diag.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "value"])
+        writer.writerow(["distinct_candidates", outcome.distinct_candidates])
+        writer.writerow(["last_improvement", outcome.last_improvement])
+        for side, hits in (("lower", lower), ("upper", upper)):
+            for name, count in zip(names, hits):
+                writer.writerow([f"{name}_at_{side}", count])
     save_model(model, out_dir / "model.txt")
     if args.export_data:
         export_dataset(data, out_dir / "dataset.csv")
@@ -139,6 +149,11 @@ def _cmd_tune(args) -> int:
           f"epochs={hp.epochs} l2={hp.l2:.6g}")
     print(f"test accuracy={report.accuracy * 100:.2f}% "
           f"f1={report.f1 * 100:.2f}% auc={auc * 100:.2f}%")
+    hits = " ".join(f"{name}={lo}/{up}"
+                    for name, lo, up in zip(names, lower, upper))
+    print(f"{outcome.distinct_candidates} distinct candidates; last "
+          f"improvement at iteration {outcome.last_improvement}; "
+          f"evaluations at lower/upper bound: {hits}")
     print(f"wrote {out_dir / 'hyperparams.csv'}")
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -122,10 +123,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in ("algorithms", "functions"):
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, str):
-                value = [value]
+        value = raw.get(key)
+        if isinstance(value, str):
+            raw[key] = (value,)
+        elif isinstance(value, list):
             raw[key] = tuple(value)
     return ExperimentConfig(**raw)
 
@@ -136,6 +137,17 @@ def _validate(config: ExperimentConfig) -> dict:
     A returned config carries ``seed=base_seed``; each run replaces the seed
     with its own.
     """
+    # JSON gives any type; a wrong one must not surface as a TypeError later
+    for name in ("algorithms", "functions"):
+        value = getattr(config, name)
+        if (not isinstance(value, (tuple, list))
+                or not all(isinstance(v, str) for v in value)):
+            raise ConfigError(f"{name} must be a list of names, got {value!r}")
+    if not isinstance(config.params, dict):
+        raise ConfigError(f"params must be an object, got {config.params!r}")
+    if not isinstance(config.composite_pack, (type(None), str, os.PathLike)):
+        raise ConfigError(
+            f"composite_pack must be a directory, got {config.composite_pack!r}")
     if not config.algorithms:
         raise ConfigError("no algorithms selected")
     for algorithm in config.algorithms:
@@ -215,10 +227,12 @@ def _execute_task(task) -> RunRecord:
     objective = func.objective(rng=func.noise_rng(config.seed))
     try:
         result = globals()[ALGORITHMS[algorithm][2]](config, space, objective)
-    except ObjectiveError as exc:
+    except Exception as exc:  # a failed run is recorded; the grid goes on
+        error = (str(exc) if isinstance(exc, ObjectiveError)
+                 else f"{type(exc).__name__}: {exc}")
         return RunRecord(algorithm, fid, dim, run_index, config.seed,
                          float("nan"), None, 0, 0.0, aborted=True,
-                         error=str(exc))
+                         error=error)
     keep_curves = telemetry in ("curves", "full-history")
     return RunRecord(
         algorithm, fid, dim, run_index, config.seed,

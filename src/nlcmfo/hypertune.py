@@ -235,10 +235,25 @@ def evaluate_L_D(model: ToyLogisticClassifier, data: ToyDataset) -> float:
 
 @dataclass
 class TuneResult:
+    """Outcome of one ``tune`` call.
+
+    ``trainings`` counts objective evaluations, n*(T+1), however many of
+    them the default trainer served from its memo.  The diagnostics:
+    ``distinct_candidates`` is the number of distinct decoded HyperParams
+    evaluated; ``bound_hits[0, j]`` / ``bound_hits[1, j]`` count the
+    evaluated points whose coordinate j sits on the box's lower / upper
+    bound; ``last_improvement`` is the 1-based iteration at which the
+    convergence curve last fell (1 when the best was found by iteration 1,
+    start swarm included).
+    """
+
     best_hyperparams: HyperParams
     best_L_D: float
     trainings: int
     run_result: RunResult
+    distinct_candidates: int
+    bound_hits: np.ndarray
+    last_improvement: int
 
 
 def tune(config: Optional[EngineConfig] = None,
@@ -249,28 +264,43 @@ def tune(config: Optional[EngineConfig] = None,
 
     The default trainer fits the toy classifier on ``data`` with a fixed
     seed across all candidates, so the objective is a pure function of the
-    hyperparameter vector; any callable HyperParams -> score can replace
-    it.  Default budget is a population of 30 for 20 iterations, which
-    costs exactly 630 trainings.
+    decoded HyperParams: it trains each distinct candidate once per call
+    and returns the stored score on every repeat.  Any callable
+    HyperParams -> score can replace it; a custom trainer may be impure, so
+    it is called on every evaluation.  Default budget is a population of 30
+    for 20 iterations, which costs exactly 630 evaluations.
     """
     if trainer is None:
         if data is None:
             raise ValueError("tune needs a dataset when no trainer is given")
+        scores = {}
 
         def trainer(hp: HyperParams) -> float:
-            return evaluate_L_D(train_toy_model(hp, data, seed=trainer_seed),
-                                data)
+            if hp not in scores:
+                scores[hp] = evaluate_L_D(
+                    train_toy_model(hp, data, seed=trainer_seed), data)
+            return scores[hp]
 
     if config is None:
         config = EngineConfig(pop_size=30, max_iter=20, seed=0)
     space = SearchSpace(HYPER_LB.copy(), HYPER_UB.copy())
+    candidates = set()
+    bound_hits = np.zeros((2, len(HYPER_LB)), dtype=np.int64)
 
     def objective(x):
-        return float(trainer(decode_hyperparams(x)))
+        hp = decode_hyperparams(x)
+        candidates.add(hp)
+        bound_hits[0] += x <= HYPER_LB
+        bound_hits[1] += x >= HYPER_UB
+        return float(trainer(hp))
 
     result = run(config, space, objective)
     best = decode_hyperparams(result.best_position)
-    return TuneResult(best, result.best_fitness, result.evaluations, result)
+    # the curve never rises, so the entries above its final value are the
+    # iterations before the last improvement
+    last = np.count_nonzero(result.convergence > result.convergence[-1]) + 1
+    return TuneResult(best, result.best_fitness, result.evaluations, result,
+                      len(candidates), bound_hits, last)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,40 @@ class TestBench:
         finals = read_csv(out / "finals.csv")
         assert finals[1][-1] == "1"
 
+    def test_run_exception_is_recorded_and_exits_2(self, tmp_path, capsys,
+                                                    composite_sandbox):
+        def boom(x):
+            raise RuntimeError("boom")
+
+        register_composite({
+            "id": "F24", "dim": 2, "lower": -5.0, "upper": 5.0, "eval": boom,
+        })
+        out = tmp_path / "results"
+        rc = main(["bench", "--functions", "F1", "F24", "--dim", "2",
+                   "--runs", "1", "--pop-size", "4", "--max-iter", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "1 run(s) aborted" in capsys.readouterr().err
+        finals = read_csv(out / "finals.csv")
+        assert [(row[1], row[-1]) for row in finals[1:]] == [
+            ("F1", "0"), ("F24", "1")]
+
+    @pytest.mark.parametrize("text", [
+        '{"algorithms": 5}', '{"functions": 7}', '{"params": 3}',
+        '{"composite_pack": 5}',
+    ])
+    def test_wrongly_typed_config_field_fails_before_running(
+            self, tmp_path, capsys, text):
+        config = tmp_path / "exp.json"
+        config.write_text(text)
+        out = tmp_path / "results"
+        rc = main(["bench", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (out / "finals.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
         config.write_text('{"algorithms": "mfo", "functions": ["F1"],'
@@ -214,8 +248,18 @@ class TestTune:
         assert "best L_D=" in stdout
         assert "trainings" in stdout
         for name in ("hyperparams.csv", "confusion.csv", "metrics.csv",
-                     "roc.csv", "model.txt"):
+                     "roc.csv", "model.txt", "tune_diag.csv"):
             assert (out / name).exists()
+        assert "distinct candidates; last improvement at iteration" in stdout
+        diag = read_csv(out / "tune_diag.csv")
+        assert diag[0] == ["name", "value"]
+        assert [row[0] for row in diag[1:]] == [
+            "distinct_candidates", "last_improvement",
+            "momentum_at_lower", "learning_rate_at_lower", "epochs_at_lower",
+            "l2_at_lower", "momentum_at_upper", "learning_rate_at_upper",
+            "epochs_at_upper", "l2_at_upper"]
+        assert 1 <= int(diag[1][1]) <= 16
+        assert 1 <= int(diag[2][1]) <= 3
         hyper = read_csv(out / "hyperparams.csv")
         assert hyper[0] == ["name", "value"]
         names = [row[0] for row in hyper[1:]]
@@ -239,7 +283,7 @@ class TestTune:
         assert main(TUNE_ARGS + ["--out", str(out_b)]) == 0
         capsys.readouterr()
         for name in ("hyperparams.csv", "confusion.csv", "metrics.csv",
-                     "roc.csv", "model.txt"):
+                     "roc.csv", "model.txt", "tune_diag.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_export_data_writes_a_loadable_dataset(self, tmp_path, capsys):

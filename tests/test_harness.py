@@ -58,6 +58,18 @@ def nan_composite(composite_sandbox):
     return "F24"
 
 
+@pytest.fixture
+def raising_composite(composite_sandbox):
+    """A registered function whose every evaluation raises RuntimeError."""
+    def boom(x):
+        raise RuntimeError("boom")
+
+    register_composite({
+        "id": "F24", "dim": 2, "lower": -5.0, "upper": 5.0, "eval": boom,
+    })
+    return "F24"
+
+
 # ---------------------------------------------------------------------------
 # cell statistics
 # ---------------------------------------------------------------------------
@@ -221,6 +233,21 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("algorithms", 5), ("functions", 7), ("functions", [7]),
+        ("algorithms", None), ("params", 3), ("params", ["levy_alpha"]),
+        ("composite_pack", 5),
+    ])
+    def test_wrongly_typed_field_rejected_before_running(
+            self, tmp_path, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"functions": ["F1"], key: value}))
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(load_experiment_config(path))
+        assert ran == []
+
 
 # ---------------------------------------------------------------------------
 # grid execution
@@ -379,6 +406,21 @@ class TestAbortedRuns:
             by_fn.setdefault(rec.function, []).append(rec)
         assert all(not r.aborted for r in by_fn["F1"])
         assert all(r.aborted for r in by_fn[nan_composite])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_any_run_exception_becomes_aborted_record(self, raising_composite,
+                                                      workers):
+        # pooled workers see the registration through the fork start method
+        result = run_experiment(tiny_config(
+            functions=("F1", raising_composite), dim=2, runs=2,
+            workers=workers))
+        assert result.aborted == 2
+        for rec in result.records:
+            if rec.function == "F1":
+                assert not rec.aborted and rec.evaluations == 6 * (10 + 1)
+            else:
+                assert rec.aborted and rec.error == "RuntimeError: boom"
+                assert math.isnan(rec.best_fitness)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_f2_overflows_at_dim_1000(self, tmp_path):

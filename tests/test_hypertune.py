@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlcmfo import hypertune
 from nlcmfo.engine import EngineConfig
 from nlcmfo.hypertune import (
     HYPER_LB,
@@ -434,6 +435,62 @@ class TestTune:
         assert res.best_hyperparams == HyperParams(
             momentum=0.9714687764414397, learning_rate=0.16500520466889407,
             epochs=12, l2=0.00015024123417307732)
+        # nlcmfo's origin pull clips most moths onto the box's lower corner
+        assert res.distinct_candidates == 132
+        assert res.last_improvement == 1
+        assert res.bound_hits.tolist() == [[597, 512, 598, 585], [2, 0, 0, 2]]
+
+    def test_default_trainer_trains_each_distinct_candidate_once(
+            self, monkeypatch):
+        trained = []
+
+        def counting(hp, data, seed=0):
+            trained.append(hp)
+            return train_toy_model(hp, data, seed=seed)
+
+        monkeypatch.setattr(hypertune, "train_toy_model", counting)
+        res = tune(EngineConfig(pop_size=30, max_iter=20, seed=0),
+                   make_toy_dataset(600, 2, 0, 1.0))
+        assert res.trainings == 630
+        assert len(trained) == len(set(trained)) == res.distinct_candidates
+        assert len(trained) == 132
+
+    def test_memoized_default_equals_an_unmemoized_trainer(self):
+        data = make_toy_dataset(600, 2, 0, 1.0)
+        config = EngineConfig(pop_size=30, max_iter=20, seed=0)
+
+        def trainer(hp):  # a custom trainer is called on every evaluation
+            return evaluate_L_D(train_toy_model(hp, data), data)
+
+        memo = tune(config, data)
+        plain = tune(config, trainer=trainer)
+        assert memo.best_hyperparams == plain.best_hyperparams
+        assert memo.best_L_D == plain.best_L_D
+        for name in ("best_position", "convergence", "mean_fitness"):
+            assert (getattr(memo.run_result, name).tobytes()
+                    == getattr(plain.run_result, name).tobytes())
+        assert memo.distinct_candidates == plain.distinct_candidates
+        assert np.array_equal(memo.bound_hits, plain.bound_hits)
+
+    def test_diagnostics_recount_from_the_evaluated_points(self):
+        seen = []
+
+        def trainer(hp):
+            seen.append(hp)
+            return (hp.momentum - 0.7) ** 2 + (hp.learning_rate - 0.3) ** 2
+
+        res = tune(EngineConfig(algorithm="mfo", pop_size=8, max_iter=12,
+                                seed=3, record_history=True), trainer=trainer)
+        assert res.distinct_candidates == len(set(seen))
+        # the start swarm is drawn inside the box, so only moves hit a bound
+        history = res.run_result.history
+        assert res.bound_hits.tolist() == [
+            (history <= HYPER_LB).sum(axis=(0, 1)).tolist(),
+            (history >= HYPER_UB).sum(axis=(0, 1)).tolist()]
+        curve = res.run_result.convergence
+        fell = [i + 1 for i in range(1, len(curve)) if curve[i] < curve[i - 1]]
+        assert res.last_improvement == (fell[-1] if fell else 1)
+        assert res.last_improvement > 1
 
     def test_tuned_hyperparams_respect_the_box(self):
         data = make_toy_dataset(120, 2, seed=3)
