@@ -302,13 +302,7 @@ class BenchmarkFunction:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("point must be a 1-d vector")
-        if self.scalable:
-            if x.size < 1:
-                raise ValueError("dimension must be >= 1")
-        elif x.size != self.dim:
-            raise ValueError(
-                f"{self.fid} is fixed at dimension {self.dim}, got {x.size}"
-            )
+        self.space(x.size)  # raises on a wrong dimension
         return self.objective(rng)(x)
 
     def noise_rng(self, seed: int) -> Optional[np.random.Generator]:

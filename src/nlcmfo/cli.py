@@ -14,7 +14,6 @@ function or algorithm, unreadable config) detected before any runs,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .engine import EngineConfig, ObjectiveError
 from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ExperimentConfig,
                       export_experiment, load_experiment_config,
                       run_experiment, summarize, write_curves,
-                      write_search_history)
+                      write_search_history, write_table)
 from .hypertune import (confusion, export_dataset, make_toy_dataset, metrics,
                         roc_auc, roc_points, save_model, train_toy_model,
                         tune)
@@ -83,6 +82,11 @@ def _cmd_bench(args) -> int:
               f"ave={row.ave:.6g} std={row.std:.6g} best={row.best:.6g}")
     print(f"wrote {out_dir / 'stats.csv'}")
     if result.aborted:
+        for rec in result.records:
+            if rec.aborted:
+                print(f"error: {rec.algorithm} {rec.function} d={rec.dim} "
+                      f"run {rec.run_index} seed {rec.seed}: {rec.error}",
+                      file=sys.stderr)
         print(f"error: {result.aborted} run(s) aborted; see finals.csv",
               file=sys.stderr)
         return 2
@@ -106,43 +110,29 @@ def _cmd_tune(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "hyperparams.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value"])
-        for key, value in outcome.best_hyperparams.as_dict().items():
-            writer.writerow([key, repr(value)])
-        writer.writerow(["L_D", repr(outcome.best_L_D)])
-        writer.writerow(["trainings", outcome.trainings])
-    with open(out_dir / "confusion.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tp", "fn", "fp", "tn"])
-        writer.writerow([cm.tp, cm.fn, cm.fp, cm.tn])
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "percent"])
-        for key, value in report.as_dict().items():
-            writer.writerow([key, repr(value), f"{100.0 * value:.2f}"])
-        writer.writerow(["auc", repr(auc), f"{100.0 * auc:.2f}"])
-    with open(out_dir / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in points:
-            writer.writerow([repr(float(fpr)), repr(float(tpr))])
-    names = list(outcome.best_hyperparams.as_dict())
+    hp = outcome.best_hyperparams
+    write_table(out_dir / "hyperparams.csv", ["name", "value"], [
+        *([key, repr(value)] for key, value in hp.as_dict().items()),
+        ["L_D", repr(outcome.best_L_D)], ["trainings", outcome.trainings]])
+    write_table(out_dir / "confusion.csv", ["tp", "fn", "fp", "tn"],
+                [[cm.tp, cm.fn, cm.fp, cm.tn]])
+    write_table(out_dir / "metrics.csv", ["metric", "value", "percent"],
+                [[key, repr(value), f"{100.0 * value:.2f}"]
+                 for key, value in [*report.as_dict().items(), ("auc", auc)]])
+    write_table(out_dir / "roc.csv", ["fpr", "tpr"],
+                [[repr(float(fpr)), repr(float(tpr))] for fpr, tpr in points])
+    names = list(hp.as_dict())
     lower, upper = outcome.bound_hits.tolist()
-    with open(out_dir / "tune_diag.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value"])
-        writer.writerow(["distinct_candidates", outcome.distinct_candidates])
-        writer.writerow(["last_improvement", outcome.last_improvement])
-        for side, hits in (("lower", lower), ("upper", upper)):
-            for name, count in zip(names, hits):
-                writer.writerow([f"{name}_at_{side}", count])
+    write_table(out_dir / "tune_diag.csv", ["name", "value"], [
+        ["distinct_candidates", outcome.distinct_candidates],
+        ["last_improvement", outcome.last_improvement],
+        *([f"{name}_at_{side}", count]
+          for side, hits in (("lower", lower), ("upper", upper))
+          for name, count in zip(names, hits))])
     save_model(model, out_dir / "model.txt")
     if args.export_data:
         export_dataset(data, out_dir / "dataset.csv")
 
-    hp = outcome.best_hyperparams
     print(f"best L_D={outcome.best_L_D:.6g} after {outcome.trainings} "
           f"trainings")
     print(f"momentum={hp.momentum:.6g} learning_rate={hp.learning_rate:.6g} "
@@ -211,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     tune_p = sub.add_parser("tune", help="tune the toy classifier")
-    tune_p.add_argument("--algorithm", choices=("mfo", "nlcmfo"),
-                        default="nlcmfo")
+    tune_p.add_argument("--algorithm", default="nlcmfo", choices=[
+        name for name, (cls, _, _) in ALGORITHMS.items()
+        if cls is EngineConfig])
     tune_p.add_argument("--pop-size", dest="pop_size", type=int, default=30)
     tune_p.add_argument("--max-iter", dest="max_iter", type=int, default=20)
     tune_p.add_argument("--seed", type=int, default=0)

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .engine import EngineConfig, RunResult, run
+from .harness import write_table
 from .space import SearchSpace
 from .stochastic import make_rng
 
@@ -447,15 +448,12 @@ def load_model(path) -> ToyLogisticClassifier:
 
 def export_dataset(data: ToyDataset, path) -> None:
     """CSV with feature columns, the label and the train/test split tag."""
-    p = data.n_features
-    header = [f"x{i + 1}" for i in range(p)] + ["y", "split"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    header = [f"x{i + 1}" for i in range(data.n_features)] + ["y", "split"]
+    write_table(path, header, (
+        [repr(float(v)) for v in row] + [int(label), tag]
         for X, y, tag in ((data.X_train, data.y_train, "train"),
-                          (data.X_test, data.y_test, "test")):
-            for row, label in zip(X, y):
-                writer.writerow([repr(float(v)) for v in row] + [int(label), tag])
+                          (data.X_test, data.y_test, "test"))
+        for row, label in zip(X, y)))
 
 
 def import_dataset(path) -> ToyDataset:

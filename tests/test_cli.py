@@ -1,6 +1,7 @@
 """End-to-end command line tests, exercised in process through main()."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -167,7 +168,9 @@ class TestBench:
                    "--runs", "1", "--pop-size", "4", "--max-iter", "3",
                    "--out", str(out)])
         assert rc == 2
-        assert "1 run(s) aborted" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: nlcmfo F24 d=2 run 0 seed 0: RuntimeError: boom",
+                       "error: 1 run(s) aborted; see finals.csv"]
         finals = read_csv(out / "finals.csv")
         assert [(row[1], row[-1]) for row in finals[1:]] == [
             ("F1", "0"), ("F24", "1")]
@@ -297,6 +300,13 @@ class TestTune:
         assert np.array_equal(loaded.X_train, reference.X_train)
         assert np.array_equal(loaded.y_test, reference.y_test)
 
+    def test_non_engine_algorithm_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--algorithm", "pso", "--out", str(tmp_path / "t")])
+        assert exc.value.code == 1
+        assert "invalid choice: 'pso'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_too_small_sample_count_fails(self, tmp_path, capsys):
         rc = main(["tune", "--samples", "10", "--out", str(tmp_path / "t")])
         assert rc == 1
@@ -418,3 +428,126 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "F1", "abc"])
         assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# byte pins
+# ---------------------------------------------------------------------------
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _without_columns(data, drop):
+    """The CSV bytes with the columns at ``drop`` left out, CRLF kept."""
+    lines = data.split(b"\r\n")
+    return b"\r\n".join(
+        b",".join(f for i, f in enumerate(line.split(b",")) if i not in drop)
+        for line in lines)
+
+
+BENCH_PIN_ARGS = ["bench", "--algorithms", "mfo", "nlcmfo", "pso", "gwo",
+                  "--functions", "F1", "F7", "--dim", "3", "--runs", "2",
+                  "--pop-size", "5", "--max-iter", "5", "--seed", "3",
+                  "--telemetry", "curves"]
+
+# sha256 of each output of the bench run above and of tune at TUNE_ARGS with
+# --export-data; the bench tables' runtime columns are wall-clock, so their
+# digests leave them out
+BENCH_PINS = {
+    "stats.csv":
+        "ecbb7b80711afba6216e1caa2017521df4bac41f572f85cf072cd694a4337ee4",
+    "stats_full.csv":
+        "df272c6beb8066e4467c7baf83b9408993d7272de494634480bdb1d03489d092",
+    "finals.csv":
+        "c8a1637b9706ebd455a3dd3eae31632d0e6e8cba7d501831062c70d227085b18",
+    "curves/gwo_F1_d3_convergence.csv":
+        "4b8f6ef4d89cded8acd449ab74954490de6cb7f2a4f90828350f796264ee58e1",
+    "curves/gwo_F1_d3_mean_fitness.csv":
+        "6b41d25d82fd17741f804c15052b88a6348d99c8204c753b64d92b73a39565f9",
+    "curves/gwo_F1_d3_trajectory.csv":
+        "d2cadd04b2496e6f491554b5a7a7f0a3cab2b1ea868294b468eba158f502efaf",
+    "curves/gwo_F7_d3_convergence.csv":
+        "533c07860c94b5d76282d62dc1bd6e702d96db44f1ddd8ed233a3e06e6081475",
+    "curves/gwo_F7_d3_mean_fitness.csv":
+        "df332481e55920c0b387429bd9725ada40af26420c6a817c15fe77d2138b733b",
+    "curves/gwo_F7_d3_trajectory.csv":
+        "eaad234eaf9df23c96382ef3fbf86c91607d5fda7257a1baf1262fdd00613d76",
+    "curves/mfo_F1_d3_convergence.csv":
+        "f19c2fdf62c77747b3d570e773031afef818b2e67b466a27508523cbd8a00be4",
+    "curves/mfo_F1_d3_mean_fitness.csv":
+        "6a8c741ed2c3e342eabe85aec7e4ae46ca0bb72dad1ab7e5259e052076fa44c3",
+    "curves/mfo_F1_d3_trajectory.csv":
+        "83d22d700ec0a0abbc0be788b3d68e846f3de60e2899e5a6f09a3c367475a09e",
+    "curves/mfo_F7_d3_convergence.csv":
+        "3efeded62e0f33cf72aa80c5b2718c464f4a364080b6eb54681d15d26622b9e1",
+    "curves/mfo_F7_d3_mean_fitness.csv":
+        "1f9447b92678fba5332d3ef71bc8c44943e5b44eaeb80dab7bbdfc3cf86bddb1",
+    "curves/mfo_F7_d3_trajectory.csv":
+        "4ffe0ed18579233bc16d525d385f5e3a19fe0239bd5ffaf79551cd04810ce21d",
+    "curves/nlcmfo_F1_d3_convergence.csv":
+        "0b84c3fe36d7ca63ee3bf1a2a4c1f3e4a8616f774f0b4995bc4ca94bd685b27a",
+    "curves/nlcmfo_F1_d3_mean_fitness.csv":
+        "5ff12109cfb897c520a211b162c86db56d93938509e1c693a8ca879f00781dae",
+    "curves/nlcmfo_F1_d3_trajectory.csv":
+        "41f5620688d0593f7abe38e3e7f44ff0391262983dab59ce793cfb899fb9a949",
+    "curves/nlcmfo_F7_d3_convergence.csv":
+        "8c643eb80f0d962492817ed8775e06cd8dc00a4c0af5c98c60e34ddde570682b",
+    "curves/nlcmfo_F7_d3_mean_fitness.csv":
+        "a73a5990481c6dd21a94131003526b5277560bbac6eff788de8a890e43c4fe5d",
+    "curves/nlcmfo_F7_d3_trajectory.csv":
+        "bc41e50b602ae85c8b6f6b9136f64d4067f6bbec822d8cae3899f6ccdf2f51d7",
+    "curves/pso_F1_d3_convergence.csv":
+        "ee88e194e0123c7db9b7bdf22d0a7f2a00057c7d3bd7759d1fd71e176b5b9dd1",
+    "curves/pso_F1_d3_mean_fitness.csv":
+        "3c250133d6b6a25f9d412be2b7c7289e7c63ef74ea8781b6b6e06ca713cf1a41",
+    "curves/pso_F1_d3_trajectory.csv":
+        "55b02eb9e975835236445e91a68eea88ebe2f2c8a6302a92664d9a104bf9d3e7",
+    "curves/pso_F7_d3_convergence.csv":
+        "da7248733cb515c6f7914141a16560297d23e1030adf8003dbcf2707dd421f28",
+    "curves/pso_F7_d3_mean_fitness.csv":
+        "44cc62a6cddae806d05ff4033e6b5c9b8ce1f926cc808d8d6488f6de226f675e",
+    "curves/pso_F7_d3_trajectory.csv":
+        "781311aac7de83c108fd6906dde9d9beb6401c3ea908475c031643b9bc46edf8",
+}
+
+TUNE_PINS = {
+    "confusion.csv":
+        "8a434177bdf311603bc56541e076c2fdac7eaca275a71a47c397a2cf727086da",
+    "dataset.csv":
+        "f298917515fb2f64dc452073e35050552cc50cd4a52794bb728ef8f243027a75",
+    "hyperparams.csv":
+        "834c7227b45f64208241d27142d9fda4c3d0fa42703dfe1d2adaf12b4b29fa39",
+    "metrics.csv":
+        "34ec2f1f0107d27b10539a49564858df7f2fa8a4eeafd5f8f8d303a87ce84023",
+    "model.txt":
+        "606a133e17d8931442784a90c390e6e92237ea3fcd6a5fbdc5a159ee85a43e11",
+    "roc.csv":
+        "7cb4e24c7e4692345781efd2a213fa2bef7eb729b2cd04b1e13273df7aa7956c",
+    "tune_diag.csv":
+        "f4353c199c863e56a45fb3aed139f6661ec9e16b897f2086c7e4de6c8cf9e758",
+}
+
+
+class TestBytePins:
+    def test_bench_bundle_bytes(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(BENCH_PIN_ARGS + ["--out", str(out)]) == 0
+        digests = {
+            "stats.csv": _sha256(_without_columns(
+                (out / "stats.csv").read_bytes(), {5, 6})),
+            "stats_full.csv": _sha256(_without_columns(
+                (out / "stats_full.csv").read_bytes(), {5, 6})),
+            "finals.csv": _sha256(_without_columns(
+                (out / "finals.csv").read_bytes(), {7})),
+        }
+        for path in sorted((out / "curves").iterdir()):
+            digests[f"curves/{path.name}"] = _sha256(path.read_bytes())
+        assert digests == BENCH_PINS
+
+    def test_tune_bundle_bytes(self, tmp_path, capsys):
+        out = tmp_path / "tune"
+        assert main(TUNE_ARGS + ["--export-data", "--out", str(out)]) == 0
+        digests = {path.name: _sha256(path.read_bytes())
+                   for path in sorted(out.iterdir())}
+        assert digests == TUNE_PINS
