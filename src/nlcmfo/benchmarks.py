@@ -62,7 +62,8 @@ def _sphere(x):
 
 def _abs_and_product(x):
     ax = np.abs(x)
-    return np.sum(ax, axis=1) + np.prod(ax, axis=1)
+    with np.errstate(over="ignore"):  # inf at high d; evaluate_swarm aborts
+        return np.sum(ax, axis=1) + np.prod(ax, axis=1)
 
 
 def _double_sum(x):

@@ -39,14 +39,21 @@ _ALGORITHMS = ("mfo", "nlcmfo")
 
 
 class ObjectiveError(RuntimeError):
-    """Objective returned NaN/inf; carries the offending position."""
+    """Objective returned NaN/inf; carries the offending position.
 
-    def __init__(self, position: np.ndarray, value: float):
+    The message names the swarm row and shows at most its first three
+    coordinates, so one line stays short at any dimension; ``position``
+    holds the whole row.
+    """
+
+    def __init__(self, position: np.ndarray, value: float, row: int):
         self.position = np.array(position, copy=True)
         self.value = value
+        head = ", ".join(repr(v) for v in self.position[:3].tolist())
+        more = ", ..." if self.position.size > 3 else ""
         super().__init__(
-            f"objective returned non-finite value {value!r} at position "
-            f"{self.position.tolist()!r}"
+            f"objective returned non-finite value {value!r} at row {row} "
+            f"(d={self.position.size}) [{head}{more}]"
         )
 
 
@@ -171,13 +178,13 @@ def evaluate_swarm(objective: Objective, positions: np.ndarray) -> np.ndarray:
         finite = np.isfinite(fitness)
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
-            raise ObjectiveError(positions[bad], float(fitness[bad]))
+            raise ObjectiveError(positions[bad], float(fitness[bad]), bad)
         return fitness
     fitness = np.empty(positions.shape[0])
     for i, row in enumerate(positions):
         value = float(objective(row))
         if not math.isfinite(value):
-            raise ObjectiveError(row, value)
+            raise ObjectiveError(row, value, i)
         fitness[i] = value
     return fitness
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from nlcmfo.baselines import GwoConfig, PsoConfig, run_gwo, run_pso
-from nlcmfo.engine import EngineConfig, ObjectiveError, run, update_flames
+from nlcmfo.baselines import (GwoConfig, PsoConfig, _gwo, _pso, run_gwo,
+                              run_pso)
+from nlcmfo.engine import (EngineConfig, ObjectiveError, evaluate_swarm, run,
+                           update_flames)
 from nlcmfo.space import SearchSpace
+from nlcmfo.stochastic import make_rng
 
 
 def sphere(x):
@@ -61,6 +64,26 @@ def test_pso_velocity_clamp_bounds_step_size():
     vmax = clamp * (space.upper - space.lower)   # 0.1 per dimension
     steps = np.abs(np.diff(result.history, axis=0))
     assert steps.max() <= vmax.max() + 1e-12
+
+
+@pytest.mark.parametrize("search,cfg", [(_pso, PsoConfig), (_gwo, GwoConfig)])
+def test_yielded_moves_are_fresh_and_never_rewritten(search, cfg):
+    # the moves are computed in per-run buffers; a buffer that leaked into
+    # a yielded move would share memory with it and be rewritten later
+    config = cfg(pop_size=6, max_iter=10, seed=4)
+    space = _space(5)
+    steps = search(config, space, make_rng(config.seed))
+    pos = next(steps)
+    yielded = []
+    for _ in range(config.max_iter):
+        fit = evaluate_swarm(sphere, pos)
+        move = steps.send((pos, fit))
+        for earlier, _ in yielded:
+            assert not np.shares_memory(move, earlier)
+        yielded.append((move, move.copy()))
+        pos = space.clip(move)
+    for move, copy in yielded:
+        assert move.tobytes() == copy.tobytes()
 
 
 def test_gwo_requires_three_leaders():

@@ -185,6 +185,8 @@ def test_evaluate_swarm_rejects_nonfinite():
     with pytest.raises(ObjectiveError) as exc:
         evaluate_swarm(bad, pos)
     assert np.array_equal(exc.value.position, [2.0, 0.0])
+    assert str(exc.value) == ("objective returned non-finite value nan "
+                              "at row 1 (d=2) [2.0, 0.0]")
 
 
 def test_evaluate_swarm_calls_vectorized_objective_once():
@@ -213,6 +215,21 @@ def test_evaluate_swarm_vectorized_reports_first_nonfinite_row():
         evaluate_swarm(swarm_bad, pos)
     assert np.array_equal(exc.value.position, [2.0, 5.0])
     assert math.isnan(exc.value.value)
+    assert str(exc.value).endswith("at row 1 (d=2) [2.0, 5.0]")
+
+
+def test_objective_error_shows_only_the_head_of_a_long_row():
+    def swarm_inf(x):
+        return np.where(x[:, 0] > 0, np.inf, 0.0)
+
+    swarm_inf.vectorized = True
+    pos = np.zeros((4, 1000))
+    pos[3, :4] = [0.5, -1.25, 3.0, 7.0]
+    with pytest.raises(ObjectiveError) as exc:
+        evaluate_swarm(swarm_inf, pos)
+    assert exc.value.position.tobytes() == pos[3].tobytes()
+    assert str(exc.value) == ("objective returned non-finite value inf "
+                              "at row 3 (d=1000) [0.5, -1.25, 3.0, ...]")
 
 
 def test_update_flames_keeps_best_of_merge():

@@ -80,6 +80,18 @@ def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
     assert _result_bytes(got) == _result_bytes(want)
 
 
+@pytest.mark.parametrize("algorithm", ["pso", "gwo"])
+def test_baseline_runners_match_reference_loops_at_d200(reference_runs,
+                                                        algorithm):
+    # a non-toy shape for the baselines' per-run draw and work buffers
+    config = _config(algorithm, pop_size=30, max_iter=10, seed=5,
+                     record_history=True)
+    func = lookup("F1")
+    got = RUNNERS[algorithm](config, func.space(200), func.objective())
+    want = reference_runs[algorithm](config, func.space(200), func.objective())
+    assert _result_bytes(got) == _result_bytes(want)
+
+
 # ---------------------------------------------------------------------------
 # drive's own contract, on a search that yields nothing but moves
 # ---------------------------------------------------------------------------
