@@ -240,13 +240,22 @@ class MapScheduler:
         return False
 
 
+def check_counts(config, floors: dict) -> None:
+    """Check that each field named in ``floors`` is an integer (a float,
+    string or bool is a TypeError) and at least its floor (a ValueError)."""
+    for name, floor in floors.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < floor:
+            raise ValueError(f"{name} must be >= {floor}")
+
+
 def check_swarm_config(config, min_pop_size: int, reals: tuple) -> None:
-    """Check the swarm floor, max_iter >= 1 and that each named field is a
-    finite real number (a JSON string is a TypeError, NaN/inf a ValueError)."""
-    if config.pop_size < min_pop_size:
-        raise ValueError(f"pop_size must be >= {min_pop_size}")
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    """Check the integers pop_size >= min_pop_size and max_iter >= 1, and
+    that each named field is a finite real number (a JSON string is a
+    TypeError, NaN/inf a ValueError)."""
+    check_counts(config, {"pop_size": min_pop_size, "max_iter": 1})
     for name in reals:
         value = getattr(config, name)
         if not isinstance(value, numbers.Real):
@@ -258,13 +267,13 @@ def check_swarm_config(config, min_pop_size: int, reals: tuple) -> None:
 def validate_config(config: EngineConfig) -> None:
     """Raise the error a run with this config would raise, before it starts.
 
-    Every run needs pop_size >= 2, max_iter >= 1 and a finite real b
-    (``check_swarm_config``).  For nlcmfo this also covers the Levy index
-    (ParameterError), the stagnation window, and both chaotic maps: each
-    is built from map_state0 and drawn twice without touching any RNG,
-    which catches an unknown kind (ParameterError), a state outside the
-    map's domain and singer's first step out of [0, 1] from states near 1
-    (ChaoticDomainError).
+    Every run needs integers pop_size >= 2 and max_iter >= 1 and a finite
+    real b (``check_swarm_config``).  For nlcmfo this also covers the Levy
+    index (ParameterError), the stagnation window (an integer >= 1), and
+    both chaotic maps: each is built from map_state0 and drawn twice
+    without touching any RNG, which catches an unknown kind
+    (ParameterError), a state outside the map's domain and singer's first
+    step out of [0, 1] from states near 1 (ChaoticDomainError).
     """
     if config.algorithm not in _ALGORITHMS:
         raise ValueError(
@@ -273,8 +282,7 @@ def validate_config(config: EngineConfig) -> None:
     check_swarm_config(config, 2, ("b",))
     if config.algorithm == "nlcmfo":
         levy_sigma_x(config.levy_alpha)
-        if config.stagnation_window < 1:
-            raise ValueError("stagnation window must be >= 1")
+        check_counts(config, {"stagnation_window": 1})
         for kind in (config.map_primary, config.map_secondary):
             ChaoticMap(kind, config.map_state0).steps(2)
 

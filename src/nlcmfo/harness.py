@@ -30,7 +30,8 @@ import numpy as np
 from . import benchmarks
 from .baselines import (GwoConfig, PsoConfig, run_gwo, run_pso,
                         validate_gwo_config, validate_pso_config)
-from .engine import EngineConfig, ObjectiveError, run, validate_config
+from .engine import (EngineConfig, ObjectiveError, check_counts, run,
+                     validate_config)
 
 # The one algorithm registry: name -> (config class, validator, runner name).
 # A runner is looked up in this module by name when a run starts, so a
@@ -42,6 +43,8 @@ ALGORITHMS = {
     "gwo": (GwoConfig, validate_gwo_config, "run_gwo"),
 }
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
+# config fields every grid run gets from the ExperimentConfig, never params
+_GRID_OWNED = {"pop_size", "max_iter", "seed", "record_history", "algorithm"}
 
 
 class ConfigError(ValueError):
@@ -87,16 +90,12 @@ class SummaryRow:
     algorithm: str
     function: str
     dim: int
-    n_runs: int
     aborted: int
     ave: float
     std: float
     best: float
-    worst: float
-    median: float
     ave_runtime_s: float
     std_runtime_s: float
-    single_sample: bool = False
 
 
 @dataclass
@@ -161,43 +160,39 @@ def _validate(config: ExperimentConfig) -> dict:
         _ensure_pack(config.composite_pack)
     for fid in config.functions:
         benchmarks.lookup(fid)  # raises on unknown / unavailable ids
-    counts = ("runs", "base_seed", "workers", "pop_size", "max_iter")
-    for name in counts + (() if config.dim is None else ("dim",)):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if config.runs < 1:
-        raise ConfigError("runs must be >= 1")
-    if config.base_seed < 0:
-        raise ConfigError("base_seed must be >= 0")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    try:
+        check_counts(config, {"runs": 1, "base_seed": 0, "workers": 1})
+        if config.dim is not None:
+            check_counts(config, {"dim": 1})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if config.telemetry not in TELEMETRY_LEVELS:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
         )
-    if config.dim is not None and config.dim < 1:
-        raise ConfigError("dim must be >= 1")
+    owned = sorted(set(config.params) & _GRID_OWNED)
+    if owned:
+        raise ConfigError(f"params cannot set grid fields: {owned}")
     # reject override keys that fit no selected algorithm's config up front
     legal = {algorithm: {f.name for f in fields(ALGORITHMS[algorithm][0])}
              for algorithm in config.algorithms}
     unknown = set(config.params).difference(*legal.values())
     if unknown:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
-    # each optimizer's own validator owns its pop_size floor, max_iter and
-    # params checks
+    # each optimizer's own validator owns its pop_size, max_iter and params
+    # checks
     configs = {}
     for algorithm in config.algorithms:
         cls, validate, _ = ALGORITHMS[algorithm]
         kwargs = {k: v for k, v in config.params.items()
                   if k in legal[algorithm]}
-        kwargs.update(pop_size=config.pop_size, max_iter=config.max_iter,
-                      seed=config.base_seed,
-                      record_history=config.telemetry == "full-history")
         if cls is EngineConfig:
             kwargs["algorithm"] = algorithm
         try:
-            configs[algorithm] = cls(**kwargs)
+            configs[algorithm] = cls(
+                **kwargs, pop_size=config.pop_size, max_iter=config.max_iter,
+                seed=config.base_seed,
+                record_history=config.telemetry == "full-history")
             validate(configs[algorithm])
         except (TypeError, ValueError) as exc:  # TypeError: e.g. "1.5" from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
@@ -277,8 +272,8 @@ def summarize(records) -> list:
 
     Aborted runs are counted but excluded from the fitness statistics.
     ave/std are the mean and sample std (ddof=1) of the finished runs' best
-    fitness, likewise for runtime; a single-run cell reports std 0 and is
-    flagged single_sample.
+    fitness, likewise for runtime, and best is their lowest best fitness; a
+    cell with one finished run reports std 0, and one with none reports NaN.
     """
     cells: dict = {}
     for rec in records:
@@ -288,20 +283,16 @@ def summarize(records) -> list:
         finished = [r for r in group if not r.aborted]
         aborted = len(group) - len(finished)
         if not finished:
-            nan = float("nan")
-            rows.append(SummaryRow(algorithm, fid, dim, 0, aborted,
-                                   nan, nan, nan, nan, nan, nan, nan))
+            rows.append(SummaryRow(algorithm, fid, dim, aborted, *[np.nan] * 5))
             continue
         fits = np.array([r.best_fitness for r in finished])
         runtimes = np.array([r.runtime_s for r in finished])
         single = len(finished) == 1
         rows.append(SummaryRow(
-            algorithm, fid, dim, len(finished), aborted,
+            algorithm, fid, dim, aborted,
             float(np.mean(fits)), 0.0 if single else float(np.std(fits, ddof=1)),
-            float(np.min(fits)), float(np.max(fits)), float(np.median(fits)),
-            float(np.mean(runtimes)),
+            float(np.min(fits)), float(np.mean(runtimes)),
             0.0 if single else float(np.std(runtimes, ddof=1)),
-            single_sample=single,
         ))
     return rows
 

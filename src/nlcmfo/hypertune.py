@@ -140,11 +140,15 @@ def logistic_loss_grad(w, b, X, y, l2=0.0):
     return (_logistic_loss(X @ w + b, w, y, l2), *_logistic_grad(X, y, w, b, l2))
 
 
+# rows per SGD minibatch; the last batch of an epoch may be shorter
+_BATCH_SIZE = 32
+
+
 class ToyLogisticClassifier:
     """Logistic regression trained by minibatch SGD with momentum.
 
     Each epoch draws one permutation of the rows from the seeded generator
-    and walks the shuffled copy in batches of batch_size (the last may be
+    and walks the shuffled copy in batches of 32 rows (the last may be
     shorter).  Update rule per batch: v <- momentum*v - lr*grad; params += v.
     Weights and bias start at zero.  If the weights blow up the run is
     flagged diverged and training stops early.  train_losses_ records the
@@ -152,16 +156,12 @@ class ToyLogisticClassifier:
     """
 
     def __init__(self, momentum: float = 0.9, learning_rate: float = 0.1,
-                 epochs: int = 10, l2: float = 1e-4, batch_size: int = 32,
-                 seed: int = 0):
+                 epochs: int = 10, l2: float = 1e-4, seed: int = 0):
         self.momentum = float(momentum)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
         self.l2 = float(l2)
-        self.batch_size = int(batch_size)
         self.seed = int(seed)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
         self.weights_: Optional[np.ndarray] = None
@@ -174,8 +174,7 @@ class ToyLogisticClassifier:
         y = np.asarray(y, dtype=np.float64)
         n, p = X.shape
         rng = make_rng(self.seed)
-        momentum, lr, l2, bs = (self.momentum, self.learning_rate, self.l2,
-                                self.batch_size)
+        momentum, lr, l2 = self.momentum, self.learning_rate, self.l2
         w = np.zeros(p)
         b = 0.0
         vw = np.zeros(p)
@@ -185,10 +184,10 @@ class ToyLogisticClassifier:
         for _ in range(self.epochs):
             order = rng.permutation(n)
             Xe, ye = X[order], y[order]
-            for start in range(0, n, bs):
-                # contiguous slices with the rows of X[order[start:start + bs]]
-                gw, gb = _logistic_grad(Xe[start:start + bs],
-                                        ye[start:start + bs], w, b, l2)
+            for start in range(0, n, _BATCH_SIZE):
+                batch = slice(start, start + _BATCH_SIZE)
+                # contiguous slices with the rows of X[order[batch]]
+                gw, gb = _logistic_grad(Xe[batch], ye[batch], w, b, l2)
                 vw = momentum * vw - lr * gw
                 vb = momentum * vb - lr * gb
                 w = w + vw
@@ -320,17 +319,17 @@ class ConfusionCounts:
         return self.tp + self.fn + self.fp + self.tn
 
 
-def confusion(preds, labels, positive_class=1) -> ConfusionCounts:
+def confusion(preds, labels) -> ConfusionCounts:
     """Count tp/fn/fp/tn of binary predictions against labels.
 
-    The positive class is explicit; everything else counts as negative.
+    Label 1 is the positive class; everything else counts as negative.
     """
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError("prediction and label arrays differ in shape")
-    pred_pos = preds == positive_class
-    label_pos = labels == positive_class
+    pred_pos = preds == 1
+    label_pos = labels == 1
     tp = int(np.sum(pred_pos & label_pos))
     fn = int(np.sum(~pred_pos & label_pos))
     fp = int(np.sum(pred_pos & ~label_pos))

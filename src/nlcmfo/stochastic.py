@@ -187,15 +187,14 @@ def levy_sigma_x(alpha: float) -> float:
 
 
 class LevySampler:
-    """Mantegna sampler: levy = scale * x / |y|^(1/alpha), x~N(0, sigma_x^2), y~N(0,1).
+    """Mantegna sampler: levy = 0.05 * x / |y|^(1/alpha), x~N(0, sigma_x^2), y~N(0,1).
 
-    Heavy-tailed and symmetric about 0.  A zero y draw (probability zero,
-    but cheap to guard) is redrawn rather than dividing by zero.
+    Heavy-tailed and symmetric about 0, with the scale fixed at 0.05.  A y
+    draw of exactly zero (probability zero, but cheap to guard) is redrawn.
     """
 
-    def __init__(self, alpha: float = 1.5, scale: float = 0.05):
+    def __init__(self, alpha: float = 1.5):
         self.alpha = float(alpha)
-        self.scale = float(scale)
         self.sigma_x = levy_sigma_x(self.alpha)
 
     def matrix(self, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,4 +207,4 @@ class LevySampler:
         while zero.any():
             y[zero] = rng.normal(0.0, 1.0, size=int(zero.sum()))
             zero = y == 0.0
-        return self.scale * x / np.abs(y) ** (1.0 / self.alpha)
+        return 0.05 * x / np.abs(y) ** (1.0 / self.alpha)

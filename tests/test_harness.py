@@ -86,14 +86,12 @@ class TestSummarizeCell:
         assert row.std == 1.0
         assert row.ave_runtime_s == pytest.approx(0.2)
         assert row.std_runtime_s == pytest.approx(0.1)
-        assert not row.single_sample
 
     def test_single_run_flagged_with_zero_std(self):
         [row] = summarize(cell_records([5.0], [0.2]))
         assert row.ave == 5.0
         assert row.std == 0.0
         assert row.std_runtime_s == 0.0
-        assert row.single_sample
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +146,8 @@ class TestConfigValidation:
         # in the domain, but singer(1.0) = -0.002875 is not
         ({"map_primary": "singer", "map_state0": 1.0}, ChaoticDomainError),
         ({"levy_alpha": "1.5"}, TypeError),
+        ({"stagnation_window": 2.5}, TypeError),
+        ({"stagnation_window": True}, TypeError),
     ])
     def test_bad_nlcmfo_params_rejected_before_running(self, monkeypatch,
                                                        params, cause):
@@ -178,6 +178,20 @@ class TestConfigValidation:
         assert isinstance(excinfo.value.__cause__, cause)
         assert ran == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("pop_size", 10), ("max_iter", 7), ("seed", 5),
+        ("record_history", True), ("algorithm", "mfo"),
+    ])
+    def test_grid_owned_param_key_rejected_before_running(self, monkeypatch,
+                                                          key, value):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(tiny_config(algorithms=("mfo", "nlcmfo"),
+                                       functions=("F1",),
+                                       params={key: value}))
+        assert ran == []
+
     def test_unknown_param_key_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(functions=("F1",),
@@ -203,7 +217,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("runs", "2"), ("dim", "5"), ("workers", "2"), ("runs", 1.5),
         ("base_seed", 1.5), ("pop_size", 5.5), ("max_iter", 2.5),
-        ("dim", 2.5), ("runs", True), ("workers", None),
+        ("dim", 2.5), ("runs", True), ("workers", None), ("max_iter", True),
     ])
     def test_non_integer_count_rejected_before_running(self, monkeypatch,
                                                        name, value):
@@ -447,7 +461,6 @@ class TestAbortedRuns:
         rows = summarize(result.records)
         assert len(rows) == 1
         row = rows[0]
-        assert row.n_runs == 0
         assert row.aborted == 2
         assert math.isnan(row.ave)
         assert math.isnan(row.std)
@@ -472,21 +485,16 @@ class TestSummarize:
         records = run_experiment(config).records
         row = summarize(records)[0]
         fits = np.array([r.best_fitness for r in records])
-        assert row.n_runs == 3
         assert row.aborted == 0
         assert row.ave == pytest.approx(float(np.mean(fits)), rel=1e-15)
         assert row.std == pytest.approx(float(np.std(fits, ddof=1)),
                                         rel=1e-12)
         assert row.best == float(np.min(fits))
-        assert row.worst == float(np.max(fits))
-        assert row.median == float(np.median(fits))
-        assert not row.single_sample
 
     def test_single_run_row_is_flagged(self):
         records = run_experiment(tiny_config(functions=("F1",), dim=3,
                                              runs=1)).records
         row = summarize(records)[0]
-        assert row.single_sample
         assert row.std == 0.0
 
 

@@ -118,6 +118,23 @@ def _random_walk(sent):
     return search
 
 
+@pytest.mark.parametrize("bad", [{"pop_size": 5.0}, {"max_iter": 2.5},
+                                 {"max_iter": True}])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_non_integer_counts_rejected_before_the_run(algorithm, bad):
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return _per_row(x)
+
+    config = _config(algorithm, **{"pop_size": 5, "max_iter": 3, **bad})
+    space, _ = _problem("per-row", 0)
+    with pytest.raises(TypeError, match="must be an integer"):
+        RUNNERS[algorithm](config, space, objective)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("kind", ["per-row", "plateau", "signed-zero"])
 def test_drive_keeps_the_first_lowest_row_of_every_swarm(kind, seed):

@@ -204,7 +204,6 @@ def test_long_generic_orbits_do_not_die():
 def test_sampler_defaults():
     s = LevySampler()
     assert s.alpha == 1.5
-    assert s.scale == 0.05
     assert s.sigma_x == levy_sigma_x(1.5)
 
 
@@ -215,7 +214,7 @@ def test_sampler_rejects_bad_alpha():
 
 def test_matrix_matches_manual_reconstruction():
     # draw layout: one x block, then one y block, from the shared generator
-    s = LevySampler(1.5, 0.05)
+    s = LevySampler(1.5)
     got = s.matrix(4, 3, make_rng(42))
     rng = make_rng(42)
     x = rng.normal(0.0, s.sigma_x, size=(4, 3))
@@ -245,9 +244,3 @@ def test_draws_are_heavy_tailed_and_sign_symmetric():
     assert np.max(np.abs(draws)) > 0.5
     positive = np.mean(draws > 0)
     assert 0.45 < positive < 0.55
-
-
-def test_scale_is_linear():
-    a = LevySampler(1.5, 0.05).matrix(5, 5, make_rng(3))
-    b = LevySampler(1.5, 0.10).matrix(5, 5, make_rng(3))
-    assert np.allclose(b, 2.0 * a, rtol=1e-15)
