@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import benchmarks
@@ -112,16 +113,16 @@ def _cmd_tune(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     hp = outcome.best_hyperparams
     write_table(out_dir / "hyperparams.csv", ["name", "value"], [
-        *([key, repr(value)] for key, value in hp.as_dict().items()),
+        *([key, repr(value)] for key, value in asdict(hp).items()),
         ["L_D", repr(outcome.best_L_D)], ["trainings", outcome.trainings]])
     write_table(out_dir / "confusion.csv", ["tp", "fn", "fp", "tn"],
                 [[cm.tp, cm.fn, cm.fp, cm.tn]])
     write_table(out_dir / "metrics.csv", ["metric", "value", "percent"],
                 [[key, repr(value), f"{100.0 * value:.2f}"]
-                 for key, value in [*report.as_dict().items(), ("auc", auc)]])
+                 for key, value in [*asdict(report).items(), ("auc", auc)]])
     write_table(out_dir / "roc.csv", ["fpr", "tpr"],
                 [[repr(float(fpr)), repr(float(tpr))] for fpr, tpr in points])
-    names = list(hp.as_dict())
+    names = list(asdict(hp))
     lower, upper = outcome.bound_hits.tolist()
     write_table(out_dir / "tune_diag.csv", ["name", "value"], [
         ["distinct_candidates", outcome.distinct_candidates],
@@ -134,7 +135,7 @@ def _cmd_tune(args) -> int:
         export_dataset(data, out_dir / "dataset.csv")
 
     print(f"best L_D={outcome.best_L_D:.6g} after {outcome.trainings} "
-          f"trainings")
+          f"evaluations ({outcome.distinct_candidates} trainings)")
     print(f"momentum={hp.momentum:.6g} learning_rate={hp.learning_rate:.6g} "
           f"epochs={hp.epochs} l2={hp.l2:.6g}")
     print(f"test accuracy={report.accuracy * 100:.2f}% "

@@ -216,7 +216,7 @@ class MapScheduler:
     active map and reset the counter, any change resets the counter.
     """
 
-    def __init__(self, primary: ChaoticMap, secondary: ChaoticMap, window: int = 5):
+    def __init__(self, primary: ChaoticMap, secondary: ChaoticMap, window: int):
         self.primary = primary
         self.secondary = secondary
         self.window = window

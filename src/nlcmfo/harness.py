@@ -21,6 +21,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -213,6 +214,14 @@ def _cell_dim(func: benchmarks.BenchmarkFunction, dim: Optional[int]) -> int:
     return func.dim
 
 
+def _aborted(task, exc: Exception) -> RunRecord:
+    algorithm, fid, dim, run_index, config = task[:5]
+    error = (str(exc) if isinstance(exc, ObjectiveError)
+             else f"{type(exc).__name__}: {exc}")
+    return RunRecord(algorithm, fid, dim, run_index, config.seed,
+                     float("nan"), None, 0, 0.0, aborted=True, error=error)
+
+
 def _execute_task(task) -> RunRecord:
     algorithm, fid, dim, run_index, config, telemetry, pack_dir = task
     if pack_dir is not None:
@@ -223,11 +232,7 @@ def _execute_task(task) -> RunRecord:
     try:
         result = globals()[ALGORITHMS[algorithm][2]](config, space, objective)
     except Exception as exc:  # a failed run is recorded; the grid goes on
-        error = (str(exc) if isinstance(exc, ObjectiveError)
-                 else f"{type(exc).__name__}: {exc}")
-        return RunRecord(algorithm, fid, dim, run_index, config.seed,
-                         float("nan"), None, 0, 0.0, aborted=True,
-                         error=error)
+        return _aborted(task, exc)
     keep_curves = telemetry in ("curves", "full-history")
     return RunRecord(
         algorithm, fid, dim, run_index, config.seed,
@@ -241,7 +246,10 @@ def _execute_task(task) -> RunRecord:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full grid; per-run failures are recorded, not raised."""
+    """Run the full grid; per-run failures are recorded, not raised.
+
+    A dead pool worker aborts every run without a result; the rest are kept.
+    """
     configs = _validate(config)
     tasks = []
     for algorithm in config.algorithms:
@@ -257,9 +265,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.workers == 1 or len(tasks) == 1:
         records = [_execute_task(t) for t in tasks]
     else:
-        # map() preserves task order, so output is independent of scheduling
+        # read in task order, so output is independent of scheduling
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_execute_task, tasks))
+            futures = [pool.submit(_execute_task, t) for t in tasks]
+            records = []
+            for task, future in zip(tasks, futures):
+                try:
+                    records.append(future.result())
+                except BrokenProcessPool as exc:
+                    records.append(_aborted(task, exc))
     return ExperimentResult(config, records)
 
 

@@ -10,17 +10,16 @@ momentum.  Four hyperparameters are searched over a fixed box:
 
 The tuning objective is the detection error L_D = (1 - test accuracy) * 100,
 i.e. the misclassification rate in percent; a diverged training run scores
-the worst possible 100.  The optimizer sees a plain 4-vector objective and
-the trainer is pluggable, so anything that maps HyperParams to a score can
-sit behind the same loop.
+the worst possible 100.  The optimizer sees a plain 4-vector objective that
+decodes the point, trains the classifier and returns its L_D.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,14 +38,6 @@ class HyperParams:
     learning_rate: float
     epochs: int
     l2: float
-
-    def as_dict(self) -> dict:
-        return {
-            "momentum": self.momentum,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2": self.l2,
-        }
 
 
 def decode_hyperparams(x) -> HyperParams:
@@ -116,28 +107,12 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -60.0), 60.0)))
 
 
-def _logistic_loss(z, w, y, l2):
-    """Mean cross-entropy of the logits z against y, + 0.5*l2*|w|^2."""
-    # stable binary cross-entropy with logits
-    ce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
-
-
 def _logistic_grad(X, y, w, b, l2):
-    """Gradient (grad_w, grad_b) of the regularized mean cross-entropy."""
+    """Gradient (grad_w, grad_b) of mean cross-entropy + 0.5*l2*|w|^2."""
     resid = _sigmoid(X @ w + b) - y
     m = len(resid)
     # add.reduce / m is np.mean's arithmetic without its Python-level wrapper
     return X.T @ resid / m + l2 * w, float(np.add.reduce(resid) / m)
-
-
-def logistic_loss_grad(w, b, X, y, l2=0.0):
-    """Mean cross-entropy + 0.5*l2*|w|^2 and its exact gradient.
-
-    The penalty applies to the weights only, never the bias.  Exposed so the
-    gradient SGD steps on can be checked against finite differences.
-    """
-    return (_logistic_loss(X @ w + b, w, y, l2), *_logistic_grad(X, y, w, b, l2))
 
 
 # rows per SGD minibatch; the last batch of an epoch may be shorter
@@ -151,8 +126,7 @@ class ToyLogisticClassifier:
     and walks the shuffled copy in batches of 32 rows (the last may be
     shorter).  Update rule per batch: v <- momentum*v - lr*grad; params += v.
     Weights and bias start at zero.  If the weights blow up the run is
-    flagged diverged and training stops early.  train_losses_ records the
-    full-train regularized loss after each completed epoch.
+    flagged diverged and training stops early.
     """
 
     def __init__(self, momentum: float = 0.9, learning_rate: float = 0.1,
@@ -167,7 +141,6 @@ class ToyLogisticClassifier:
         self.weights_: Optional[np.ndarray] = None
         self.bias_: float = 0.0
         self.diverged_: bool = False
-        self.train_losses_: list = []
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
@@ -180,7 +153,6 @@ class ToyLogisticClassifier:
         vw = np.zeros(p)
         vb = 0.0
         self.diverged_ = False
-        self.train_losses_ = []
         for _ in range(self.epochs):
             order = rng.permutation(n)
             Xe, ye = X[order], y[order]
@@ -195,7 +167,6 @@ class ToyLogisticClassifier:
             if not np.all(np.isfinite(w)) or np.abs(w).max() > 1e6:
                 self.diverged_ = True
                 break
-            self.train_losses_.append(_logistic_loss(X @ w + b, w, y, l2))
         self.weights_ = w
         self.bias_ = b
         return self
@@ -237,14 +208,14 @@ def evaluate_L_D(model: ToyLogisticClassifier, data: ToyDataset) -> float:
 class TuneResult:
     """Outcome of one ``tune`` call.
 
-    ``trainings`` counts objective evaluations, n*(T+1), however many of
-    them the default trainer served from its memo.  The diagnostics:
+    ``trainings`` counts objective evaluations, n*(T+1), though ``tune``
+    trains only each distinct candidate once.  The diagnostics:
     ``distinct_candidates`` is the number of distinct decoded HyperParams
-    evaluated; ``bound_hits[0, j]`` / ``bound_hits[1, j]`` count the
-    evaluated points whose coordinate j sits on the box's lower / upper
-    bound; ``last_improvement`` is the 1-based iteration at which the
-    convergence curve last fell (1 when the best was found by iteration 1,
-    start swarm included).
+    evaluated, i.e. the trainings actually run; ``bound_hits[0, j]`` /
+    ``bound_hits[1, j]`` count the evaluated points whose coordinate j sits
+    on the box's lower / upper bound; ``last_improvement`` is the 1-based
+    iteration at which the convergence curve last fell (1 when the best was
+    found by iteration 1, start swarm included).
     """
 
     best_hyperparams: HyperParams
@@ -256,43 +227,28 @@ class TuneResult:
     last_improvement: int
 
 
-def tune(config: Optional[EngineConfig] = None,
-         data: Optional[ToyDataset] = None,
-         trainer_seed: int = 0,
-         trainer: Optional[Callable[[HyperParams], float]] = None) -> TuneResult:
-    """Search the hyperparameter box by minimizing the trainer's score.
+def tune(config: EngineConfig, data: ToyDataset,
+         trainer_seed: int = 0) -> TuneResult:
+    """Search the hyperparameter box by minimizing the toy classifier's L_D.
 
-    The default trainer fits the toy classifier on ``data`` with a fixed
-    seed across all candidates, so the objective is a pure function of the
-    decoded HyperParams: it trains each distinct candidate once per call
-    and returns the stored score on every repeat.  Any callable
-    HyperParams -> score can replace it; a custom trainer may be impure, so
-    it is called on every evaluation.  Default budget is a population of 30
-    for 20 iterations, which costs exactly 630 evaluations.
+    Every candidate is trained on ``data`` with the same ``trainer_seed``,
+    so the objective is a pure function of the decoded HyperParams: each
+    distinct candidate is trained once per call and its stored score is
+    returned on every repeat.  A population of n for T iterations costs
+    n*(T+1) evaluations.
     """
-    if trainer is None:
-        if data is None:
-            raise ValueError("tune needs a dataset when no trainer is given")
-        scores = {}
-
-        def trainer(hp: HyperParams) -> float:
-            if hp not in scores:
-                scores[hp] = evaluate_L_D(
-                    train_toy_model(hp, data, seed=trainer_seed), data)
-            return scores[hp]
-
-    if config is None:
-        config = EngineConfig(pop_size=30, max_iter=20, seed=0)
     space = SearchSpace(HYPER_LB.copy(), HYPER_UB.copy())
-    candidates = set()
+    scores = {}
     bound_hits = np.zeros((2, len(HYPER_LB)), dtype=np.int64)
 
     def objective(x):
         hp = decode_hyperparams(x)
-        candidates.add(hp)
         bound_hits[0] += x <= HYPER_LB
         bound_hits[1] += x >= HYPER_UB
-        return float(trainer(hp))
+        if hp not in scores:
+            scores[hp] = evaluate_L_D(
+                train_toy_model(hp, data, seed=trainer_seed), data)
+        return scores[hp]
 
     result = run(config, space, objective)
     best = decode_hyperparams(result.best_position)
@@ -300,7 +256,7 @@ def tune(config: Optional[EngineConfig] = None,
     # iterations before the last improvement
     last = np.count_nonzero(result.convergence > result.convergence[-1]) + 1
     return TuneResult(best, result.best_fitness, result.evaluations, result,
-                      len(candidates), bound_hits, last)
+                      len(scores), bound_hits, last)
 
 
 # ---------------------------------------------------------------------------
@@ -345,39 +301,24 @@ class MetricsReport:
     precision: float
     fpr: float
     f1: float
-    degenerate: tuple = field(default_factory=tuple)
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "sensitivity": self.sensitivity,
-            "specificity": self.specificity, "precision": self.precision,
-            "fpr": self.fpr, "f1": self.f1,
-        }
 
 
 def metrics(cm: ConfusionCounts) -> MetricsReport:
     """Standard binary metrics as fractions in [0, 1].
 
     f1 is the harmonic mean of precision and sensitivity.  Any metric whose
-    denominator is zero is reported as 0.0 and its name is listed in
-    ``degenerate`` rather than raising.
+    denominator is zero is reported as 0.0 rather than raising.
     """
-    degenerate = []
+    def ratio(num, den):
+        return 0.0 if den == 0 else num / den
 
-    def ratio(num, den, name):
-        if den == 0:
-            degenerate.append(name)
-            return 0.0
-        return num / den
-
-    accuracy = ratio(cm.tp + cm.tn, cm.total, "accuracy")
-    sensitivity = ratio(cm.tp, cm.tp + cm.fn, "sensitivity")
-    specificity = ratio(cm.tn, cm.tn + cm.fp, "specificity")
-    precision = ratio(cm.tp, cm.tp + cm.fp, "precision")
-    fpr = ratio(cm.fp, cm.fp + cm.tn, "fpr")
-    f1 = ratio(2.0 * precision * sensitivity, precision + sensitivity, "f1")
-    return MetricsReport(accuracy, sensitivity, specificity, precision, fpr,
-                         f1, tuple(degenerate))
+    accuracy = ratio(cm.tp + cm.tn, cm.total)
+    sensitivity = ratio(cm.tp, cm.tp + cm.fn)
+    specificity = ratio(cm.tn, cm.tn + cm.fp)
+    precision = ratio(cm.tp, cm.tp + cm.fp)
+    fpr = ratio(cm.fp, cm.fp + cm.tn)
+    f1 = ratio(2.0 * precision * sensitivity, precision + sensitivity)
+    return MetricsReport(accuracy, sensitivity, specificity, precision, fpr, f1)
 
 
 def roc_points(scores, labels) -> np.ndarray:

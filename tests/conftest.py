@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 
+from nlcmfo.benchmarks import clear_composites, register_composite
 from nlcmfo.stochastic import make_rng
 
 
@@ -24,6 +27,22 @@ def reference_history_writer():
                         writer.writerow(
                             [l + 1, m, j + 1, repr(float(history[l, m, j]))])
     return write
+
+
+@pytest.fixture
+def dying_composite():
+    """F24 (d=2) registered with an ``eval`` that ends the process running
+    it, one second after it is called; evaluate it in pool workers only.
+    The pause lets the runs already on other workers finish first."""
+    def die(x):
+        time.sleep(1.0)
+        os._exit(3)
+
+    clear_composites()
+    register_composite({"id": "F24", "dim": 2, "lower": -5.0, "upper": 5.0,
+                        "eval": die})
+    yield "F24"
+    clear_composites()
 
 
 @pytest.fixture
@@ -49,21 +68,18 @@ def make_pack(tmp_path):
 
 @pytest.fixture
 def reference_fit():
-    """The fancy-indexed, loss-and-gradient minibatch loop, kept as the byte
-    reference for ``hypertune.ToyLogisticClassifier.fit``.
+    """The fancy-indexed minibatch loop, kept as the byte reference for
+    ``hypertune.ToyLogisticClassifier.fit``.
 
     Takes the classifier's constructor arguments and the training split and
-    returns ``(weights, bias, diverged, train_losses)``.  Its sigmoid and
-    loss are written out here (``np.clip``, ``np.mean``) so a change to the
+    returns ``(weights, bias, diverged)``.  Its sigmoid and gradient are
+    written out here (``np.clip``, ``np.mean``) so a change to the
     package's helpers cannot move the reference with it.
     """
-    def loss_grad(w, b, X, y, l2):
-        z = X @ w + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-        ce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-        loss = float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
+    def grad(w, b, X, y, l2):
+        p = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -60.0, 60.0)))
         resid = p - y
-        return loss, X.T @ resid / len(y) + l2 * w, float(np.mean(resid))
+        return X.T @ resid / len(y) + l2 * w, float(np.mean(resid))
 
     def fit(X, y, momentum, learning_rate, epochs, l2, batch_size, seed):
         n, p = X.shape
@@ -73,12 +89,11 @@ def reference_fit():
         vw = np.zeros(p)
         vb = 0.0
         diverged = False
-        losses = []
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
-                _, gw, gb = loss_grad(w, b, X[idx], y[idx], l2)
+                gw, gb = grad(w, b, X[idx], y[idx], l2)
                 vw = momentum * vw - learning_rate * gw
                 vb = momentum * vb - learning_rate * gb
                 w = w + vw
@@ -86,8 +101,7 @@ def reference_fit():
             if not np.all(np.isfinite(w)) or np.abs(w).max() > 1e6:
                 diverged = True
                 break
-            losses.append(loss_grad(w, b, X, y, l2)[0])
-        return w, b, diverged, losses
+        return w, b, diverged
     return fit
 
 

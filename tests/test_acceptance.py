@@ -16,8 +16,8 @@ from nlcmfo.benchmarks import lookup
 from nlcmfo.engine import EngineConfig, flame_count, nonlinear_weight, run
 from nlcmfo.harness import ExperimentConfig, run_experiment, summarize
 from nlcmfo.hypertune import (HYPER_LB, HYPER_UB, ConfusionCounts,
-                              decode_hyperparams, evaluate_L_D,
-                              logistic_loss_grad, make_toy_dataset, metrics,
+                              _logistic_grad, decode_hyperparams,
+                              evaluate_L_D, make_toy_dataset, metrics,
                               train_toy_model, tune)
 from nlcmfo.stochastic import ChaoticMap, levy_sigma_x, make_rng
 
@@ -270,6 +270,11 @@ def test_criterion_6_engine_invariants():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_hypertune():
+    def loss(w, b, X, y):  # mean cross-entropy + 0.5*l2*|w|^2, l2 = 1e-3
+        z = X @ w + b
+        ce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        return float(np.mean(ce) + 0.5 * 1e-3 * np.dot(w, w))
+
     rng = np.random.default_rng(7)
     h = 1e-6
     max_rel = 0.0
@@ -278,23 +283,22 @@ def test_criterion_7_hypertune():
         y = (rng.random(25) > 0.5).astype(np.float64)
         w = rng.normal(size=4) * 0.5
         b = float(rng.normal())
-        _, gw, gb = logistic_loss_grad(w, b, X, y, l2=1e-3)
+        gw, gb = _logistic_grad(X, y, w, b, 1e-3)
         for i in range(4):
             wp, wm = w.copy(), w.copy()
             wp[i] += h
             wm[i] -= h
-            num = (logistic_loss_grad(wp, b, X, y, l2=1e-3)[0]
-                   - logistic_loss_grad(wm, b, X, y, l2=1e-3)[0]) / (2 * h)
+            num = (loss(wp, b, X, y) - loss(wm, b, X, y)) / (2 * h)
             max_rel = max(max_rel, abs(gw[i] - num)
                           / max(1e-12, abs(gw[i]) + abs(num)))
-        num_b = (logistic_loss_grad(w, b + h, X, y, l2=1e-3)[0]
-                 - logistic_loss_grad(w, b - h, X, y, l2=1e-3)[0]) / (2 * h)
+        num_b = (loss(w, b + h, X, y) - loss(w, b - h, X, y)) / (2 * h)
         max_rel = max(max_rel, abs(gb - num_b)
                       / max(1e-12, abs(gb) + abs(num_b)))
     grad_ok = max_rel < 1e-5
 
     data = make_toy_dataset()
-    outcome = tune(data=data)  # default: pop 30, 20 iterations, 4-d box
+    # the `nlcmfo tune` defaults: pop 30, 20 iterations, 4-d box
+    outcome = tune(EngineConfig(pop_size=30, max_iter=20, seed=0), data)
     midpoint = decode_hyperparams(
         (np.array(HYPER_LB) + np.array(HYPER_UB)) / 2.0)
     midpoint_ld = evaluate_L_D(train_toy_model(midpoint, data, seed=0), data)

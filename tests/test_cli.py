@@ -175,6 +175,21 @@ class TestBench:
         assert [(row[1], row[-1]) for row in finals[1:]] == [
             ("F1", "0"), ("F24", "1")]
 
+    def test_dying_worker_exits_2_and_writes_the_bundle(
+            self, tmp_path, capsys, dying_composite):
+        out = tmp_path / "results"
+        rc = main(["bench", "--algorithms", "mfo", "--functions", "F1",
+                   dying_composite, "--dim", "2", "--runs", "2",
+                   "--workers", "2", "--pop-size", "4", "--max-iter", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count(": BrokenProcessPool: ") == 2
+        finals = read_csv(out / "finals.csv")
+        assert [(row[1], row[-1]) for row in finals[1:]] == [
+            ("F1", "0"), ("F1", "0"), ("F24", "1"), ("F24", "1")]
+
     @pytest.mark.parametrize("text", [
         '{"algorithms": 5}', '{"functions": 7}', '{"params": 3}',
         '{"composite_pack": 5}',

@@ -436,6 +436,23 @@ class TestAbortedRuns:
                 assert rec.aborted and rec.error == "RuntimeError: boom"
                 assert math.isnan(rec.best_fitness)
 
+    def test_dying_worker_aborts_unfinished_runs_and_keeps_the_rest(
+            self, dying_composite):
+        # pooled workers see the registration through the fork start method
+        result = run_experiment(tiny_config(
+            algorithms=("mfo",), functions=("F1", dying_composite), dim=2,
+            runs=2, workers=2))
+        serial = run_experiment(tiny_config(
+            algorithms=("mfo",), functions=("F1",), dim=2, runs=2))
+        assert [r.function for r in result.records] == ["F1"] * 2 + ["F24"] * 2
+        for rec, ref in zip(result.records, serial.records):
+            assert not rec.aborted
+            assert rec.best_fitness == ref.best_fitness
+            assert rec.evaluations == ref.evaluations
+        for rec in result.records[2:]:
+            assert rec.aborted and rec.error.startswith("BrokenProcessPool: ")
+            assert math.isnan(rec.best_fitness) and rec.evaluations == 0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_f2_overflows_at_dim_1000(self, tmp_path):
         # F2's product of |x_i| over 1000 coordinates in [-10, 10] is inf,

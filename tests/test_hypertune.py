@@ -1,12 +1,15 @@
 """Tests for the hyperparameter tuning stack: decode, toy data, the
 logistic trainer, the tune loop, and the classification metrics."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlcmfo import hypertune
-from nlcmfo.engine import EngineConfig
+from nlcmfo.engine import EngineConfig, run
+from nlcmfo.space import SearchSpace
 from nlcmfo.hypertune import (
     HYPER_LB,
     HYPER_UB,
@@ -19,7 +22,6 @@ from nlcmfo.hypertune import (
     export_dataset,
     import_dataset,
     load_model,
-    logistic_loss_grad,
     make_toy_dataset,
     metrics,
     roc_auc,
@@ -78,12 +80,6 @@ class TestDecodeHyperparams:
             decode_hyperparams(np.array([0.7, 0.1, 9.5]))
         with pytest.raises(ValueError):
             decode_hyperparams(np.zeros((2, 4)))
-
-    def test_as_dict_round_trips_fields(self):
-        hp = HyperParams(0.8, 0.2, 7, 2e-4)
-        d = hp.as_dict()
-        assert d == {"momentum": 0.8, "learning_rate": 0.2,
-                     "epochs": 7, "l2": 2e-4}
 
     @given(st.lists(st.floats(-10, 60, allow_nan=False), min_size=4,
                     max_size=4))
@@ -159,8 +155,15 @@ class TestMakeToyDataset:
 
 
 # ---------------------------------------------------------------------------
-# loss and gradient
+# the gradient SGD steps on
 # ---------------------------------------------------------------------------
+
+def cross_entropy(w, b, X, y, l2):
+    """Mean binary cross-entropy of the logits X @ w + b, + 0.5*l2*|w|^2."""
+    z = X @ w + b
+    ce = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    return float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
+
 
 class TestLogisticLossGrad:
     def test_gradients_match_central_differences(self):
@@ -173,17 +176,17 @@ class TestLogisticLossGrad:
             w = rng.normal(size=p) * 0.5
             b = float(rng.normal())
             l2 = float(rng.uniform(0.0, 1e-2))
-            _, gw, gb = logistic_loss_grad(w, b, X, y, l2=l2)
+            gw, gb = hypertune._logistic_grad(X, y, w, b, l2)
             for i in range(p):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
                 wm[i] -= h
-                num = (logistic_loss_grad(wp, b, X, y, l2=l2)[0]
-                       - logistic_loss_grad(wm, b, X, y, l2=l2)[0]) / (2 * h)
+                num = (cross_entropy(wp, b, X, y, l2)
+                       - cross_entropy(wm, b, X, y, l2)) / (2 * h)
                 rel = abs(gw[i] - num) / max(1e-12, abs(gw[i]) + abs(num))
                 assert rel < 1e-5
-            num_b = (logistic_loss_grad(w, b + h, X, y, l2=l2)[0]
-                     - logistic_loss_grad(w, b - h, X, y, l2=l2)[0]) / (2 * h)
+            num_b = (cross_entropy(w, b + h, X, y, l2)
+                     - cross_entropy(w, b - h, X, y, l2)) / (2 * h)
             rel_b = abs(gb - num_b) / max(1e-12, abs(gb) + abs(num_b))
             assert rel_b < 1e-5
 
@@ -192,9 +195,9 @@ class TestLogisticLossGrad:
         X = rng.normal(size=(20, 2))
         y = (rng.random(20) > 0.5).astype(np.float64)
         w = np.array([1.0, -2.0])
-        loss0, _, gb0 = logistic_loss_grad(w, 0.5, X, y, l2=0.0)
-        loss1, _, gb1 = logistic_loss_grad(w, 0.5, X, y, l2=0.1)
-        assert loss1 == pytest.approx(loss0 + 0.5 * 0.1 * np.sum(w ** 2))
+        gw0, gb0 = hypertune._logistic_grad(X, y, w, 0.5, 0.0)
+        gw1, gb1 = hypertune._logistic_grad(X, y, w, 0.5, 0.1)
+        assert np.array_equal(gw1, gw0 + 0.1 * w)
         # the bias gradient carries no penalty term
         assert gb1 == gb0
 
@@ -202,8 +205,7 @@ class TestLogisticLossGrad:
         X = np.array([[1e4], [-1e4]])
         y = np.array([1.0, 0.0])
         w = np.array([50.0])
-        loss, gw, gb = logistic_loss_grad(w, 0.0, X, y)
-        assert np.isfinite(loss)
+        gw, gb = hypertune._logistic_grad(X, y, w, 0.0, 0.0)
         assert np.all(np.isfinite(gw))
         assert np.isfinite(gb)
 
@@ -226,12 +228,17 @@ class TestToyLogisticClassifier:
 
     def test_training_loss_decreases_on_separable_data(self):
         data = make_toy_dataset(600, 2, seed=0, separation=1.0)
-        hp = HyperParams(momentum=0.75, learning_rate=0.1, epochs=10, l2=2e-4)
-        model = train_toy_model(hp, data, seed=0)
-        losses = model.train_losses_
-        assert len(losses) == 10
+        # a k-epoch fit is the first k epochs of the 10-epoch fit, so these
+        # are the full-train losses after each of its epochs
+        losses = []
+        for epochs in range(1, 11):
+            hp = HyperParams(momentum=0.75, learning_rate=0.1, epochs=epochs,
+                             l2=2e-4)
+            model = train_toy_model(hp, data, seed=0)
+            assert not model.diverged_
+            losses.append(cross_entropy(model.weights_, model.bias_,
+                                        data.X_train, data.y_train, hp.l2))
         assert all(b < a for a, b in zip(losses, losses[1:]))
-        assert not model.diverged_
 
     def test_same_seed_training_is_bitwise_identical(self):
         data = make_toy_dataset(200, 2, seed=4)
@@ -240,7 +247,6 @@ class TestToyLogisticClassifier:
         b = train_toy_model(hp, data, seed=11)
         assert np.array_equal(a.weights_, b.weights_)
         assert a.bias_ == b.bias_
-        assert a.train_losses_ == b.train_losses_
 
     def test_different_training_seeds_shuffle_differently(self):
         data = make_toy_dataset(200, 2, seed=4)
@@ -287,12 +293,10 @@ class TestToyLogisticClassifier:
 
 
 def _assert_fit_matches(model, reference):
-    w, b, diverged, losses = reference
+    w, b, diverged = reference
     assert model.weights_.tobytes() == w.tobytes()
     assert np.float64(model.bias_).tobytes() == np.float64(b).tobytes()
     assert model.diverged_ is diverged
-    assert len(model.train_losses_) == len(losses)
-    assert np.array(model.train_losses_).tobytes() == np.array(losses).tobytes()
 
 
 class TestFitMatchesReferenceLoop:
@@ -319,7 +323,7 @@ class TestFitMatchesReferenceLoop:
             data.X_train, data.y_train, batch_size=batch_size, **kwargs))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    # 5e4 with batch 32 diverges after one recorded epoch; 1e9 with batch 1
+    # 5e4 with batch 32 diverges in its second epoch; 1e9 with batch 1
     # drives the weights to NaN
     @pytest.mark.parametrize("learning_rate", [5e4, 1e9])
     @pytest.mark.parametrize("batch_size", [1, 32])
@@ -363,58 +367,57 @@ class TestEvaluateLD:
 # the tuning loop
 # ---------------------------------------------------------------------------
 
+def quadratic(hp):
+    return ((hp.momentum - 0.7) ** 2 + (hp.learning_rate - 0.3) ** 2
+            + (hp.l2 - 3e-4) ** 2)
+
+
+@pytest.fixture
+def quadratic_training(monkeypatch):
+    """Swap the toy classifier's training and scoring in ``tune`` for
+    ``quadratic`` of the decoded HyperParams; returns the HyperParams
+    trained, in order."""
+    trained = []
+
+    def train(hp, data, seed=0):
+        trained.append(hp)
+        return hp
+
+    monkeypatch.setattr(hypertune, "train_toy_model", train)
+    monkeypatch.setattr(hypertune, "evaluate_L_D",
+                        lambda hp, data: quadratic(hp))
+    return trained
+
+
 class TestTune:
-    def test_training_count_is_population_times_iterations_plus_one(self):
-        calls = []
-
-        def trainer(hp):
-            s = (hp.momentum - 0.7) ** 2 + (hp.learning_rate - 0.3) ** 2
-            calls.append(s)
-            return s
-
-        res = tune(config=EngineConfig(pop_size=5, max_iter=3, seed=0),
-                   trainer=trainer)
+    def test_training_count_is_population_times_iterations_plus_one(
+            self, quadratic_training):
+        res = tune(EngineConfig(pop_size=5, max_iter=3, seed=0),
+                   make_toy_dataset(40))
         assert res.trainings == 5 * (3 + 1)
-        assert len(calls) == res.trainings
         assert res.run_result.evaluations == res.trainings
+        assert len(quadratic_training) == res.distinct_candidates
 
-    def test_best_score_is_the_minimum_objective_seen(self):
-        calls = []
+    def test_best_score_is_the_minimum_objective_seen(
+            self, quadratic_training):
+        res = tune(EngineConfig(pop_size=8, max_iter=5, seed=1),
+                   make_toy_dataset(40))
+        assert res.best_L_D == min(map(quadratic, quadratic_training))
 
-        def trainer(hp):
-            s = (hp.momentum - 0.7) ** 2 + (hp.learning_rate - 0.3) ** 2
-            calls.append(s)
-            return s
-
-        res = tune(config=EngineConfig(pop_size=8, max_iter=5, seed=1),
-                   trainer=trainer)
-        assert res.best_L_D == min(calls)
-
-    def test_best_hyperparams_decode_the_best_position(self):
-        def trainer(hp):
-            return (hp.momentum - 0.7) ** 2
-
-        res = tune(config=EngineConfig(pop_size=5, max_iter=3, seed=0),
-                   trainer=trainer)
+    def test_best_hyperparams_decode_the_best_position(
+            self, quadratic_training):
+        res = tune(EngineConfig(pop_size=5, max_iter=3, seed=0),
+                   make_toy_dataset(40))
         redecoded = decode_hyperparams(res.run_result.best_position)
         assert res.best_hyperparams == redecoded
 
-    def test_quadratic_target_recovered_inside_the_box(self):
-        def trainer(hp):
-            return ((hp.momentum - 0.7) ** 2
-                    + (hp.learning_rate - 0.3) ** 2
-                    + (hp.l2 - 3e-4) ** 2)
-
-        res = tune(config=EngineConfig(algorithm="mfo", pop_size=20,
-                                       max_iter=40, seed=0),
-                   trainer=trainer)
+    def test_quadratic_target_recovered_inside_the_box(
+            self, quadratic_training):
+        res = tune(EngineConfig(algorithm="mfo", pop_size=20, max_iter=40,
+                                seed=0), make_toy_dataset(40))
         hp = res.best_hyperparams
         assert abs(hp.momentum - 0.7) < 0.05
         assert abs(hp.learning_rate - 0.3) < 0.05
-
-    def test_default_trainer_requires_a_dataset(self):
-        with pytest.raises(ValueError):
-            tune(config=EngineConfig(pop_size=5, max_iter=2, seed=0))
 
     def test_same_seed_tune_runs_agree(self):
         data = make_toy_dataset(120, 2, seed=3)
@@ -462,29 +465,28 @@ class TestTune:
         data = make_toy_dataset(600, 2, 0, 1.0)
         config = EngineConfig(pop_size=30, max_iter=20, seed=0)
 
-        def trainer(hp):  # a custom trainer is called on every evaluation
+        def objective(x):  # trains on every evaluation
+            hp = decode_hyperparams(x)
             return evaluate_L_D(train_toy_model(hp, data), data)
 
         memo = tune(config, data)
-        plain = tune(config, trainer=trainer)
-        assert memo.best_hyperparams == plain.best_hyperparams
-        assert memo.best_L_D == plain.best_L_D
+        plain = run(config, SearchSpace(HYPER_LB.copy(), HYPER_UB.copy()),
+                    objective)
+        assert memo.best_hyperparams == decode_hyperparams(plain.best_position)
+        assert memo.best_L_D == plain.best_fitness
+        assert memo.trainings == plain.evaluations
         for name in ("best_position", "convergence", "mean_fitness"):
             assert (getattr(memo.run_result, name).tobytes()
-                    == getattr(plain.run_result, name).tobytes())
-        assert memo.distinct_candidates == plain.distinct_candidates
-        assert np.array_equal(memo.bound_hits, plain.bound_hits)
+                    == getattr(plain, name).tobytes())
 
-    def test_diagnostics_recount_from_the_evaluated_points(self):
-        seen = []
-
-        def trainer(hp):
-            seen.append(hp)
-            return (hp.momentum - 0.7) ** 2 + (hp.learning_rate - 0.3) ** 2
-
+    def test_diagnostics_recount_from_the_evaluated_points(
+            self, quadratic_training):
         res = tune(EngineConfig(algorithm="mfo", pop_size=8, max_iter=12,
-                                seed=3, record_history=True), trainer=trainer)
-        assert res.distinct_candidates == len(set(seen))
+                                seed=3, record_history=True),
+                   make_toy_dataset(40))
+        # each distinct candidate is trained once
+        assert (res.distinct_candidates == len(quadratic_training)
+                == len(set(quadratic_training)))
         # the start swarm is drawn inside the box, so only moves hit a bound
         history = res.run_result.history
         assert res.bound_hits.tolist() == [
@@ -538,25 +540,24 @@ class TestMetrics:
         report = metrics(ConfusionCounts(305, 37, 16, 336))
         for name, want in FROZEN_METRICS.items():
             assert getattr(report, name) == pytest.approx(want, abs=1e-12)
-        assert report.degenerate == ()
 
     def test_as_dict_lists_the_six_metrics(self):
+        # the metrics.csv rows, in order
         report = metrics(ConfusionCounts(305, 37, 16, 336))
-        d = report.as_dict()
-        assert set(d) == {"accuracy", "sensitivity", "specificity",
-                          "precision", "fpr", "f1"}
+        assert list(asdict(report)) == ["accuracy", "sensitivity",
+                                        "specificity", "precision", "fpr",
+                                        "f1"]
 
     def test_all_zero_counts_flag_every_metric(self):
+        # every denominator is 0, so every metric reads 0.0
         report = metrics(ConfusionCounts(0, 0, 0, 0))
-        assert report.accuracy == 0.0
-        assert set(report.degenerate) == {"accuracy", "sensitivity",
-                                          "specificity", "precision",
-                                          "fpr", "f1"}
+        assert asdict(report) == dict.fromkeys(asdict(report), 0.0)
 
     def test_no_predicted_positives_flags_precision(self):
+        # precision's denominator is 0, so it and f1 read 0.0
         report = metrics(ConfusionCounts(0, 5, 0, 5))
-        assert "precision" in report.degenerate
-        assert "f1" in report.degenerate
+        assert report.precision == 0.0
+        assert report.f1 == 0.0
         assert report.sensitivity == 0.0
         assert report.specificity == 1.0
 
