@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # evaluate_swarm is bound here too: perfbench's tracer wraps this module's name
-from .engine import (Objective, RunResult, check_swarm_config, drive,  # noqa: F401
+from .engine import (Objective, RunResult, check_counts, drive,  # noqa: F401
                      evaluate_swarm, update_flames)
 from .space import SearchSpace
 
@@ -23,10 +23,6 @@ class PsoConfig:
     pop_size: int = 30
     max_iter: int = 500
     seed: int = 0
-    inertia: float = 0.5
-    c1: float = 2.0
-    c2: float = 2.0
-    velocity_clamp: float = 0.2       # fraction of the per-dimension range
     record_history: bool = False
 
 
@@ -35,34 +31,20 @@ class GwoConfig:
     pop_size: int = 30
     max_iter: int = 500
     seed: int = 0
-    a_start: float = 2.0
-    a_end: float = 0.0
     record_history: bool = False
 
 
 def validate_pso_config(config: PsoConfig) -> None:
-    """Raise the error a PSO run with this config would raise, before it starts.
-
-    Checks the swarm floor of two particles, max_iter >= 1, that inertia,
-    c1, c2 and velocity_clamp are finite real numbers (a number given as a
-    JSON string is a TypeError, a NaN or infinity a ValueError), and that
-    velocity_clamp > 0: a negative clamp moves every particle by the
-    constant clamp, and 0 freezes the swarm on its start points.
-    """
-    check_swarm_config(config, 2, ("inertia", "c1", "c2", "velocity_clamp"))
-    if config.velocity_clamp <= 0:
-        raise ValueError(
-            f"velocity_clamp must be > 0, got {config.velocity_clamp!r}")
+    """Raise the error a PSO run with this config would raise, before it
+    starts: pop_size < 2 or max_iter < 1 (each an integer)."""
+    check_counts(config, {"pop_size": 2, "max_iter": 1})
 
 
 def validate_gwo_config(config: GwoConfig) -> None:
-    """Raise the error a GWO run with this config would raise, before it starts.
-
-    Checks the swarm floor of three wolves (the alpha, beta and delta
-    leaders), max_iter >= 1, and that a_start and a_end are finite real
-    numbers.
-    """
-    check_swarm_config(config, 3, ("a_start", "a_end"))
+    """Raise the error a GWO run with this config would raise, before it
+    starts: fewer than three wolves (the alpha, beta and delta leaders) or
+    max_iter < 1 (each an integer)."""
+    check_counts(config, {"pop_size": 3, "max_iter": 1})
 
 
 def _pso(config: PsoConfig, space: SearchSpace, rng):
@@ -70,7 +52,7 @@ def _pso(config: PsoConfig, space: SearchSpace, rng):
     n, dim = config.pop_size, space.dim
     pos, fit = yield space.sample(n, rng)
     vel = np.zeros((n, dim))
-    vmax = config.velocity_clamp * (space.upper - space.lower)
+    vmax = 0.2 * (space.upper - space.lower)
     pbest = pos.copy()
     pbest_fit = fit.copy()
     g = pbest_fit.argmin()
@@ -88,13 +70,13 @@ def _pso(config: PsoConfig, space: SearchSpace, rng):
     vmin = -vmax
     for _ in range(config.max_iter):
         rng.random(out=draws)
-        # vel = inertia * vel + c1 * r1 * (pbest - pos) + c2 * r2 * (gbest - pos)
-        np.multiply(vel, config.inertia, out=vel)
-        np.multiply(r1, config.c1, out=r1)
+        # vel = 0.5 * vel + 2 * r1 * (pbest - pos) + 2 * r2 * (gbest - pos)
+        np.multiply(vel, 0.5, out=vel)
+        np.multiply(r1, 2.0, out=r1)
         np.subtract(pbest, pos, out=tmp)
         np.multiply(r1, tmp, out=r1)
         np.add(vel, r1, out=vel)
-        np.multiply(r2, config.c2, out=r2)
+        np.multiply(r2, 2.0, out=r2)
         np.subtract(gbest, pos, out=tmp)
         np.multiply(r2, tmp, out=r2)
         np.add(vel, r2, out=vel)
@@ -114,8 +96,9 @@ def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunR
     """Global-best particle swarm with a velocity clamp.
 
     Fully connected topology: every particle is pulled toward its own best
-    and the single swarm-wide best.  Velocities are clamped to
-    velocity_clamp * (upper - lower) per dimension, positions to the box.
+    and the single swarm-wide best, with inertia 0.5 and c1 = c2 = 2.
+    Velocities are clamped to 0.2 * (upper - lower) per dimension,
+    positions to the box.
     """
     validate_pso_config(config)
     return drive(config, space, objective, _pso)
@@ -135,7 +118,7 @@ def _gwo(config: GwoConfig, space: SearchSpace, rng):
     draws = np.empty((3, 2, n, dim))
     moved = np.empty((n, dim))
     for l in range(1, big_t + 1):
-        a = config.a_start - (config.a_start - config.a_end) * (l - 1) / big_t
+        a = 2.0 - 2.0 * (l - 1) / big_t
         # PCG64 fills C order: the same values as r1, r2 drawn per leader
         rng.random(out=draws)
         moved.fill(0.0)  # each sum starts at +0.0, so 0.0 + -0.0 gives 0.0
@@ -160,7 +143,7 @@ def _gwo(config: GwoConfig, space: SearchSpace, rng):
 def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunResult:
     """Grey wolf optimizer: wolves encircle the three best-so-far leaders.
 
-    The control parameter a falls linearly from a_start to a_end; each wolf
+    The control parameter a falls linearly from 2 to 0; each wolf
     averages three encircling moves around the alpha, beta and delta
     leaders, which only ever improve (best-so-far elitism).
     """

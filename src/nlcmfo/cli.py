@@ -50,12 +50,7 @@ def _expand_functions(names):
                        if not benchmarks.lookup(fid).scalable)
         else:
             out.append(name.upper())
-    seen, unique = set(), []
-    for fid in out:
-        if fid not in seen:
-            seen.add(fid)
-            unique.append(fid)
-    return tuple(unique)
+    return tuple(dict.fromkeys(out))  # drop repeats, keep first-seen order
 
 
 def _cmd_bench(args) -> int:

@@ -11,9 +11,8 @@ and its moves (see ``drive``).  The two moth-flame variants:
   map instead of a uniform draw, the spiral is damped by a nonlinear weight
   that decays from 4 to ~0 over the run, and both the spiral term and the
   flame attractor are perturbed element-wise by a heavy-tailed Levy matrix.
-  A stagnation watchdog swaps the active chaotic map (sine <-> chebyshev by
-  default) whenever the flame fitness vector freezes for a window of
-  iterations.
+  A stagnation watchdog swaps the active chaotic map (sine <-> chebyshev)
+  whenever the flame fitness vector freezes for a window of iterations.
 
 A run costs exactly pop_size * (max_iter + 1) objective evaluations: the
 initial swarm is evaluated once before the first update, then every
@@ -31,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
-from .stochastic import ChaoticMap, LevySampler, levy_sigma_x, make_rng
+from .stochastic import ChaoticMap, LevySampler, make_rng
 
 Objective = Callable[[np.ndarray], float]
 
@@ -63,12 +62,6 @@ class EngineConfig:
     pop_size: int = 30
     max_iter: int = 500
     seed: int = 0
-    b: float = 1.0                    # spiral shape constant
-    levy_alpha: float = 1.5
-    map_primary: str = "sine"
-    map_secondary: str = "chebyshev"
-    map_state0: float = 0.7
-    stagnation_window: int = 5
     record_history: bool = False
 
 
@@ -251,40 +244,14 @@ def check_counts(config, floors: dict) -> None:
             raise ValueError(f"{name} must be >= {floor}")
 
 
-def check_swarm_config(config, min_pop_size: int, reals: tuple) -> None:
-    """Check the integers pop_size >= min_pop_size and max_iter >= 1, and
-    that each named field is a finite real number (a JSON string is a
-    TypeError, NaN/inf a ValueError)."""
-    check_counts(config, {"pop_size": min_pop_size, "max_iter": 1})
-    for name in reals:
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def validate_config(config: EngineConfig) -> None:
-    """Raise the error a run with this config would raise, before it starts.
-
-    Every run needs integers pop_size >= 2 and max_iter >= 1 and a finite
-    real b (``check_swarm_config``).  For nlcmfo this also covers the Levy
-    index (ParameterError), the stagnation window (an integer >= 1), and
-    both chaotic maps: each is built from map_state0 and drawn twice
-    without touching any RNG, which catches an unknown kind
-    (ParameterError), a state outside the map's domain and singer's first
-    step out of [0, 1] from states near 1 (ChaoticDomainError).
-    """
+    """Raise the error a run with this config would raise, before it starts:
+    an unknown algorithm, or pop_size < 2 or max_iter < 1 (each an integer)."""
     if config.algorithm not in _ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {config.algorithm!r}; choose one of {_ALGORITHMS}"
         )
-    check_swarm_config(config, 2, ("b",))
-    if config.algorithm == "nlcmfo":
-        levy_sigma_x(config.levy_alpha)
-        check_counts(config, {"stagnation_window": 1})
-        for kind in (config.map_primary, config.map_secondary):
-            ChaoticMap(kind, config.map_state0).steps(2)
+    check_counts(config, {"pop_size": 2, "max_iter": 1})
 
 
 def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult:
@@ -340,7 +307,11 @@ def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult
 
 
 def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
-    """mfo / nlcmfo search for ``drive``: spiral moves around ranked flames."""
+    """mfo / nlcmfo search for ``drive``: spiral moves around ranked flames.
+
+    Fixed constants: spiral shape b = 1; for nlcmfo, Levy alpha 1.5, the
+    sine and chebyshev maps started at 0.7, and a stagnation window of 5.
+    """
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
     chaotic = config.algorithm == "nlcmfo"
 
@@ -348,12 +319,9 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     order = fitness.argsort(kind="stable")
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
     if chaotic:
-        sampler = LevySampler(config.levy_alpha)
+        sampler = LevySampler(1.5)
         scheduler = MapScheduler(
-            ChaoticMap(config.map_primary, config.map_state0),
-            ChaoticMap(config.map_secondary, config.map_state0),
-            config.stagnation_window,
-        )
+            ChaoticMap("sine", 0.7), ChaoticMap("chebyshev", 0.7), 5)
 
     moth_idx = np.arange(n)
     for l in range(1, big_t + 1):
@@ -366,10 +334,10 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
             cm = scheduler.active.steps(n)
             t = t_nlcmfo(a, cm)
             levy = sampler.matrix(n, dim, rng)
-            moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None], w, levy)
+            moths = spiral_step_nlcmfo(moths, paired, 1.0, t[:, None], w, levy)
         else:
             t = t_mfo(a, rng, size=n)
-            moths = spiral_step_mfo(moths, paired, config.b, t[:, None])
+            moths = spiral_step_mfo(moths, paired, 1.0, t[:, None])
         # the move rebinds ``moths`` before it is yielded, which frees the
         # previous swarm as early as a plain loop would; yielding the
         # spiral expression directly changed glibc's heap trimming at

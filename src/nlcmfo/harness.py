@@ -22,7 +22,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -44,8 +44,6 @@ ALGORITHMS = {
     "gwo": (GwoConfig, validate_gwo_config, "run_gwo"),
 }
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
-# config fields every grid run gets from the ExperimentConfig, never params
-_GRID_OWNED = {"pop_size", "max_iter", "seed", "record_history", "algorithm"}
 
 
 class ConfigError(ValueError):
@@ -64,7 +62,6 @@ class ExperimentConfig:
     telemetry: str = "summary"
     workers: int = 1
     composite_pack: Optional[str] = None
-    params: dict = field(default_factory=dict)  # overrides for config fields
 
 
 @dataclass
@@ -143,8 +140,6 @@ def _validate(config: ExperimentConfig) -> dict:
         if (not isinstance(value, (tuple, list))
                 or not all(isinstance(v, str) for v in value)):
             raise ConfigError(f"{name} must be a list of names, got {value!r}")
-    if not isinstance(config.params, dict):
-        raise ConfigError(f"params must be an object, got {config.params!r}")
     if not isinstance(config.composite_pack, (type(None), str, os.PathLike)):
         raise ConfigError(
             f"composite_pack must be a directory, got {config.composite_pack!r}")
@@ -171,31 +166,18 @@ def _validate(config: ExperimentConfig) -> dict:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
         )
-    owned = sorted(set(config.params) & _GRID_OWNED)
-    if owned:
-        raise ConfigError(f"params cannot set grid fields: {owned}")
-    # reject override keys that fit no selected algorithm's config up front
-    legal = {algorithm: {f.name for f in fields(ALGORITHMS[algorithm][0])}
-             for algorithm in config.algorithms}
-    unknown = set(config.params).difference(*legal.values())
-    if unknown:
-        raise ConfigError(f"unknown params keys: {sorted(unknown)}")
-    # each optimizer's own validator owns its pop_size, max_iter and params
-    # checks
+    # each optimizer's own validator owns its pop_size and max_iter checks
     configs = {}
     for algorithm in config.algorithms:
         cls, validate, _ = ALGORITHMS[algorithm]
-        kwargs = {k: v for k, v in config.params.items()
-                  if k in legal[algorithm]}
-        if cls is EngineConfig:
-            kwargs["algorithm"] = algorithm
+        kwargs = {"algorithm": algorithm} if cls is EngineConfig else {}
+        configs[algorithm] = cls(
+            **kwargs, pop_size=config.pop_size, max_iter=config.max_iter,
+            seed=config.base_seed,
+            record_history=config.telemetry == "full-history")
         try:
-            configs[algorithm] = cls(
-                **kwargs, pop_size=config.pop_size, max_iter=config.max_iter,
-                seed=config.base_seed,
-                record_history=config.telemetry == "full-history")
             validate(configs[algorithm])
-        except (TypeError, ValueError) as exc:  # TypeError: e.g. "1.5" from JSON
+        except (TypeError, ValueError) as exc:  # TypeError: e.g. 30.0 from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
     return configs
 
@@ -266,7 +248,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         records = [_execute_task(t) for t in tasks]
     else:
         # read in task order, so output is independent of scheduling
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a fork pool starts all max_workers at the first submit
+        with ProcessPoolExecutor(
+                max_workers=min(config.workers, len(tasks))) as pool:
             futures = [pool.submit(_execute_task, t) for t in tasks]
             records = []
             for task, future in zip(tasks, futures):

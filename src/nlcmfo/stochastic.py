@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 
-# Nudge applied to a raw next state that lands exactly on an absorbing
-# boundary (0 or 1 for unit-interval maps, +-1 for the [-1,1] maps, 0 for
-# the iterative map whose next step divides by the state).  Without it a
-# dead orbit silently degrades every chaotic draw to a constant; the tent
-# map in float64 reaches exactly 1.0 from generic seeds within ~60 steps.
+# Nudge applied to a raw next state that lands exactly on a boundary of the
+# map's domain (0 or 1 for sine, +-1 for chebyshev).  0 is a fixed point of
+# sine, and chebyshev sends both -1 and 1 to its fixed point 1, so without
+# the nudge such an orbit would give one constant draw forever.  sine(0.5)
+# is exactly 1.0, and sine(1.0) rounds to 1.2e-16, a stretch of some 30
+# draws near 0; from the nudged 1 - 1e-7 the orbit is back above 0.1
+# within 13 draws.
 _EDGE = 1e-7
 
 
@@ -46,66 +48,30 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _logistic(x: float) -> float:
-    return 4.0 * x * (1.0 - x)
-
-
-def _tent(x: float) -> float:
-    return 2.0 * x if x < 0.5 else 2.0 * (1.0 - x)
-
-
-def _sinusoidal(x: float) -> float:
-    return 2.3 * x * x * math.sin(math.pi * x)
-
-
-def _circle(x: float) -> float:
-    # Tavazoei-Haeri parameterization: a = 0.5, b = 0.2.
-    return (x + 0.2 - (0.5 / (2.0 * math.pi)) * math.sin(2.0 * math.pi * x)) % 1.0
-
-
-def _gauss(x: float) -> float:
-    # Gauss/mouse map; the 0 -> 0 branch is part of the map's definition.
-    return 0.0 if x == 0.0 else (1.0 / x) % 1.0
-
-
 def _chebyshev(x: float) -> float:
     return math.cos(4.0 * math.acos(x))
-
-
-def _singer(x: float) -> float:
-    return 7.86 * x - 23.31 * x * x + 28.75 * x**3 - 13.302875 * x**4
 
 
 def _sine(x: float) -> float:
     return math.sin(math.pi * x)
 
 
-def _iterative(x: float) -> float:
-    return math.sin(0.7 * math.pi / x)
-
-
-# kind -> (step, native_lo, native_hi).  Maps on [-1,1] are normalized to
-# [0,1] by (x+1)/2 before use; unit-interval maps pass through unchanged.
+# kind -> (step, native_lo, native_hi).  Each map sends its domain into
+# itself.  Chebyshev's [-1,1] is normalized to [0,1] by (x+1)/2 before use;
+# sine's unit interval passes through unchanged.
 _MAPS = {
-    "logistic": (_logistic, 0.0, 1.0),
-    "tent": (_tent, 0.0, 1.0),
-    "sinusoidal": (_sinusoidal, 0.0, 1.0),
-    "circle": (_circle, 0.0, 1.0),
-    "gauss": (_gauss, 0.0, 1.0),
     "chebyshev": (_chebyshev, -1.0, 1.0),
-    "singer": (_singer, 0.0, 1.0),
     "sine": (_sine, 0.0, 1.0),
-    "iterative": (_iterative, -1.0, 1.0),
 }
 
 MAP_KINDS = tuple(_MAPS)
 
 
 class ChaoticMap:
-    """One of nine scalar chaotic maps with a normalized [0,1] output.
+    """The sine or chebyshev scalar chaotic map with a normalized [0,1] output.
 
-    The map holds its raw state in the native domain (unit interval, or
-    [-1,1] for chebyshev/iterative).  ``step`` returns the exact next value
+    The map holds its raw state in the native domain (unit interval for
+    sine, [-1,1] for chebyshev).  ``step`` returns the exact next value
     normalized to [0,1]; the stored state is additionally nudged off exact
     absorbing boundaries so the orbit stays alive.  ``steps`` draws several
     values at once.
@@ -127,8 +93,6 @@ class ChaoticMap:
                 f"{self.kind} map state {x!r} outside native domain "
                 f"[{self._lo}, {self._hi}]"
             )
-        if self.kind == "iterative" and x == 0.0:
-            raise ChaoticDomainError("iterative map state must be nonzero")
 
     def step(self) -> float:
         """Advance one step; return the normalized next value in [0, 1]."""
@@ -137,25 +101,19 @@ class ChaoticMap:
     def steps(self, k: int) -> np.ndarray:
         """Advance k steps; return the k normalized next values in [0, 1].
 
-        The state gets the full domain check once; the keep-alive nudge
-        keeps later states off the absorbing points, so the loop only
-        compares each state with the bounds.  (Singer maps states near 1
-        below 0: that value is returned and the next draw raises, exactly
-        as one step at a time.)
+        The state gets the domain check once: both maps send their domain
+        into itself, and the keep-alive nudge keeps later states off the
+        absorbing points.
         """
         self._check_domain(self.state)
-        step_fn, keep_alive, lo, hi = self._step_fn, self._keep_alive, self._lo, self._hi
+        step_fn, keep_alive = self._step_fn, self._keep_alive
         state = self.state
         raw = []
         for _ in range(k):
             value = step_fn(state)
             raw.append(value)
             state = keep_alive(value)
-            if not lo <= state <= hi:
-                break
         self.state = state
-        if len(raw) < k:
-            self._check_domain(state)
         raw = np.array(raw)
         if self._lo == -1.0:
             return (raw + 1.0) / 2.0
@@ -166,8 +124,6 @@ class ChaoticMap:
             return self._lo + _EDGE
         if raw == self._hi:
             return self._hi - _EDGE
-        if self.kind == "iterative" and raw == 0.0:
-            return _EDGE
         return raw
 
 

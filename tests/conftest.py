@@ -114,7 +114,8 @@ def reference_runs():
     Maps an algorithm name to ``loop(config, space, objective)``, which
     returns a ``RunResult`` (config validation left out).  Only the loops
     are copied; the schedules, moves, samplers and the flame merge are the
-    package's own.
+    package's own.  The algorithm constants are spelled out as the literals
+    the old config defaults held, in the old operand order.
     """
     from nlcmfo.engine import (MapScheduler, RunResult, convergence_constant,
                                evaluate_swarm, flame_count, nonlinear_weight,
@@ -138,12 +139,9 @@ def reference_runs():
         order = np.argsort(fitness, kind="stable")
         flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
         if chaotic:
-            sampler = LevySampler(config.levy_alpha)
-            scheduler = MapScheduler(
-                ChaoticMap(config.map_primary, config.map_state0),
-                ChaoticMap(config.map_secondary, config.map_state0),
-                config.stagnation_window,
-            )
+            sampler = LevySampler(1.5)
+            scheduler = MapScheduler(ChaoticMap("sine", 0.7),
+                                     ChaoticMap("chebyshev", 0.7), 5)
             prev_fit = flame_fit.copy()
         convergence, mean_fitness, trajectory, history = telemetry(config, space)
         moth_idx = np.arange(n)
@@ -155,11 +153,11 @@ def reference_runs():
                 w = nonlinear_weight(l, big_t)
                 t = t_nlcmfo(a, scheduler.active.steps(n))
                 levy = sampler.matrix(n, dim, rng)
-                moths = spiral_step_nlcmfo(moths, paired, config.b, t[:, None],
+                moths = spiral_step_nlcmfo(moths, paired, 1.0, t[:, None],
                                            w, levy)
             else:
                 t = t_mfo(a, rng, size=n)
-                moths = spiral_step_mfo(moths, paired, config.b, t[:, None])
+                moths = spiral_step_mfo(moths, paired, 1.0, t[:, None])
             moths = space.clip(moths)
             fitness = evaluate_swarm(objective, moths)
             evaluations += n
@@ -181,7 +179,7 @@ def reference_runs():
         n, big_t, dim = config.pop_size, config.max_iter, space.dim
         pos = space.sample(n, rng)
         vel = np.zeros((n, dim))
-        vmax = config.velocity_clamp * (space.upper - space.lower)
+        vmax = 0.2 * (space.upper - space.lower)
         fit = evaluate_swarm(objective, pos)
         evaluations = n
         pbest = pos.copy()
@@ -193,8 +191,8 @@ def reference_runs():
         for l in range(1, big_t + 1):
             r1 = rng.random((n, dim))
             r2 = rng.random((n, dim))
-            vel = (config.inertia * vel + config.c1 * r1 * (pbest - pos)
-                   + config.c2 * r2 * (gbest - pos))
+            vel = (0.5 * vel + 2.0 * r1 * (pbest - pos)
+                   + 2.0 * r2 * (gbest - pos))
             vel = np.clip(vel, -vmax, vmax)
             pos = space.clip(pos + vel)
             fit = evaluate_swarm(objective, pos)
@@ -225,7 +223,7 @@ def reference_runs():
         leader_fit = fit[order].copy()
         convergence, mean_fitness, trajectory, history = telemetry(config, space)
         for l in range(1, big_t + 1):
-            a = config.a_start - (config.a_start - config.a_end) * (l - 1) / big_t
+            a = 2.0 - (2.0 - 0.0) * (l - 1) / big_t
             moved = np.zeros((n, dim))
             for leader in leaders:
                 r1 = rng.random((n, dim))

@@ -22,11 +22,8 @@ def _space(dim=2, half=5.0):
 def test_config_defaults():
     pso = PsoConfig()
     assert (pso.pop_size, pso.max_iter, pso.seed) == (30, 500, 0)
-    assert (pso.inertia, pso.c1, pso.c2) == (0.5, 2.0, 2.0)
-    assert pso.velocity_clamp == 0.2
     gwo = GwoConfig()
     assert (gwo.pop_size, gwo.max_iter, gwo.seed) == (30, 500, 0)
-    assert (gwo.a_start, gwo.a_end) == (2.0, 0.0)
 
 
 @pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),
@@ -56,14 +53,15 @@ def test_bitwise_replay(runner, cfg):
 
 
 def test_pso_velocity_clamp_bounds_step_size():
-    space = _space(2, 5.0)
-    clamp = 0.01
+    # a box wide enough that the clamp, not the walls, limits every step
+    space = _space(2, 50.0)
     result = run_pso(PsoConfig(pop_size=8, max_iter=20, seed=1,
-                               velocity_clamp=clamp, record_history=True),
-                     space, sphere)
-    vmax = clamp * (space.upper - space.lower)   # 0.1 per dimension
+                               record_history=True), space, sphere)
+    vmax = 0.2 * (space.upper - space.lower)   # 20 per dimension
     steps = np.abs(np.diff(result.history, axis=0))
     assert steps.max() <= vmax.max() + 1e-12
+    # early steps reach the clamp, so a looser one would show
+    assert steps.max() == pytest.approx(vmax.max())
 
 
 @pytest.mark.parametrize("search,cfg", [(_pso, PsoConfig), (_gwo, GwoConfig)])
@@ -96,29 +94,6 @@ def test_gwo_requires_three_leaders():
 def test_bad_iteration_count_rejected(runner, cfg):
     with pytest.raises(ValueError):
         runner(cfg(pop_size=5, max_iter=0), _space(), sphere)
-
-
-@pytest.mark.parametrize("runner, cfg, params, cause", [
-    (run_pso, PsoConfig, {"inertia": "0.4"}, TypeError),
-    (run_pso, PsoConfig, {"c1": float("nan")}, ValueError),
-    (run_pso, PsoConfig, {"c2": float("inf")}, ValueError),
-    (run_pso, PsoConfig, {"velocity_clamp": None}, TypeError),
-    (run_gwo, GwoConfig, {"a_start": "2"}, TypeError),
-    (run_gwo, GwoConfig, {"a_end": float("nan")}, ValueError),
-    (run_pso, PsoConfig, {"velocity_clamp": -0.2}, ValueError),
-    (run_pso, PsoConfig, {"velocity_clamp": 0.0}, ValueError),
-])
-def test_bad_real_params_rejected_before_any_evaluation(runner, cfg, params,
-                                                        cause):
-    calls = []
-
-    def objective(x):
-        calls.append(x)
-        return sphere(x)
-
-    with pytest.raises(cause):
-        runner(cfg(pop_size=5, max_iter=3, **params), _space(), objective)
-    assert calls == []
 
 
 @pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),

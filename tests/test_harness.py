@@ -29,7 +29,6 @@ from nlcmfo.harness import (
     write_search_history,
     write_stats,
 )
-from nlcmfo.stochastic import ChaoticDomainError, ParameterError
 
 TINY = dict(runs=3, pop_size=6, max_iter=10, base_seed=0)
 
@@ -138,78 +137,6 @@ class TestConfigValidation:
                                        functions=("F1",), pop_size=2))
         assert ran == []
 
-    @pytest.mark.parametrize("params, cause", [
-        ({"levy_alpha": 5.0}, ParameterError),
-        ({"map_primary": "nope"}, ParameterError),
-        ({"map_state0": 1.5}, ChaoticDomainError),
-        ({"stagnation_window": 0}, ValueError),
-        # in the domain, but singer(1.0) = -0.002875 is not
-        ({"map_primary": "singer", "map_state0": 1.0}, ChaoticDomainError),
-        ({"levy_alpha": "1.5"}, TypeError),
-        ({"stagnation_window": 2.5}, TypeError),
-        ({"stagnation_window": True}, TypeError),
-    ])
-    def test_bad_nlcmfo_params_rejected_before_running(self, monkeypatch,
-                                                       params, cause):
-        ran = []
-        monkeypatch.setattr(harness, "_execute_task", ran.append)
-        with pytest.raises(ConfigError, match="nlcmfo") as excinfo:
-            run_experiment(tiny_config(algorithms=("mfo", "nlcmfo"),
-                                       functions=("F1",), params=params))
-        assert isinstance(excinfo.value.__cause__, cause)
-        assert ran == []
-
-    @pytest.mark.parametrize("algorithms, params, cause", [
-        (("mfo", "pso"), {"inertia": "0.4"}, TypeError),
-        (("mfo", "pso"), {"c1": float("nan")}, ValueError),
-        (("mfo", "pso"), {"velocity_clamp": float("inf")}, ValueError),
-        (("mfo", "gwo"), {"a_start": "2"}, TypeError),
-        (("mfo", "gwo"), {"a_end": float("-inf")}, ValueError),
-        (("mfo", "pso"), {"velocity_clamp": -0.2}, ValueError),
-        (("mfo", "pso"), {"velocity_clamp": 0.0}, ValueError),
-    ])
-    def test_bad_pso_gwo_params_rejected_before_running(
-            self, monkeypatch, algorithms, params, cause):
-        ran = []
-        monkeypatch.setattr(harness, "_execute_task", ran.append)
-        with pytest.raises(ConfigError, match=algorithms[1]) as excinfo:
-            run_experiment(tiny_config(algorithms=algorithms,
-                                       functions=("F1",), params=params))
-        assert isinstance(excinfo.value.__cause__, cause)
-        assert ran == []
-
-    @pytest.mark.parametrize("key, value", [
-        ("pop_size", 10), ("max_iter", 7), ("seed", 5),
-        ("record_history", True), ("algorithm", "mfo"),
-    ])
-    def test_grid_owned_param_key_rejected_before_running(self, monkeypatch,
-                                                          key, value):
-        ran = []
-        monkeypatch.setattr(harness, "_execute_task", ran.append)
-        with pytest.raises(ConfigError, match=key):
-            run_experiment(tiny_config(algorithms=("mfo", "nlcmfo"),
-                                       functions=("F1",),
-                                       params={key: value}))
-        assert ran == []
-
-    def test_unknown_param_key_rejected(self):
-        with pytest.raises(ConfigError):
-            run_experiment(tiny_config(functions=("F1",),
-                                       params={"warp_factor": 9}))
-
-    def test_param_key_of_selected_algorithm_accepted(self):
-        result = run_experiment(tiny_config(
-            algorithms=("pso",), functions=("F1",), dim=2, runs=1,
-            params={"inertia": 0.4}))
-        assert len(result.records) == 1
-        assert not result.records[0].aborted
-
-    def test_param_key_of_unselected_algorithm_rejected(self):
-        with pytest.raises(ConfigError):
-            run_experiment(tiny_config(algorithms=("nlcmfo",),
-                                       functions=("F1",),
-                                       params={"inertia": 0.4}))
-
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(functions=("F1",), workers=0))
@@ -245,6 +172,15 @@ class TestLoadExperimentConfig:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"functions": ["F1"], "budget": 100}))
         with pytest.raises(ConfigError):
+            load_experiment_config(path)
+
+    def test_params_key_rejected(self, tmp_path):
+        # the optimizers' constants are fixed: a config that tries to set
+        # one is an error, not a silently ignored key
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"algorithms": ["pso"], "functions": ["F1"],
+                                    "params": {"inertia": 0.4}}))
+        with pytest.raises(ConfigError, match="params"):
             load_experiment_config(path)
 
     @pytest.mark.parametrize("key, value", [
@@ -325,6 +261,23 @@ class TestRunExperiment:
             assert rs.best_fitness == rp.best_fitness
             assert np.array_equal(rs.best_position, rp.best_position)
             assert rs.seed == rp.seed
+
+    def test_pool_starts_no_more_processes_than_runs(self, monkeypatch):
+        # a fork pool starts every max_workers process at the first submit
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                started.append(len(self._processes))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        result = run_experiment(tiny_config(algorithms=("mfo",),
+                                            functions=("F1",), dim=2, runs=2,
+                                            max_iter=3, workers=3))
+        assert [rec.aborted for rec in result.records] == [False, False]
+        assert max(started) == 2
 
 
 class TestCompositePack:

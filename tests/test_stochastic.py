@@ -74,17 +74,10 @@ def test_sigma_x_finite_and_positive(alpha):
 # chaotic maps
 # ---------------------------------------------------------------------------
 
-# one step from state 0.7 for every map, normalized output; frozen offline
+# one step from state 0.7 for each map, normalized output; frozen offline
 STEP_FROM_07 = {
-    "logistic": 0.8400000000000001,
-    "tent": 0.6000000000000001,
-    "sinusoidal": 0.9117621526605656,
-    "circle": 0.9756826728640656,
-    "gauss": 0.4285714285714286,
-    "singer": 0.7473297125,
     "sine": 0.8090169943749475,
     "chebyshev": 0.0004,  # raw value -0.9992, normalized from [-1,1]
-    "iterative": 0.5,     # raw value sin(pi) ~ 1.2e-16
 }
 
 
@@ -103,11 +96,9 @@ def test_unknown_kind_rejected():
 
 
 @pytest.mark.parametrize("kind,state", [
-    ("logistic", 1.5),
-    ("logistic", -0.1),
+    ("sine", 1.5),
     ("chebyshev", -1.5),
     ("sine", float("nan")),
-    ("iterative", 0.0),
 ])
 def test_out_of_domain_state_rejected(kind, state):
     with pytest.raises(ChaoticDomainError):
@@ -129,35 +120,19 @@ def test_normalized_orbit_stays_in_unit_interval(kind, state):
 
 
 def test_boundary_value_is_returned_exactly_then_orbit_recovers():
-    # logistic maps 0.5 to exactly 1.0; the stored state is nudged inward so
-    # the orbit does not collapse to the 1 -> 0 -> 0 absorbing chain
-    m = ChaoticMap("logistic", 0.5)
+    # sine maps 0.5 to exactly 1.0; the stored state is nudged inward so
+    # the orbit does not collapse to the 1 -> ~0 -> ~0 absorbing chain
+    m = ChaoticMap("sine", 0.5)
     assert m.step() == 1.0
+    assert m.state == 1.0 - 1e-7
     tail = [m.step() for _ in range(60)]
     assert all(0.0 <= v <= 1.0 for v in tail)
     assert max(tail) > 0.1
     assert len(set(tail)) > 10
 
 
-def test_tent_orbit_survives_exact_boundary_hit():
-    m = ChaoticMap("tent", 0.5)
-    assert m.step() == 1.0        # tent(0.5) = 1 exactly
-    tail = [m.step() for _ in range(80)]
-    # doubling from the nudged state climbs back into the bulk of [0, 1]
-    assert max(tail) > 0.1
-    assert all(0.0 <= v <= 1.0 for v in tail)
-
-
-def test_gauss_zero_branch_is_definitional():
-    # gauss(0) = 0 by definition; the step reports it faithfully
-    m = ChaoticMap("gauss", 0.0)
-    assert m.step() == 0.0
-
-
 @pytest.mark.parametrize("kind,state", [(kind, 0.7) for kind in MAP_KINDS] + [
-    ("tent", 0.5),        # tent(0.5) = 1.0 exactly: the keep-alive nudge
-    ("logistic", 0.5),
-    ("gauss", 0.0),       # the definitional 0 -> 0 branch
+    ("sine", 0.5),        # sine(0.5) = 1.0 exactly: the keep-alive nudge
     ("chebyshev", -0.5),  # normalized from [-1, 1]
 ])
 def test_steps_equal_successive_single_steps(kind, state):
@@ -168,23 +143,13 @@ def test_steps_equal_successive_single_steps(kind, state):
     assert batched.state == single.state
 
 
-@pytest.mark.parametrize("kind,state", [("logistic", 1.5), ("iterative", 0.0),
+@pytest.mark.parametrize("kind,state", [("sine", 1.5), ("chebyshev", -1.5),
                                         ("sine", float("nan"))])
 def test_steps_rejects_out_of_domain_state(kind, state):
     m = ChaoticMap(kind, 0.3)
     m.state = state
     with pytest.raises(ChaoticDomainError):
         m.steps(4)
-
-
-def test_steps_leaving_the_domain_raise_like_single_steps():
-    # singer(1.0) = -0.002875: returned as drawn, and the next draw raises
-    m = ChaoticMap("singer", 1.0)
-    assert m.steps(1)[0] == pytest.approx(-0.002875)
-    with pytest.raises(ChaoticDomainError):
-        m.steps(1)
-    with pytest.raises(ChaoticDomainError):
-        ChaoticMap("singer", 1.0).steps(2)
 
 
 def test_long_generic_orbits_do_not_die():
