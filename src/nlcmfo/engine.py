@@ -164,7 +164,9 @@ def evaluate_swarm(objective: Objective, positions: np.ndarray) -> np.ndarray:
     """Objective value of every row; NaN/inf aborts with the position.
 
     An objective marked ``vectorized`` takes the whole (n, d) swarm in one
-    call; any other is called row by row.
+    call; any other is called row by row.  The package's own objectives
+    (the benchmark functions and ``hypertune.tune``'s) are all vectorized,
+    so the per-row path serves only user callables.
     """
     if getattr(objective, "vectorized", False):
         fitness = objective(positions)

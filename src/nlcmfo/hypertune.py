@@ -10,8 +10,9 @@ momentum.  Four hyperparameters are searched over a fixed box:
 
 The tuning objective is the detection error L_D = (1 - test accuracy) * 100,
 i.e. the misclassification rate in percent; a diverged training run scores
-the worst possible 100.  The optimizer sees a plain 4-vector objective that
-decodes the point, trains the classifier and returns its L_D.
+the worst possible 100.  The optimizer sees a swarm objective: it decodes
+every row of the swarm, trains the candidates it has not scored yet in one
+lockstep batch and returns every row's L_D.
 """
 
 from __future__ import annotations
@@ -108,15 +109,73 @@ def _sigmoid(z):
 
 
 def _logistic_grad(X, y, w, b, l2):
-    """Gradient (grad_w, grad_b) of mean cross-entropy + 0.5*l2*|w|^2."""
-    resid = _sigmoid(X @ w + b) - y
-    m = len(resid)
-    # add.reduce / m is np.mean's arithmetic without its Python-level wrapper
-    return X.T @ resid / m + l2 * w, float(np.add.reduce(resid) / m)
+    """Gradients (grad_w, grad_b) of mean cross-entropy + 0.5*l2*|w|^2.
+
+    One row per member: ``w`` is (K, p), ``b`` and ``l2`` are (K, 1).
+    """
+    # one gemv per member on its C-contiguous row, as a lone member would
+    # make it: a single (m, p) @ (p, K) gemm may sum in another order
+    resid = _sigmoid(np.array([X @ wi for wi in w]) + b) - y
+    m = X.shape[0]
+    Xt = X.T
+    # add.reduce / m is np.mean's arithmetic without its Python-level
+    # wrapper; it sums each C-contiguous row as it sums a lone vector
+    return (np.array([Xt @ r for r in resid]) / m + l2 * w,
+            np.add.reduce(resid, axis=1, keepdims=True) / m)
 
 
 # rows per SGD minibatch; the last batch of an epoch may be shorter
 _BATCH_SIZE = 32
+
+
+def _fit_lockstep(models, X, y, seed: int) -> None:
+    """Train ``models`` on (X, y) together, one member per classifier.
+
+    Every member draws the same permutation per epoch from ``seed``, so one
+    generator shuffles for all, and each step's elementwise work runs over
+    the (K, ...) arrays of the members still training.  A member leaves at
+    the end of an epoch, when its epochs run out or its weights blew up; it
+    keeps the weights of that epoch's end.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+    rng = make_rng(seed)
+    live = list(models)
+    # columns, so they scale each member's row
+    momentum, lr, l2 = (np.array([[getattr(model, name)] for model in live])
+                        for name in ("momentum", "learning_rate", "l2"))
+    epochs = np.array([model.epochs for model in live])
+    w = np.zeros((len(live), p))
+    vw = np.zeros((len(live), p))
+    b = np.zeros((len(live), 1))
+    vb = np.zeros((len(live), 1))
+    diverged = np.zeros(len(live), dtype=bool)
+    epoch = 0
+    while True:
+        leave = diverged | (epochs == epoch)
+        for i in np.flatnonzero(leave):
+            live[i].weights_ = w[i].copy()
+            live[i].bias_ = float(b[i, 0])
+            live[i].diverged_ = bool(diverged[i])
+        stay = ~leave
+        live = [model for model, kept in zip(live, stay) if kept]
+        if not live:
+            return
+        momentum, lr, l2, epochs, w, vw, b, vb = (
+            a[stay] for a in (momentum, lr, l2, epochs, w, vw, b, vb))
+        order = rng.permutation(n)
+        Xe, ye = X[order], y[order]
+        for start in range(0, n, _BATCH_SIZE):
+            batch = slice(start, start + _BATCH_SIZE)
+            # contiguous slices with the rows of X[order[batch]]
+            gw, gb = _logistic_grad(Xe[batch], ye[batch], w, b, l2)
+            vw = momentum * vw - lr * gw
+            vb = momentum * vb - lr * gb
+            w = w + vw
+            b = b + vb
+        epoch += 1
+        diverged = ~np.isfinite(w).all(axis=1) | (np.abs(w).max(axis=1) > 1e6)
 
 
 class ToyLogisticClassifier:
@@ -143,32 +202,7 @@ class ToyLogisticClassifier:
         self.diverged_: bool = False
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        n, p = X.shape
-        rng = make_rng(self.seed)
-        momentum, lr, l2 = self.momentum, self.learning_rate, self.l2
-        w = np.zeros(p)
-        b = 0.0
-        vw = np.zeros(p)
-        vb = 0.0
-        self.diverged_ = False
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            Xe, ye = X[order], y[order]
-            for start in range(0, n, _BATCH_SIZE):
-                batch = slice(start, start + _BATCH_SIZE)
-                # contiguous slices with the rows of X[order[batch]]
-                gw, gb = _logistic_grad(Xe[batch], ye[batch], w, b, l2)
-                vw = momentum * vw - lr * gw
-                vb = momentum * vb - lr * gb
-                w = w + vw
-                b = b + vb
-            if not np.all(np.isfinite(w)) or np.abs(w).max() > 1e6:
-                self.diverged_ = True
-                break
-        self.weights_ = w
-        self.bias_ = b
+        _fit_lockstep([self], X, y, self.seed)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -180,13 +214,19 @@ class ToyLogisticClassifier:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
+def train_toy_models(hps, data: ToyDataset, seed: int = 0) -> list:
+    """One classifier per HyperParams in ``hps``, each trained on ``data``
+    with trainer seed ``seed``; all of them train in one lockstep batch."""
+    models = [ToyLogisticClassifier(
+        momentum=hp.momentum, learning_rate=hp.learning_rate,
+        epochs=hp.epochs, l2=hp.l2, seed=seed) for hp in hps]
+    _fit_lockstep(models, data.X_train, data.y_train, seed)
+    return models
+
+
 def train_toy_model(hp: HyperParams, data: ToyDataset,
                     seed: int = 0) -> ToyLogisticClassifier:
-    model = ToyLogisticClassifier(
-        momentum=hp.momentum, learning_rate=hp.learning_rate,
-        epochs=hp.epochs, l2=hp.l2, seed=seed,
-    )
-    return model.fit(data.X_train, data.y_train)
+    return train_toy_models([hp], data, seed)[0]
 
 
 def evaluate_L_D(model: ToyLogisticClassifier, data: ToyDataset) -> float:
@@ -234,22 +274,27 @@ def tune(config: EngineConfig, data: ToyDataset,
     Every candidate is trained on ``data`` with the same ``trainer_seed``,
     so the objective is a pure function of the decoded HyperParams: each
     distinct candidate is trained once per call and its stored score is
-    returned on every repeat.  A population of n for T iterations costs
-    n*(T+1) evaluations.
+    returned on every repeat.  The candidates a swarm brings that are not
+    scored yet train together in one ``train_toy_models`` batch.  A
+    population of n for T iterations costs n*(T+1) evaluations.
     """
     space = SearchSpace(HYPER_LB.copy(), HYPER_UB.copy())
     scores = {}
     bound_hits = np.zeros((2, len(HYPER_LB)), dtype=np.int64)
 
-    def objective(x):
-        hp = decode_hyperparams(x)
-        bound_hits[0] += x <= HYPER_LB
-        bound_hits[1] += x >= HYPER_UB
-        if hp not in scores:
-            scores[hp] = evaluate_L_D(
-                train_toy_model(hp, data, seed=trainer_seed), data)
-        return scores[hp]
+    def objective(xs):
+        hps = [decode_hyperparams(x) for x in xs]
+        bound_hits[0] += np.sum(xs <= HYPER_LB, axis=0)
+        bound_hits[1] += np.sum(xs >= HYPER_UB, axis=0)
+        # dict keys keep the first-seen row order
+        new = list(dict.fromkeys(hp for hp in hps if hp not in scores))
+        if new:
+            for hp, model in zip(new, train_toy_models(new, data,
+                                                       seed=trainer_seed)):
+                scores[hp] = evaluate_L_D(model, data)
+        return np.array([scores[hp] for hp in hps])
 
+    objective.vectorized = True
     result = run(config, space, objective)
     best = decode_hyperparams(result.best_position)
     # the curve never rises, so the entries above its final value are the

@@ -283,7 +283,10 @@ def test_criterion_7_hypertune():
         y = (rng.random(25) > 0.5).astype(np.float64)
         w = rng.normal(size=4) * 0.5
         b = float(rng.normal())
-        gw, gb = _logistic_grad(X, y, w, b, 1e-3)
+        # the gradient of a lockstep batch holding one member
+        gw, gb = _logistic_grad(X, y, w[None], np.array([[b]]),
+                                np.array([[1e-3]]))
+        gw, gb = gw[0], float(gb[0, 0])
         for i in range(4):
             wp, wm = w.copy(), w.copy()
             wp[i] += h

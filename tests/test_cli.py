@@ -543,6 +543,15 @@ TUNE_PINS = {
         "f4353c199c863e56a45fb3aed139f6661ec9e16b897f2086c7e4de6c8cf9e758",
 }
 
+# tune at TUNE_ARGS with --algorithm mfo --export-data: both algorithms share
+# the start swarm, whose best candidate neither search improves on, so only
+# the diagnostics differ
+MFO_TUNE_PINS = {
+    **TUNE_PINS,
+    "tune_diag.csv":
+        "eaab4842702ab0788dfb34f279de430b30c0801e1734ec3f2910d7c8271432ea",
+}
+
 
 class TestBytePins:
     def test_bench_bundle_bytes(self, tmp_path, capsys):
@@ -566,3 +575,12 @@ class TestBytePins:
         digests = {path.name: _sha256(path.read_bytes())
                    for path in sorted(out.iterdir())}
         assert digests == TUNE_PINS
+
+    def test_mfo_tune_bundle_bytes(self, tmp_path, capsys):
+        # mfo's swarms bring larger training batches with mixed epochs
+        out = tmp_path / "tune"
+        assert main(TUNE_ARGS + ["--algorithm", "mfo", "--export-data",
+                                 "--out", str(out)]) == 0
+        digests = {path.name: _sha256(path.read_bytes())
+                   for path in sorted(out.iterdir())}
+        assert digests == MFO_TUNE_PINS

@@ -28,6 +28,7 @@ from nlcmfo.hypertune import (
     roc_points,
     save_model,
     train_toy_model,
+    train_toy_models,
     tune,
 )
 
@@ -165,6 +166,13 @@ def cross_entropy(w, b, X, y, l2):
     return float(np.mean(ce) + 0.5 * l2 * np.dot(w, w))
 
 
+def lone_grad(X, y, w, b, l2):
+    """``_logistic_grad`` of a batch holding the one member (w, b, l2)."""
+    gw, gb = hypertune._logistic_grad(X, y, w[None], np.array([[b]]),
+                                      np.array([[l2]]))
+    return gw[0], float(gb[0, 0])
+
+
 class TestLogisticLossGrad:
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(42)
@@ -176,7 +184,7 @@ class TestLogisticLossGrad:
             w = rng.normal(size=p) * 0.5
             b = float(rng.normal())
             l2 = float(rng.uniform(0.0, 1e-2))
-            gw, gb = hypertune._logistic_grad(X, y, w, b, l2)
+            gw, gb = lone_grad(X, y, w, b, l2)
             for i in range(p):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
@@ -195,8 +203,8 @@ class TestLogisticLossGrad:
         X = rng.normal(size=(20, 2))
         y = (rng.random(20) > 0.5).astype(np.float64)
         w = np.array([1.0, -2.0])
-        gw0, gb0 = hypertune._logistic_grad(X, y, w, 0.5, 0.0)
-        gw1, gb1 = hypertune._logistic_grad(X, y, w, 0.5, 0.1)
+        gw0, gb0 = lone_grad(X, y, w, 0.5, 0.0)
+        gw1, gb1 = lone_grad(X, y, w, 0.5, 0.1)
         assert np.array_equal(gw1, gw0 + 0.1 * w)
         # the bias gradient carries no penalty term
         assert gb1 == gb0
@@ -205,7 +213,7 @@ class TestLogisticLossGrad:
         X = np.array([[1e4], [-1e4]])
         y = np.array([1.0, 0.0])
         w = np.array([50.0])
-        gw, gb = hypertune._logistic_grad(X, y, w, 0.0, 0.0)
+        gw, gb = lone_grad(X, y, w, 0.0, 0.0)
         assert np.all(np.isfinite(gw))
         assert np.isfinite(gb)
 
@@ -338,6 +346,31 @@ class TestFitMatchesReferenceLoop:
         _assert_fit_matches(model, reference_fit(
             data.X_train, data.y_train, batch_size=batch_size, **kwargs))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 500])
+    @pytest.mark.parametrize("features", [2, 3, 8])
+    def test_lockstep_members_bitwise_equal_to_reference(
+            self, monkeypatch, reference_fit, features, batch_size, seed):
+        # rows of a (K, 3) weight array are not 16-byte aligned
+        monkeypatch.setattr(hypertune, "_BATCH_SIZE", batch_size)
+        data = make_toy_dataset(100, features, seed=features)
+        # 15, 0 and 5 epochs, and a 5e4 learning rate that diverges within
+        # three epochs and leaves the batch while the others train on
+        hps = [HyperParams(0.95, 0.45, 15, 5e-4),
+               HyperParams(0.85, 0.2, 0, 3e-4),
+               HyperParams(0.9, 5e4, 10, 2e-4),
+               HyperParams(0.6, 0.05, 5, 1e-4),
+               HyperParams(0.7, 0.3, 15, 2e-4)]
+        models = train_toy_models(hps, data, seed=seed)
+        assert [model.diverged_ for model in models] == [
+            False, False, True, False, False]
+        for hp, model in zip(hps, models):
+            _assert_fit_matches(model, reference_fit(
+                data.X_train, data.y_train, momentum=hp.momentum,
+                learning_rate=hp.learning_rate, epochs=hp.epochs, l2=hp.l2,
+                batch_size=batch_size, seed=seed))
+
 
 class TestEvaluateLD:
     def test_wide_separation_reaches_zero_error(self):
@@ -379,11 +412,11 @@ def quadratic_training(monkeypatch):
     trained, in order."""
     trained = []
 
-    def train(hp, data, seed=0):
-        trained.append(hp)
-        return hp
+    def train(hps, data, seed=0):
+        trained.extend(hps)
+        return list(hps)
 
-    monkeypatch.setattr(hypertune, "train_toy_model", train)
+    monkeypatch.setattr(hypertune, "train_toy_models", train)
     monkeypatch.setattr(hypertune, "evaluate_L_D",
                         lambda hp, data: quadratic(hp))
     return trained
@@ -450,16 +483,44 @@ class TestTune:
             self, monkeypatch):
         trained = []
 
-        def counting(hp, data, seed=0):
-            trained.append(hp)
-            return train_toy_model(hp, data, seed=seed)
+        def counting(hps, data, seed=0):
+            trained.extend(hps)
+            return train_toy_models(hps, data, seed=seed)
 
-        monkeypatch.setattr(hypertune, "train_toy_model", counting)
+        monkeypatch.setattr(hypertune, "train_toy_models", counting)
         res = tune(EngineConfig(pop_size=30, max_iter=20, seed=0),
                    make_toy_dataset(600, 2, 0, 1.0))
         assert res.trainings == 630
         assert len(trained) == len(set(trained)) == res.distinct_candidates
         assert len(trained) == 132
+
+    def test_a_swarm_of_memoized_rows_makes_no_training_call(
+            self, monkeypatch, quadratic_training):
+        calls = []
+        train = hypertune.train_toy_models
+
+        def counting(hps, data, seed=0):
+            calls.append(len(hps))
+            return train(hps, data, seed)
+
+        def evaluate_each_swarm_twice(config, space, objective):
+            def twice(xs):
+                first = objective(xs)
+                made = len(calls)
+                # every row of the repeat is memoized
+                assert objective(xs).tobytes() == first.tobytes()
+                assert len(calls) == made
+                return first
+
+            twice.vectorized = True
+            return run(config, space, twice)
+
+        monkeypatch.setattr(hypertune, "train_toy_models", counting)
+        monkeypatch.setattr(hypertune, "run", evaluate_each_swarm_twice)
+        res = tune(EngineConfig(pop_size=5, max_iter=3, seed=0),
+                   make_toy_dataset(40))
+        assert sum(calls) == res.distinct_candidates == len(quadratic_training)
+        assert 0 not in calls
 
     def test_memoized_default_equals_an_unmemoized_trainer(self):
         data = make_toy_dataset(600, 2, 0, 1.0)
