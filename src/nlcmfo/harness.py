@@ -140,6 +140,13 @@ def _validate(config: ExperimentConfig) -> dict:
         if (not isinstance(value, (tuple, list))
                 or not all(isinstance(v, str) for v in value)):
             raise ConfigError(f"{name} must be a list of names, got {value!r}")
+        # a repeat would run its cells twice and pool the copies in the
+        # stats; function ids match in any letter case
+        seen = set()
+        for v in value:
+            if v.upper() in seen:
+                raise ConfigError(f"{name} lists {v!r} more than once")
+            seen.add(v.upper())
     if not isinstance(config.composite_pack, (type(None), str, os.PathLike)):
         raise ConfigError(
             f"composite_pack must be a directory, got {config.composite_pack!r}")

@@ -1,7 +1,10 @@
 """Hyperparameter tuning of a small gradient-trained classifier.
 
 The tunable object is a logistic classifier trained by minibatch SGD with
-momentum.  Four hyperparameters are searched over a fixed box:
+momentum.  ``HyperParams`` is the training recipe; ``train_toy_models`` is
+the one trainer, and the ``ToyLogisticClassifier`` it returns is the fitted
+model alone (weights, bias and a divergence flag).  Four hyperparameters are
+searched over a fixed box:
 
     index 0  momentum        [0.5, 1.0]
     index 1  learning rate   [0.01, 0.5]
@@ -17,10 +20,8 @@ lockstep batch and returns every row's L_D.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -85,6 +86,10 @@ def make_toy_dataset(n_samples: int = 600, n_features: int = 2, seed: int = 0,
         raise ValueError("need at least 40 samples")
     if n_features < 2:
         raise ValueError("need at least 2 features")
+    # a NaN or infinite mean gives non-finite rows, on which every
+    # candidate diverges and the tuned L_D is meaningless
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     rng = make_rng(seed)
     n1 = n_samples // 2
     n0 = n_samples - n1
@@ -124,46 +129,76 @@ def _logistic_grad(X, y, w, b, l2):
             np.add.reduce(resid, axis=1, keepdims=True) / m)
 
 
+@dataclass
+class ToyLogisticClassifier:
+    """A logistic classifier fitted by ``train_toy_models``.
+
+    P(y=1 | x) = sigmoid(x @ weights_ + bias_); ``diverged_`` flags a
+    training run whose weights blew up, which ``evaluate_L_D`` scores 100.
+    """
+
+    weights_: np.ndarray
+    bias_: float
+    diverged_: bool = False
+
+    def predict_proba(self, X) -> np.ndarray:
+        return _sigmoid(np.asarray(X, dtype=np.float64) @ self.weights_ + self.bias_)
+
+    def predict(self, X) -> np.ndarray:
+        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+
+
 # rows per SGD minibatch; the last batch of an epoch may be shorter
 _BATCH_SIZE = 32
 
 
-def _fit_lockstep(models, X, y, seed: int) -> None:
-    """Train ``models`` on (X, y) together, one member per classifier.
+def train_toy_models(hps, data: ToyDataset, seed: int = 0) -> list:
+    """One classifier per HyperParams in ``hps``, in input order, each
+    trained on ``data``'s train split by minibatch SGD with momentum.
 
-    Every member draws the same permutation per epoch from ``seed``, so one
-    generator shuffles for all, and each step's elementwise work runs over
-    the (K, ...) arrays of the members still training.  A member leaves at
-    the end of an epoch, when its epochs run out or its weights blew up; it
-    keeps the weights of that epoch's end.
+    Weights and bias start at zero.  Each epoch draws one permutation of the
+    rows from ``make_rng(seed)`` and walks the shuffled copy in batches of
+    32 rows (the last may be shorter).  Update rule per batch:
+    v <- momentum*v - lr*grad; params += v.
+
+    Every member draws the same permutation, so one generator shuffles for
+    all, and each step's elementwise work runs over the (K, ...) arrays of
+    the members still training.  A member leaves at the end of an epoch,
+    when its epochs run out or its weights blew up (``diverged_``); it keeps
+    the weights of that epoch's end.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    # a float count would never equal the integer epoch counter
+    epochs = np.array([int(hp.epochs) for hp in hps], dtype=np.int64)
+    if np.any(epochs < 0):
+        raise ValueError(f"epochs must be >= 0, got {epochs.min()}")
+    X = np.asarray(data.X_train, dtype=np.float64)
+    y = np.asarray(data.y_train, dtype=np.float64)
     n, p = X.shape
+    k = len(hps)
     rng = make_rng(seed)
-    live = list(models)
     # columns, so they scale each member's row
-    momentum, lr, l2 = (np.array([[getattr(model, name)] for model in live])
-                        for name in ("momentum", "learning_rate", "l2"))
-    epochs = np.array([model.epochs for model in live])
-    w = np.zeros((len(live), p))
-    vw = np.zeros((len(live), p))
-    b = np.zeros((len(live), 1))
-    vb = np.zeros((len(live), 1))
-    diverged = np.zeros(len(live), dtype=bool)
+    momentum = np.array([[hp.momentum] for hp in hps], dtype=np.float64)
+    lr = np.array([[hp.learning_rate] for hp in hps], dtype=np.float64)
+    l2 = np.array([[hp.l2] for hp in hps], dtype=np.float64)
+    w = np.zeros((k, p))
+    vw = np.zeros((k, p))
+    b = np.zeros((k, 1))
+    vb = np.zeros((k, 1))
+    diverged = np.zeros(k, dtype=bool)
+    # the position in ``hps`` of each member still training
+    member = np.arange(k)
+    models = [None] * k
     epoch = 0
     while True:
         leave = diverged | (epochs == epoch)
         for i in np.flatnonzero(leave):
-            live[i].weights_ = w[i].copy()
-            live[i].bias_ = float(b[i, 0])
-            live[i].diverged_ = bool(diverged[i])
+            models[member[i]] = ToyLogisticClassifier(
+                w[i].copy(), float(b[i, 0]), bool(diverged[i]))
         stay = ~leave
-        live = [model for model, kept in zip(live, stay) if kept]
-        if not live:
-            return
-        momentum, lr, l2, epochs, w, vw, b, vb = (
-            a[stay] for a in (momentum, lr, l2, epochs, w, vw, b, vb))
+        member, momentum, lr, l2, epochs, w, vw, b, vb = (
+            a[stay] for a in (member, momentum, lr, l2, epochs, w, vw, b, vb))
+        if not member.size:
+            return models
         order = rng.permutation(n)
         Xe, ye = X[order], y[order]
         for start in range(0, n, _BATCH_SIZE):
@@ -176,52 +211,6 @@ def _fit_lockstep(models, X, y, seed: int) -> None:
             b = b + vb
         epoch += 1
         diverged = ~np.isfinite(w).all(axis=1) | (np.abs(w).max(axis=1) > 1e6)
-
-
-class ToyLogisticClassifier:
-    """Logistic regression trained by minibatch SGD with momentum.
-
-    Each epoch draws one permutation of the rows from the seeded generator
-    and walks the shuffled copy in batches of 32 rows (the last may be
-    shorter).  Update rule per batch: v <- momentum*v - lr*grad; params += v.
-    Weights and bias start at zero.  If the weights blow up the run is
-    flagged diverged and training stops early.
-    """
-
-    def __init__(self, momentum: float = 0.9, learning_rate: float = 0.1,
-                 epochs: int = 10, l2: float = 1e-4, seed: int = 0):
-        self.momentum = float(momentum)
-        self.learning_rate = float(learning_rate)
-        self.epochs = int(epochs)
-        self.l2 = float(l2)
-        self.seed = int(seed)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {epochs}")
-        self.weights_: Optional[np.ndarray] = None
-        self.bias_: float = 0.0
-        self.diverged_: bool = False
-
-    def fit(self, X, y):
-        _fit_lockstep([self], X, y, self.seed)
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        if self.weights_ is None:
-            raise RuntimeError("classifier is not fitted")
-        return _sigmoid(np.asarray(X, dtype=np.float64) @ self.weights_ + self.bias_)
-
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
-
-def train_toy_models(hps, data: ToyDataset, seed: int = 0) -> list:
-    """One classifier per HyperParams in ``hps``, each trained on ``data``
-    with trainer seed ``seed``; all of them train in one lockstep batch."""
-    models = [ToyLogisticClassifier(
-        momentum=hp.momentum, learning_rate=hp.learning_rate,
-        epochs=hp.epochs, l2=hp.l2, seed=seed) for hp in hps]
-    _fit_lockstep(models, data.X_train, data.y_train, seed)
-    return models
 
 
 def train_toy_model(hp: HyperParams, data: ToyDataset,
@@ -405,8 +394,6 @@ def roc_auc(points: np.ndarray) -> float:
 
 def save_model(model: ToyLogisticClassifier, path) -> None:
     """Plain-text model dump: one 'key value' pair per line, full precision."""
-    if model.weights_ is None:
-        raise RuntimeError("classifier is not fitted")
     lines = [f"diverged {int(model.diverged_)}", f"bias {float(model.bias_)!r}"]
     lines += [f"w {float(v)!r}" for v in model.weights_]
     with open(path, "w") as fh:
@@ -414,21 +401,19 @@ def save_model(model: ToyLogisticClassifier, path) -> None:
 
 
 def load_model(path) -> ToyLogisticClassifier:
-    model = ToyLogisticClassifier()
-    weights = []
+    diverged, bias, weights = False, 0.0, []
     with open(path) as fh:
         for line in fh:
             key, value = line.split()
             if key == "diverged":
-                model.diverged_ = bool(int(value))
+                diverged = bool(int(value))
             elif key == "bias":
-                model.bias_ = float(value)
+                bias = float(value)
             elif key == "w":
                 weights.append(float(value))
             else:
                 raise ValueError(f"unknown model file key {key!r}")
-    model.weights_ = np.array(weights)
-    return model
+    return ToyLogisticClassifier(np.array(weights), bias, diverged)
 
 
 def export_dataset(data: ToyDataset, path) -> None:
@@ -439,22 +424,3 @@ def export_dataset(data: ToyDataset, path) -> None:
         for X, y, tag in ((data.X_train, data.y_train, "train"),
                           (data.X_test, data.y_test, "test"))
         for row, label in zip(X, y)))
-
-
-def import_dataset(path) -> ToyDataset:
-    train_X, train_y, test_X, test_y = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        p = len(header) - 2
-        for row in reader:
-            feats = [float(v) for v in row[:p]]
-            label = float(row[p])
-            if row[p + 1] == "train":
-                train_X.append(feats)
-                train_y.append(label)
-            else:
-                test_X.append(feats)
-                test_y.append(label)
-    return ToyDataset(np.array(train_X), np.array(train_y),
-                      np.array(test_X), np.array(test_y))

@@ -69,12 +69,13 @@ def make_pack(tmp_path):
 @pytest.fixture
 def reference_fit():
     """The fancy-indexed minibatch loop, kept as the byte reference for
-    ``hypertune.ToyLogisticClassifier.fit``.
+    ``hypertune.train_toy_models``.
 
-    Takes the classifier's constructor arguments and the training split and
-    returns ``(weights, bias, diverged)``.  Its sigmoid and gradient are
-    written out here (``np.clip``, ``np.mean``) so a change to the
-    package's helpers cannot move the reference with it.
+    Takes the training split, the ``HyperParams`` fields, the batch size
+    and the trainer seed and returns ``(weights, bias, diverged)``.  Its
+    sigmoid and gradient are written out here (``np.clip``, ``np.mean``)
+    so a change to the package's helpers cannot move the reference with
+    it.
     """
     def grad(w, b, X, y, l2):
         p = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -60.0, 60.0)))

@@ -206,6 +206,29 @@ class TestBench:
         assert "Traceback" not in err
         assert not (out / "finals.csv").exists()
 
+    def test_repeated_algorithm_flag_fails_before_running(self, tmp_path,
+                                                          capsys):
+        # a repeat would run its cells twice and pool the copies in stats
+        out = tmp_path / "results"
+        rc = main(["bench", "--algorithms", "mfo", "mfo", "--functions", "F1",
+                   "--runs", "2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: algorithms lists 'mfo' more than once\n"
+        assert not (out / "finals.csv").exists()
+
+    def test_repeated_config_function_fails_before_running(self, tmp_path,
+                                                           capsys):
+        # function ids match in any letter case
+        config = tmp_path / "exp.json"
+        config.write_text('{"functions": ["F1", "f1"], "runs": 2}')
+        out = tmp_path / "results"
+        rc = main(["bench", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: functions lists 'f1' more than once\n"
+        assert not (out / "finals.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "exp.json"
         config.write_text('{"algorithms": "mfo", "functions": ["F1"],'
@@ -306,14 +329,18 @@ class TestTune:
 
     def test_export_data_writes_a_loadable_dataset(self, tmp_path, capsys):
         import numpy as np
-        from nlcmfo.hypertune import import_dataset, make_toy_dataset
+        from nlcmfo.hypertune import make_toy_dataset
         out = tmp_path / "t"
         rc = main(TUNE_ARGS + ["--export-data", "--out", str(out)])
         assert rc == 0
-        loaded = import_dataset(out / "dataset.csv")
+        rows = read_csv(out / "dataset.csv")[1:]
+        X_train = np.array([[float(v) for v in row[:-2]]
+                            for row in rows if row[-1] == "train"])
+        y_test = np.array([float(row[-2]) for row in rows
+                           if row[-1] == "test"])
         reference = make_toy_dataset(60, 2, 0, 1.0)
-        assert np.array_equal(loaded.X_train, reference.X_train)
-        assert np.array_equal(loaded.y_test, reference.y_test)
+        assert np.array_equal(X_train, reference.X_train)
+        assert np.array_equal(y_test, reference.y_test)
 
     def test_non_engine_algorithm_is_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -321,6 +348,17 @@ class TestTune:
         assert exc.value.code == 1
         assert "invalid choice: 'pso'" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_non_finite_separation_fails_before_training(
+            self, tmp_path, capsys, separation):
+        out = tmp_path / "t"
+        rc = main(["tune", "--separation", separation, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "separation" in err
+        assert not out.exists()
 
     def test_too_small_sample_count_fails(self, tmp_path, capsys):
         rc = main(["tune", "--samples", "10", "--out", str(tmp_path / "t")])

@@ -137,6 +137,17 @@ class TestConfigValidation:
                                        functions=("F1",), pop_size=2))
         assert ran == []
 
+    @pytest.mark.parametrize("grid", [
+        dict(algorithms=("mfo", "nlcmfo", "mfo"), functions=("F1",)),
+        dict(functions=("F1", "F2", "f1")),
+    ])
+    def test_repeated_name_rejected_before_running(self, monkeypatch, grid):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError, match="more than once"):
+            run_experiment(tiny_config(**grid))
+        assert ran == []
+
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(functions=("F1",), workers=0))

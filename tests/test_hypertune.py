@@ -1,6 +1,7 @@
 """Tests for the hyperparameter tuning stack: decode, toy data, the
 logistic trainer, the tune loop, and the classification metrics."""
 
+import csv
 from dataclasses import asdict
 
 import numpy as np
@@ -15,12 +16,10 @@ from nlcmfo.hypertune import (
     HYPER_UB,
     ConfusionCounts,
     HyperParams,
-    ToyLogisticClassifier,
     confusion,
     decode_hyperparams,
     evaluate_L_D,
     export_dataset,
-    import_dataset,
     load_model,
     make_toy_dataset,
     metrics,
@@ -133,6 +132,11 @@ class TestMakeToyDataset:
         assert np.all(np.abs(c0 - (-sep)) < 0.5)
         assert np.all(np.abs(c1 - sep) < 0.5)
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ValueError, match="separation"):
+            make_toy_dataset(100, 2, seed=0, separation=separation)
+
     def test_same_seed_is_bitwise_identical(self):
         a = make_toy_dataset(100, 2, seed=9)
         b = make_toy_dataset(100, 2, seed=9)
@@ -225,8 +229,7 @@ class TestLogisticLossGrad:
 class TestToyLogisticClassifier:
     def test_zero_learning_rate_keeps_initial_model(self):
         data = make_toy_dataset(100, 2, seed=0)
-        model = ToyLogisticClassifier(learning_rate=0.0, epochs=10, seed=0)
-        model.fit(data.X_train, data.y_train)
+        model = train_toy_model(HyperParams(0.9, 0.0, 10, 1e-4), data, seed=0)
         assert np.all(model.weights_ == 0.0)
         assert model.bias_ == 0.0
         proba = model.predict_proba(data.X_test)
@@ -265,8 +268,7 @@ class TestToyLogisticClassifier:
 
     def test_huge_learning_rate_flags_divergence(self):
         data = make_toy_dataset(100, 2, seed=0)
-        model = ToyLogisticClassifier(learning_rate=1e9, epochs=10, seed=0)
-        model.fit(data.X_train, data.y_train)
+        model = train_toy_model(HyperParams(0.9, 1e9, 10, 1e-4), data, seed=0)
         assert model.diverged_
         assert evaluate_L_D(model, data) == 100.0
 
@@ -274,23 +276,27 @@ class TestToyLogisticClassifier:
         data = make_toy_dataset(600, 2, seed=0)
         norms = []
         for l2 in [1e-4, 1e-3, 1e-2, 1e-1, 1.0]:
-            model = ToyLogisticClassifier(momentum=0.9, learning_rate=0.1,
-                                          epochs=15, l2=l2, seed=0)
-            model.fit(data.X_train, data.y_train)
+            model = train_toy_model(HyperParams(0.9, 0.1, 15, l2), data,
+                                    seed=0)
             norms.append(float(np.linalg.norm(model.weights_)))
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < norms[0]
 
-    def test_negative_epochs_rejected_when_built(self):
+    def test_negative_epochs_rejected_before_training(self, monkeypatch):
+        data = make_toy_dataset(100, 2, seed=0)
+        # no member may start: the check comes before the first shuffle
+        monkeypatch.setattr(hypertune, "make_rng", None)
         with pytest.raises(ValueError, match="epochs"):
-            ToyLogisticClassifier(epochs=-3)
+            train_toy_models([HyperParams(0.9, 0.1, 10, 1e-4),
+                              HyperParams(0.9, 0.1, -3, 1e-4)], data)
 
-    def test_predict_before_fit_raises(self):
-        model = ToyLogisticClassifier()
-        with pytest.raises(RuntimeError):
-            model.predict_proba(np.zeros((3, 2)))
-        with pytest.raises(RuntimeError):
-            model.predict(np.zeros((3, 2)))
+    def test_fractional_epochs_train_the_truncated_count(self):
+        # a float count would never meet the integer epoch counter
+        data = make_toy_dataset(100, 2, seed=0)
+        a = train_toy_model(HyperParams(0.9, 0.1, 2.7, 1e-4), data, seed=3)
+        b = train_toy_model(HyperParams(0.9, 0.1, 2, 1e-4), data, seed=3)
+        assert a.weights_.tobytes() == b.weights_.tobytes()
+        assert a.bias_ == b.bias_
 
     def test_predictions_are_binary_int64(self):
         data = make_toy_dataset(100, 2, seed=0, separation=3.0)
@@ -308,9 +314,9 @@ def _assert_fit_matches(model, reference):
 
 
 class TestFitMatchesReferenceLoop:
-    """fit takes gradient-only steps on per-epoch shuffled slices; it must
-    reproduce the fancy-indexed loss-and-gradient loop bit for bit.  fit
-    always uses batches of 32; the tests also patch in 1, 7 and 500 to
+    """The trainer takes gradient-only steps on per-epoch shuffled slices;
+    it must reproduce the fancy-indexed loss-and-gradient loop bit for bit.
+    It always uses batches of 32; the tests also patch in 1, 7 and 500 to
     reach single-row batches, a batch that divides the split and one that
     holds it all."""
 
@@ -324,11 +330,11 @@ class TestFitMatchesReferenceLoop:
                                         features, batch_size, epochs, seed):
         monkeypatch.setattr(hypertune, "_BATCH_SIZE", batch_size)
         data = make_toy_dataset(100, features, seed=features)
-        kwargs = dict(momentum=0.85, learning_rate=0.2, epochs=epochs,
-                      l2=3e-4, seed=seed)
-        model = ToyLogisticClassifier(**kwargs).fit(data.X_train, data.y_train)
+        hp = HyperParams(0.85, 0.2, epochs, 3e-4)
+        model = train_toy_model(hp, data, seed)
         _assert_fit_matches(model, reference_fit(
-            data.X_train, data.y_train, batch_size=batch_size, **kwargs))
+            data.X_train, data.y_train, batch_size=batch_size, seed=seed,
+            **asdict(hp)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     # 5e4 with batch 32 diverges in its second epoch; 1e9 with batch 1
@@ -339,12 +345,12 @@ class TestFitMatchesReferenceLoop:
             self, monkeypatch, reference_fit, batch_size, learning_rate):
         monkeypatch.setattr(hypertune, "_BATCH_SIZE", batch_size)
         data = make_toy_dataset(100, 3, seed=1)
-        kwargs = dict(momentum=0.9, learning_rate=learning_rate, epochs=10,
-                      l2=1e-4, seed=3)
-        model = ToyLogisticClassifier(**kwargs).fit(data.X_train, data.y_train)
+        hp = HyperParams(0.9, learning_rate, 10, 1e-4)
+        model = train_toy_model(hp, data, seed=3)
         assert model.diverged_
         _assert_fit_matches(model, reference_fit(
-            data.X_train, data.y_train, batch_size=batch_size, **kwargs))
+            data.X_train, data.y_train, batch_size=batch_size, seed=3,
+            **asdict(hp)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", [0, 7])
@@ -713,16 +719,11 @@ class TestPersistence:
 
     def test_diverged_flag_survives_the_round_trip(self, tmp_path):
         data = make_toy_dataset(100, 2, seed=0)
-        model = ToyLogisticClassifier(learning_rate=1e9, epochs=5, seed=0)
-        model.fit(data.X_train, data.y_train)
+        model = train_toy_model(HyperParams(0.9, 1e9, 5, 1e-4), data, seed=0)
         assert model.diverged_
         path = tmp_path / "model.txt"
         save_model(model, path)
         assert load_model(path).diverged_
-
-    def test_saving_an_unfitted_model_raises(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            save_model(ToyLogisticClassifier(), tmp_path / "model.txt")
 
     def test_unknown_model_file_key_raises(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -734,11 +735,17 @@ class TestPersistence:
         data = make_toy_dataset(60, 3, seed=8, separation=1.5)
         path = tmp_path / "dataset.csv"
         export_dataset(data, path)
-        loaded = import_dataset(path)
-        assert np.array_equal(loaded.X_train, data.X_train)
-        assert np.array_equal(loaded.y_train, data.y_train)
-        assert np.array_equal(loaded.X_test, data.X_test)
-        assert np.array_equal(loaded.y_test, data.y_test)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x1", "x2", "x3", "y", "split"]
+        # each feature is the repr of its float, so float() reads it back
+        loaded = {tag: [[float(v) for v in row[:-1]] for row in rows[1:]
+                        if row[-1] == tag] for tag in ("train", "test")}
+        train, test = np.array(loaded["train"]), np.array(loaded["test"])
+        assert np.array_equal(train[:, :-1], data.X_train)
+        assert np.array_equal(train[:, -1], data.y_train)
+        assert np.array_equal(test[:, :-1], data.X_test)
+        assert np.array_equal(test[:, -1], data.y_test)
 
     def test_loaded_model_predicts_like_the_original(self, tmp_path):
         data = make_toy_dataset(100, 2, seed=0, separation=2.0)
