@@ -7,7 +7,7 @@ harness with CSV export, and a hyperparameter tuner for a small
 gradient-trained classifier.
 """
 
-from .baselines import GwoConfig, PsoConfig, run_gwo, run_pso
+from .baselines import run_gwo, run_pso
 from .benchmarks import (BenchmarkFunction, CompositeCollisionError,
                          CompositeUnavailableError, UnknownFunctionError,
                          clear_composites, load_composite_pack, lookup,
@@ -32,8 +32,8 @@ __all__ = [
     "BenchmarkFunction", "ChaoticDomainError", "ChaoticMap",
     "CompositeCollisionError", "CompositeUnavailableError", "ConfigError",
     "ConfusionCounts", "EngineConfig", "ExperimentConfig", "ExperimentResult",
-    "GwoConfig", "HyperParams", "LevySampler", "MetricsReport",
-    "ObjectiveError", "ParameterError", "PsoConfig", "RunResult",
+    "HyperParams", "LevySampler", "MetricsReport",
+    "ObjectiveError", "ParameterError", "RunResult",
     "SearchSpace", "ToyDataset", "ToyLogisticClassifier", "TuneResult",
     "UnknownFunctionError", "clear_composites", "confusion",
     "decode_hyperparams", "evaluate_L_D",

@@ -1,53 +1,23 @@
 """Baseline swarm optimizers run by the engine's shared loop.
 
 Each is a search generator for ``engine.drive``, the loop that also runs
-mfo and nlcmfo, so all four optimizers return the same ``RunResult`` (same
-telemetry, same pop_size * (max_iter + 1) evaluation count) and the harness
-can mix them into one comparison grid.
+mfo and nlcmfo, so all four optimizers take the same ``EngineConfig`` (its
+``algorithm`` "pso" or "gwo"), pass the same validator, return the same
+``RunResult`` (same telemetry, same pop_size * (max_iter + 1) evaluation
+count) and the harness can mix them into one comparison grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # evaluate_swarm is bound here too: perfbench's tracer wraps this module's name
-from .engine import (Objective, RunResult, check_counts, drive,  # noqa: F401
-                     evaluate_swarm, update_flames)
+from .engine import (EngineConfig, Objective, RunResult, drive,  # noqa: F401
+                     evaluate_swarm, update_flames, validate_config)
 from .space import SearchSpace
 
 
-@dataclass
-class PsoConfig:
-    pop_size: int = 30
-    max_iter: int = 500
-    seed: int = 0
-    record_history: bool = False
-
-
-@dataclass
-class GwoConfig:
-    pop_size: int = 30
-    max_iter: int = 500
-    seed: int = 0
-    record_history: bool = False
-
-
-def validate_pso_config(config: PsoConfig) -> None:
-    """Raise the error a PSO run with this config would raise, before it
-    starts: pop_size < 2 or max_iter < 1 (each an integer)."""
-    check_counts(config, {"pop_size": 2, "max_iter": 1})
-
-
-def validate_gwo_config(config: GwoConfig) -> None:
-    """Raise the error a GWO run with this config would raise, before it
-    starts: fewer than three wolves (the alpha, beta and delta leaders) or
-    max_iter < 1 (each an integer)."""
-    check_counts(config, {"pop_size": 3, "max_iter": 1})
-
-
-def _pso(config: PsoConfig, space: SearchSpace, rng):
+def _pso(config: EngineConfig, space: SearchSpace, rng):
     """PSO search for ``drive``: velocities pulled to pbest and gbest."""
     n, dim = config.pop_size, space.dim
     pos, fit = yield space.sample(n, rng)
@@ -92,19 +62,19 @@ def _pso(config: PsoConfig, space: SearchSpace, rng):
             gbest_fit = float(pbest_fit[g])
 
 
-def run_pso(config: PsoConfig, space: SearchSpace, objective: Objective) -> RunResult:
+def run_pso(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
     """Global-best particle swarm with a velocity clamp.
 
     Fully connected topology: every particle is pulled toward its own best
     and the single swarm-wide best, with inertia 0.5 and c1 = c2 = 2.
     Velocities are clamped to 0.2 * (upper - lower) per dimension,
-    positions to the box.
+    positions to the box.  ``config.algorithm`` must be "pso".
     """
-    validate_pso_config(config)
+    validate_config(config, ("pso",))
     return drive(config, space, objective, _pso)
 
 
-def _gwo(config: GwoConfig, space: SearchSpace, rng):
+def _gwo(config: EngineConfig, space: SearchSpace, rng):
     """GWO search for ``drive``: wolves encircle the alpha, beta and delta."""
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
     pos, fit = yield space.sample(n, rng)
@@ -140,12 +110,13 @@ def _gwo(config: GwoConfig, space: SearchSpace, rng):
         leaders, leader_fit = update_flames(leaders, leader_fit, pos, fit, 3)
 
 
-def run_gwo(config: GwoConfig, space: SearchSpace, objective: Objective) -> RunResult:
+def run_gwo(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
     """Grey wolf optimizer: wolves encircle the three best-so-far leaders.
 
     The control parameter a falls linearly from 2 to 0; each wolf
     averages three encircling moves around the alpha, beta and delta
-    leaders, which only ever improve (best-so-far elitism).
+    leaders, which only ever improve (best-so-far elitism), so it needs
+    pop_size >= 3.  ``config.algorithm`` must be "gwo".
     """
-    validate_gwo_config(config)
+    validate_config(config, ("gwo",))
     return drive(config, space, objective, _gwo)

@@ -115,12 +115,12 @@ def _griewank(x):
     return np.sum(x * x, axis=1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=1) + 1.0
 
 
-def _penalty(x, a, k=100.0, m=4.0):
+def _penalty(x, a):
     out = np.zeros_like(x)
     over = x > a
     under = x < -a
-    out[over] = k * (x[over] - a) ** m
-    out[under] = k * (-x[under] - a) ** m
+    out[over] = 100.0 * (x[over] - a) ** 4.0
+    out[under] = 100.0 * (-x[under] - a) ** 4.0
     return np.sum(out, axis=1)
 
 

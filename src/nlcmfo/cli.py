@@ -2,13 +2,15 @@
 
 Subcommands:
     bench   run an algorithm x function experiment grid, export CSV
-    tune    tune the toy classifier's hyperparameters, export CSV reports
+    tune    tune the toy classifier's hyperparameters with mfo or nlcmfo,
+            export CSV reports
     eval    evaluate one benchmark function at a point
     diag    single diagnostic run with full telemetry CSVs
 
 Exit codes: 0 success, 1 configuration error (bad arguments, unknown
-function or algorithm, unreadable config) detected before any runs,
-2 runtime failure (a run aborted mid-experiment).
+function or algorithm, unreadable config, an --out that cannot be a
+directory) detected before any runs, 2 runtime failure (a run aborted
+mid-experiment, or tune's best model diverged in training).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import benchmarks
-from .engine import EngineConfig, ObjectiveError
+from .engine import MOTH_FLAME, EngineConfig, ObjectiveError
 from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ExperimentConfig,
                       export_experiment, load_experiment_config,
                       run_experiment, summarize, write_curves,
@@ -53,7 +55,18 @@ def _expand_functions(names):
     return tuple(dict.fromkeys(out))  # drop repeats, keep first-seen order
 
 
+def _out_dir(path) -> Path:
+    """``--out`` as a Path, checked before any run but not created: the
+    nearest part of it that exists must be a directory."""
+    out_dir = Path(path)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {path}: {existing} is not a directory")
+    return out_dir
+
+
 def _cmd_bench(args) -> int:
+    out_dir = _out_dir(args.out)
     if args.config:
         config = load_experiment_config(args.config)
     else:
@@ -71,7 +84,6 @@ def _cmd_bench(args) -> int:
         config.base_seed = args.seed
 
     result = run_experiment(config)
-    out_dir = Path(args.out)
     export_experiment(result, out_dir)
     for row in summarize(result.records):
         print(f"{row.algorithm:7s} {row.function:4s} d={row.dim:<5d} "
@@ -90,6 +102,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    out_dir = _out_dir(args.out)
     data = make_toy_dataset(args.samples, args.features, args.data_seed,
                             args.separation)
     config = EngineConfig(algorithm=args.algorithm, pop_size=args.pop_size,
@@ -97,6 +110,10 @@ def _cmd_tune(args) -> int:
     outcome = tune(config, data, trainer_seed=args.trainer_seed)
     model = train_toy_model(outcome.best_hyperparams, data,
                             seed=args.trainer_seed)
+    if model.diverged_:
+        print(f"error: the tuned model diverged in training (best L_D="
+              f"{outcome.best_L_D:.6g}); nothing written", file=sys.stderr)
+        return 2
     scores = model.predict_proba(data.X_test)
     pred = model.predict(data.X_test)
     cm = confusion(pred, data.y_test)
@@ -104,7 +121,6 @@ def _cmd_tune(args) -> int:
     points = roc_points(scores, data.y_test)
     auc = roc_auc(points)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     hp = outcome.best_hyperparams
     write_table(out_dir / "hyperparams.csv", ["name", "value"], [
@@ -152,6 +168,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    out_dir = _out_dir(args.out)
     rec = run_experiment(ExperimentConfig(
         algorithms=(args.algorithm,), functions=(args.function,),
         dim=args.dim, runs=1, pop_size=args.pop_size, max_iter=args.max_iter,
@@ -160,7 +177,6 @@ def _cmd_diag(args) -> int:
         print(f"error: {rec.error}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, header, curve in (
             ("convergence", "best_so_far", rec.convergence),
@@ -197,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     tune_p = sub.add_parser("tune", help="tune the toy classifier")
-    tune_p.add_argument("--algorithm", default="nlcmfo", choices=[
-        name for name, (cls, _, _) in ALGORITHMS.items()
-        if cls is EngineConfig])
+    tune_p.add_argument("--algorithm", default="nlcmfo", choices=MOTH_FLAME)
     tune_p.add_argument("--pop-size", dest="pop_size", type=int, default=30)
     tune_p.add_argument("--max-iter", dest="max_iter", type=int, default=20)
     tune_p.add_argument("--seed", type=int, default=0)

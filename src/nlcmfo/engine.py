@@ -34,7 +34,11 @@ from .stochastic import ChaoticMap, LevySampler, make_rng
 
 Objective = Callable[[np.ndarray], float]
 
-_ALGORITHMS = ("mfo", "nlcmfo")
+# the algorithms ``run`` drives; ``run_pso`` and ``run_gwo`` drive the rest
+MOTH_FLAME = ("mfo", "nlcmfo")
+
+# the smallest pop_size of each algorithm: gwo's moves need three leaders
+_POP_FLOORS = {"mfo": 2, "nlcmfo": 2, "pso": 2, "gwo": 3}
 
 
 class ObjectiveError(RuntimeError):
@@ -58,6 +62,8 @@ class ObjectiveError(RuntimeError):
 
 @dataclass
 class EngineConfig:
+    """The run config of all four optimizers; ``algorithm`` names one."""
+
     algorithm: str = "nlcmfo"
     pop_size: int = 30
     max_iter: int = 500
@@ -135,18 +141,18 @@ def _cos2pi(t):
     return np.where(np.mod(t, 0.5) == 0.25, 0.0, c)
 
 
-def spiral_step_mfo(moth, flame, b: float, t):
-    """Log-spiral move: S = |F - M| * e^(b t) * cos(2 pi t) + F.
+def spiral_step_mfo(moth, flame, t):
+    """Log-spiral move: S = |F - M| * e^t * cos(2 pi t) + F (spiral shape b = 1).
 
     Broadcasts: rows or full (n, d) matrices, with t scalar or shaped to
     broadcast against the position array (e.g. (n, 1) for per-moth times).
     """
     d = np.abs(np.asarray(flame) - np.asarray(moth))
-    return d * np.exp(b * np.asarray(t)) * _cos2pi(t) + flame
+    return d * np.exp(np.asarray(t)) * _cos2pi(t) + flame
 
 
-def spiral_step_nlcmfo(moth, flame, b: float, t, w: float, levy):
-    """Levy-perturbed damped spiral: S = w*R.D*e^(bt)cos(2 pi t) + R.F.
+def spiral_step_nlcmfo(moth, flame, t, w: float, levy):
+    """Levy-perturbed damped spiral: S = w*R.D*e^t cos(2 pi t) + R.F (b = 1).
 
     R (the Levy row or matrix) multiplies both the spiral term and the
     flame attractor element-wise; the flame term is deliberately perturbed
@@ -156,7 +162,7 @@ def spiral_step_nlcmfo(moth, flame, b: float, t, w: float, levy):
     """
     d = np.abs(np.asarray(flame) - np.asarray(moth))
     levy = np.asarray(levy)
-    spiral = w * levy * d * np.exp(b * np.asarray(t)) * _cos2pi(t)
+    spiral = w * levy * d * np.exp(np.asarray(t)) * _cos2pi(t)
     return spiral + levy * np.asarray(flame)
 
 
@@ -204,17 +210,17 @@ def update_flames(
 
 
 class MapScheduler:
-    """Stagnation-driven toggle between a primary and a secondary chaotic map.
+    """Stagnation-driven toggle between the sine map (primary) and the
+    chebyshev map (secondary), both started at 0.7.
 
     Each iteration the engine compares the flame fitness vector with the
-    previous iteration's; ``window`` consecutive exact repeats toggle the
-    active map and reset the counter, any change resets the counter.
+    previous iteration's; five consecutive exact repeats toggle the active
+    map and reset the counter, any change resets the counter.
     """
 
-    def __init__(self, primary: ChaoticMap, secondary: ChaoticMap, window: int):
-        self.primary = primary
-        self.secondary = secondary
-        self.window = window
+    def __init__(self):
+        self.primary = ChaoticMap("sine", 0.7)
+        self.secondary = ChaoticMap("chebyshev", 0.7)
         self.active_is_primary = True
         self.counter = 0
 
@@ -226,7 +232,7 @@ class MapScheduler:
         """Feed one iteration's flame fitness; True when the map toggled."""
         if np.array_equal(fitness_now, fitness_prev):
             self.counter += 1
-            if self.counter >= self.window:
+            if self.counter >= 5:
                 self.active_is_primary = not self.active_is_primary
                 self.counter = 0
                 return True
@@ -246,14 +252,19 @@ def check_counts(config, floors: dict) -> None:
             raise ValueError(f"{name} must be >= {floor}")
 
 
-def validate_config(config: EngineConfig) -> None:
+def validate_config(config: EngineConfig,
+                    algorithms: tuple = tuple(_POP_FLOORS)) -> None:
     """Raise the error a run with this config would raise, before it starts:
-    an unknown algorithm, or pop_size < 2 or max_iter < 1 (each an integer)."""
-    if config.algorithm not in _ALGORITHMS:
+    an algorithm outside ``algorithms`` (by default all four), or pop_size
+    below the algorithm's floor (3 for gwo, 2 for the rest) or max_iter < 1
+    (each an integer)."""
+    if config.algorithm not in algorithms:
         raise ValueError(
-            f"unknown algorithm {config.algorithm!r}; choose one of {_ALGORITHMS}"
+            f"unsupported algorithm {config.algorithm!r}; choose one of "
+            f"{algorithms}"
         )
-    check_counts(config, {"pop_size": 2, "max_iter": 1})
+    check_counts(config, {"pop_size": _POP_FLOORS[config.algorithm],
+                          "max_iter": 1})
 
 
 def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult:
@@ -311,8 +322,8 @@ def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult
 def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     """mfo / nlcmfo search for ``drive``: spiral moves around ranked flames.
 
-    Fixed constants: spiral shape b = 1; for nlcmfo, Levy alpha 1.5, the
-    sine and chebyshev maps started at 0.7, and a stagnation window of 5.
+    Fixed constants: spiral shape b = 1; for nlcmfo, Levy alpha 1.5 and
+    ``MapScheduler``'s maps and window.
     """
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
     chaotic = config.algorithm == "nlcmfo"
@@ -322,8 +333,7 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
     if chaotic:
         sampler = LevySampler(1.5)
-        scheduler = MapScheduler(
-            ChaoticMap("sine", 0.7), ChaoticMap("chebyshev", 0.7), 5)
+        scheduler = MapScheduler()
 
     moth_idx = np.arange(n)
     for l in range(1, big_t + 1):
@@ -336,10 +346,10 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
             cm = scheduler.active.steps(n)
             t = t_nlcmfo(a, cm)
             levy = sampler.matrix(n, dim, rng)
-            moths = spiral_step_nlcmfo(moths, paired, 1.0, t[:, None], w, levy)
+            moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy)
         else:
             t = t_mfo(a, rng, size=n)
-            moths = spiral_step_mfo(moths, paired, 1.0, t[:, None])
+            moths = spiral_step_mfo(moths, paired, t[:, None])
         # the move rebinds ``moths`` before it is yielded, which frees the
         # previous swarm as early as a plain loop would; yielding the
         # spiral expression directly changed glibc's heap trimming at
@@ -353,5 +363,5 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
 
 def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
     """Execute one seeded mfo or nlcmfo run; see the module docstring."""
-    validate_config(config)
+    validate_config(config, MOTH_FLAME)
     return drive(config, space, objective, _moth_flame)

@@ -29,20 +29,14 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks
-from .baselines import (GwoConfig, PsoConfig, run_gwo, run_pso,
-                        validate_gwo_config, validate_pso_config)
+from .baselines import run_gwo, run_pso
 from .engine import (EngineConfig, ObjectiveError, check_counts, run,
                      validate_config)
 
-# The one algorithm registry: name -> (config class, validator, runner name).
-# A runner is looked up in this module by name when a run starts, so a
-# wrapper installed on harness.run / run_pso / run_gwo sees every run.
-ALGORITHMS = {
-    "mfo": (EngineConfig, validate_config, "run"),
-    "nlcmfo": (EngineConfig, validate_config, "run"),
-    "pso": (PsoConfig, validate_pso_config, "run_pso"),
-    "gwo": (GwoConfig, validate_gwo_config, "run_gwo"),
-}
+# The one algorithm registry: name -> runner name.  A runner is looked up
+# in this module by name when a run starts, so a wrapper installed on
+# harness.run / run_pso / run_gwo sees every run.
+ALGORITHMS = {"mfo": "run", "nlcmfo": "run", "pso": "run_pso", "gwo": "run_gwo"}
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
 
 
@@ -173,17 +167,15 @@ def _validate(config: ExperimentConfig) -> dict:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
         )
-    # each optimizer's own validator owns its pop_size and max_iter checks
+    # the engine's validator owns the pop_size and max_iter checks
     configs = {}
     for algorithm in config.algorithms:
-        cls, validate, _ = ALGORITHMS[algorithm]
-        kwargs = {"algorithm": algorithm} if cls is EngineConfig else {}
-        configs[algorithm] = cls(
-            **kwargs, pop_size=config.pop_size, max_iter=config.max_iter,
-            seed=config.base_seed,
+        configs[algorithm] = EngineConfig(
+            algorithm=algorithm, pop_size=config.pop_size,
+            max_iter=config.max_iter, seed=config.base_seed,
             record_history=config.telemetry == "full-history")
         try:
-            validate(configs[algorithm])
+            validate_config(configs[algorithm])
         except (TypeError, ValueError) as exc:  # TypeError: e.g. 30.0 from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
     return configs
@@ -219,7 +211,7 @@ def _execute_task(task) -> RunRecord:
     space = func.space(dim)
     objective = func.objective(rng=func.noise_rng(config.seed))
     try:
-        result = globals()[ALGORITHMS[algorithm][2]](config, space, objective)
+        result = globals()[ALGORITHMS[algorithm]](config, space, objective)
     except Exception as exc:  # a failed run is recorded; the grid goes on
         return _aborted(task, exc)
     keep_curves = telemetry in ("curves", "full-history")

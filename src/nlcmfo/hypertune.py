@@ -152,6 +152,9 @@ class ToyLogisticClassifier:
 _BATCH_SIZE = 32
 
 
+# a blown-up training overflows in matmul; ``diverged_`` reports it, so
+# numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train_toy_models(hps, data: ToyDataset, seed: int = 0) -> list:
     """One classifier per HyperParams in ``hps``, in input order, each
     trained on ``data``'s train split by minibatch SGD with momentum.

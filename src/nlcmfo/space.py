@@ -41,8 +41,6 @@ class SearchSpace:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n uniform points: lower + (upper - lower) * U[0,1), shape (n, dim)."""
-        if n < 1:
-            raise ValueError("need at least one sample")
         return self.lower + (self.upper - self.lower) * rng.random((n, self.dim))
 
     def clip(self, positions: np.ndarray) -> np.ndarray:

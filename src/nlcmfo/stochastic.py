@@ -84,15 +84,12 @@ class ChaoticMap:
             )
         self.kind = kind
         self._step_fn, self._lo, self._hi = _MAPS[kind]
-        self._check_domain(state)
-        self.state = float(state)
-
-    def _check_domain(self, x: float) -> None:
-        if not (self._lo <= x <= self._hi) or not math.isfinite(x):
+        if not (self._lo <= state <= self._hi) or not math.isfinite(state):
             raise ChaoticDomainError(
-                f"{self.kind} map state {x!r} outside native domain "
+                f"{kind} map state {state!r} outside native domain "
                 f"[{self._lo}, {self._hi}]"
             )
+        self.state = float(state)
 
     def step(self) -> float:
         """Advance one step; return the normalized next value in [0, 1]."""
@@ -101,11 +98,10 @@ class ChaoticMap:
     def steps(self, k: int) -> np.ndarray:
         """Advance k steps; return the k normalized next values in [0, 1].
 
-        The state gets the domain check once: both maps send their domain
-        into itself, and the keep-alive nudge keeps later states off the
-        absorbing points.
+        The state needs no domain check here: the constructor checks the
+        start state, both maps send their domain into itself, and the
+        keep-alive nudge keeps later states off the absorbing points.
         """
-        self._check_domain(self.state)
         step_fn, keep_alive = self._step_fn, self._keep_alive
         state = self.state
         raw = []
@@ -155,8 +151,6 @@ class LevySampler:
 
     def matrix(self, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
         """rows x cols array of independent draws (fresh per call)."""
-        if rows < 1 or cols < 1:
-            raise ParameterError("levy matrix shape must be at least 1x1")
         x = rng.normal(0.0, self.sigma_x, size=(rows, cols))
         y = rng.normal(0.0, 1.0, size=(rows, cols))
         zero = y == 0.0

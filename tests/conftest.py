@@ -122,7 +122,7 @@ def reference_runs():
                                evaluate_swarm, flame_count, nonlinear_weight,
                                spiral_step_mfo, spiral_step_nlcmfo, t_mfo,
                                t_nlcmfo, update_flames)
-    from nlcmfo.stochastic import ChaoticMap, LevySampler
+    from nlcmfo.stochastic import LevySampler
 
     def telemetry(config, space):
         big_t = config.max_iter
@@ -141,8 +141,7 @@ def reference_runs():
         flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
         if chaotic:
             sampler = LevySampler(1.5)
-            scheduler = MapScheduler(ChaoticMap("sine", 0.7),
-                                     ChaoticMap("chebyshev", 0.7), 5)
+            scheduler = MapScheduler()
             prev_fit = flame_fit.copy()
         convergence, mean_fitness, trajectory, history = telemetry(config, space)
         moth_idx = np.arange(n)
@@ -154,11 +153,10 @@ def reference_runs():
                 w = nonlinear_weight(l, big_t)
                 t = t_nlcmfo(a, scheduler.active.steps(n))
                 levy = sampler.matrix(n, dim, rng)
-                moths = spiral_step_nlcmfo(moths, paired, 1.0, t[:, None],
-                                           w, levy)
+                moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy)
             else:
                 t = t_mfo(a, rng, size=n)
-                moths = spiral_step_mfo(moths, paired, 1.0, t[:, None])
+                moths = spiral_step_mfo(moths, paired, t[:, None])
             moths = space.clip(moths)
             fitness = evaluate_swarm(objective, moths)
             evaluations += n

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from nlcmfo.baselines import (GwoConfig, PsoConfig, _gwo, _pso, run_gwo,
-                              run_pso)
+from nlcmfo.baselines import _gwo, _pso, run_gwo, run_pso
 from nlcmfo.engine import (EngineConfig, ObjectiveError, evaluate_swarm, run,
                            update_flames)
 from nlcmfo.space import SearchSpace
@@ -19,15 +18,23 @@ def _space(dim=2, half=5.0):
     return SearchSpace.cube(dim, -half, half)
 
 
+def _pso_config(**kwargs):
+    return EngineConfig(algorithm="pso", **kwargs)
+
+
+def _gwo_config(**kwargs):
+    return EngineConfig(algorithm="gwo", **kwargs)
+
+
 def test_config_defaults():
-    pso = PsoConfig()
+    pso = EngineConfig(algorithm="pso")
     assert (pso.pop_size, pso.max_iter, pso.seed) == (30, 500, 0)
-    gwo = GwoConfig()
+    gwo = EngineConfig(algorithm="gwo")
     assert (gwo.pop_size, gwo.max_iter, gwo.seed) == (30, 500, 0)
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),
-                                        (run_gwo, GwoConfig)])
+@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
+                                        (run_gwo, _gwo_config)])
 def test_telemetry_contract(runner, cfg):
     n, big_t = 10, 30
     result = runner(cfg(pop_size=n, max_iter=big_t, seed=3), _space(3), sphere)
@@ -41,8 +48,8 @@ def test_telemetry_contract(runner, cfg):
     assert _space(3).contains(result.best_position[None, :])
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),
-                                        (run_gwo, GwoConfig)])
+@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
+                                        (run_gwo, _gwo_config)])
 def test_bitwise_replay(runner, cfg):
     config = cfg(pop_size=8, max_iter=25, seed=7, record_history=True)
     a = runner(config, _space(), sphere)
@@ -55,8 +62,8 @@ def test_bitwise_replay(runner, cfg):
 def test_pso_velocity_clamp_bounds_step_size():
     # a box wide enough that the clamp, not the walls, limits every step
     space = _space(2, 50.0)
-    result = run_pso(PsoConfig(pop_size=8, max_iter=20, seed=1,
-                               record_history=True), space, sphere)
+    result = run_pso(_pso_config(pop_size=8, max_iter=20, seed=1,
+                                 record_history=True), space, sphere)
     vmax = 0.2 * (space.upper - space.lower)   # 20 per dimension
     steps = np.abs(np.diff(result.history, axis=0))
     assert steps.max() <= vmax.max() + 1e-12
@@ -64,7 +71,8 @@ def test_pso_velocity_clamp_bounds_step_size():
     assert steps.max() == pytest.approx(vmax.max())
 
 
-@pytest.mark.parametrize("search,cfg", [(_pso, PsoConfig), (_gwo, GwoConfig)])
+@pytest.mark.parametrize("search,cfg", [(_pso, _pso_config),
+                                        (_gwo, _gwo_config)])
 def test_yielded_moves_are_fresh_and_never_rewritten(search, cfg):
     # the moves are computed in per-run buffers; a buffer that leaked into
     # a yielded move would share memory with it and be rewritten later
@@ -86,18 +94,18 @@ def test_yielded_moves_are_fresh_and_never_rewritten(search, cfg):
 
 def test_gwo_requires_three_leaders():
     with pytest.raises(ValueError):
-        run_gwo(GwoConfig(pop_size=2, max_iter=5), _space(), sphere)
+        run_gwo(_gwo_config(pop_size=2, max_iter=5), _space(), sphere)
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),
-                                        (run_gwo, GwoConfig)])
+@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
+                                        (run_gwo, _gwo_config)])
 def test_bad_iteration_count_rejected(runner, cfg):
     with pytest.raises(ValueError):
         runner(cfg(pop_size=5, max_iter=0), _space(), sphere)
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, PsoConfig),
-                                        (run_gwo, GwoConfig)])
+@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
+                                        (run_gwo, _gwo_config)])
 def test_objective_errors_propagate(runner, cfg):
     def bad(x):
         return float("nan")
@@ -147,8 +155,10 @@ def test_reduced_scale_ordering_on_sphere():
         return float(np.mean([
             runner(cfg(s), space, sphere).best_fitness for s in seeds]))
 
-    pso = mean_best(run_pso, lambda s: PsoConfig(pop_size=15, max_iter=80, seed=s))
-    gwo = mean_best(run_gwo, lambda s: GwoConfig(pop_size=15, max_iter=80, seed=s))
+    pso = mean_best(run_pso, lambda s: _pso_config(pop_size=15, max_iter=80,
+                                                   seed=s))
+    gwo = mean_best(run_gwo, lambda s: _gwo_config(pop_size=15, max_iter=80,
+                                                   seed=s))
     chaotic = mean_best(run, lambda s: EngineConfig(algorithm="nlcmfo",
                                                     pop_size=15, max_iter=80,
                                                     seed=s))

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from nlcmfo import benchmarks, harness
+from nlcmfo import benchmarks, cli, harness
 from nlcmfo.benchmarks import clear_composites, register_composite
 from nlcmfo.cli import _expand_functions, main
 from nlcmfo.engine import EngineConfig, run
@@ -360,6 +360,22 @@ class TestTune:
         assert "separation" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_best_model_fails_without_outputs(self, tmp_path, capsys):
+        # every candidate blows up on data this far apart, so the retrained
+        # best model is flagged diverged and has no score worth reporting;
+        # numpy's overflow warnings would only repeat the flag
+        out = tmp_path / "t"
+        rc = main(["tune", "--separation", "1e200", "--pop-size", "5",
+                   "--max-iter", "2", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert "diverged" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_too_small_sample_count_fails(self, tmp_path, capsys):
         rc = main(["tune", "--samples", "10", "--out", str(tmp_path / "t")])
         assert rc == 1
@@ -462,6 +478,25 @@ class TestDiag:
 # ---------------------------------------------------------------------------
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", ["bench", "tune", "diag"])
+    def test_out_on_an_existing_file_fails_before_any_run(
+            self, command, below, tmp_path, capsys, monkeypatch):
+        ran = []
+        for name in ("run_experiment", "tune"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: ran.append(a))
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if below else taken
+        rc = main([command, "--pop-size", "5", "--max-iter", "2",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "not a directory" in err
+        assert ran == []
+        assert taken.read_text() == "keep"
+
     def test_missing_subcommand_exits_with_config_error_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

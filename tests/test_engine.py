@@ -101,14 +101,14 @@ def test_t_nlcmfo_range(a, cm):
 
 
 def test_spiral_mfo_example():
-    got = spiral_step_mfo(np.array([0.0]), np.array([1.0]), 1.0, -1.0)
+    got = spiral_step_mfo(np.array([0.0]), np.array([1.0]), -1.0)
     assert float(got[0]) == pytest.approx(1.3678794411714423, abs=1e-12)
 
 
 def test_spiral_mfo_zero_distance_returns_flame():
     flame = np.array([2.0, -3.0, 0.5])
     for t in (-1.7, -0.3, 0.9):
-        got = spiral_step_mfo(flame, flame, 1.0, t)
+        got = spiral_step_mfo(flame, flame, t)
         assert np.array_equal(got, flame)
 
 
@@ -117,12 +117,12 @@ def test_spiral_mfo_quarter_t_lands_on_flame_exactly():
     flame = np.array([[1.0, 4.0], [-0.5, 2.5]])
     for k in (-3, -1, 0, 1, 4):
         t = 0.25 + k / 2
-        got = spiral_step_mfo(moth, flame, 1.0, t)
+        got = spiral_step_mfo(moth, flame, t)
         assert np.array_equal(got, flame), t
 
 
 def test_spiral_nlcmfo_example():
-    got = spiral_step_nlcmfo(np.array([0.0]), np.array([1.0]), 1.0, -1.0,
+    got = spiral_step_nlcmfo(np.array([0.0]), np.array([1.0]), -1.0,
                              4.0, np.array([0.1]))
     assert float(got[0]) == pytest.approx(0.247152, abs=1e-6)
 
@@ -130,7 +130,7 @@ def test_spiral_nlcmfo_example():
 def test_spiral_nlcmfo_zero_weight_identity_row_returns_flame():
     moth = np.array([0.3, 0.4])
     flame = np.array([1.0, 2.0])
-    got = spiral_step_nlcmfo(moth, flame, 1.0, 0.7, 0.0, np.ones(2))
+    got = spiral_step_nlcmfo(moth, flame, 0.7, 0.0, np.ones(2))
     assert np.array_equal(got, flame)
 
 
@@ -138,7 +138,7 @@ def test_spiral_nlcmfo_zero_distance_scales_flame():
     # a converged moth is still perturbed: the move becomes levy * flame
     flame = np.array([2.0, -1.0])
     levy = np.array([0.25, 3.0])
-    got = spiral_step_nlcmfo(flame, flame, 1.0, 0.4, 2.0, levy)
+    got = spiral_step_nlcmfo(flame, flame, 0.4, 2.0, levy)
     assert np.array_equal(got, levy * flame)
 
 
@@ -147,9 +147,9 @@ def test_spiral_broadcast_shapes():
     moth = rng.random((6, 3))
     flame = rng.random((6, 3))
     t = rng.random(6)[:, None]
-    assert spiral_step_mfo(moth, flame, 1.0, t).shape == (6, 3)
+    assert spiral_step_mfo(moth, flame, t).shape == (6, 3)
     levy = rng.random((6, 3))
-    assert spiral_step_nlcmfo(moth, flame, 1.0, t, 2.0, levy).shape == (6, 3)
+    assert spiral_step_nlcmfo(moth, flame, t, 2.0, levy).shape == (6, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +266,15 @@ def test_update_flames_never_worsens():
 # ---------------------------------------------------------------------------
 
 
-def _scheduler(window=5):
-    return MapScheduler(ChaoticMap("sine", 0.7), ChaoticMap("chebyshev", 0.7),
-                        window)
-
-
 def test_scheduler_starts_on_primary():
-    s = _scheduler()
+    s = MapScheduler()
     assert s.active is s.primary
+    assert (s.primary.kind, s.primary.state) == ("sine", 0.7)
+    assert (s.secondary.kind, s.secondary.state) == ("chebyshev", 0.7)
 
 
 def test_scheduler_toggles_after_window_repeats():
-    s = _scheduler(window=5)
+    s = MapScheduler()
     same = np.array([1.0, 2.0])
     for _ in range(4):
         assert s.observe(same, same) is False
@@ -286,33 +283,35 @@ def test_scheduler_toggles_after_window_repeats():
 
 
 def test_scheduler_change_resets_counter():
-    s = _scheduler(window=3)
+    s = MapScheduler()
     same = np.array([1.0])
-    s.observe(same, same)
-    s.observe(same, same)
+    for _ in range(4):
+        s.observe(same, same)
     assert s.observe(same, np.array([0.5])) is False   # progress: reset
-    s.observe(same, same)
-    s.observe(same, same)
+    for _ in range(4):
+        assert s.observe(same, same) is False
     assert s.observe(same, same) is True
 
 
 def test_scheduler_toggles_back_after_another_window():
-    s = _scheduler(window=2)
+    s = MapScheduler()
     same = np.array([1.0])
-    s.observe(same, same)
-    assert s.observe(same, same) is True
-    assert s.active is s.secondary
-    s.observe(same, same)
-    assert s.observe(same, same) is True
-    assert s.active is s.primary
+    for active in ("secondary", "primary"):
+        for _ in range(4):
+            assert s.observe(same, same) is False
+        assert s.observe(same, same) is True
+        assert s.active is getattr(s, active)
 
 
 def test_scheduler_near_equal_is_progress():
     # stagnation means an exactly repeated fitness vector, not a close one
-    s = _scheduler(window=1)
+    s = MapScheduler()
     now = np.array([1.0])
+    for _ in range(4):
+        s.observe(now, now)
     assert s.observe(now, np.array([1.0 + 1e-12])) is False
     assert s.active is s.primary
+    assert s.observe(now, now) is False   # the near-equal reset the count
 
 
 # ---------------------------------------------------------------------------

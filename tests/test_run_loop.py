@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcmfo.baselines import GwoConfig, PsoConfig, run_gwo, run_pso
+from nlcmfo.baselines import run_gwo, run_pso
 from nlcmfo.benchmarks import lookup
 from nlcmfo.engine import EngineConfig, drive, run
 from nlcmfo.harness import ExperimentConfig, run_experiment
@@ -19,14 +19,6 @@ from nlcmfo.stochastic import make_rng
 
 ALGORITHMS = ("mfo", "nlcmfo", "pso", "gwo")
 RUNNERS = {"mfo": run, "nlcmfo": run, "pso": run_pso, "gwo": run_gwo}
-
-
-def _config(algorithm, **kwargs):
-    if algorithm == "pso":
-        return PsoConfig(**kwargs)
-    if algorithm == "gwo":
-        return GwoConfig(**kwargs)
-    return EngineConfig(algorithm=algorithm, **kwargs)
 
 
 def _per_row(x):
@@ -71,8 +63,8 @@ def _result_bytes(result):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
                                                 kind, record_history, seed):
-    config = _config(algorithm, pop_size=7, max_iter=12, seed=seed,
-                     record_history=record_history)
+    config = EngineConfig(algorithm, pop_size=7, max_iter=12, seed=seed,
+                          record_history=record_history)
     space, objective = _problem(kind, seed)
     got = RUNNERS[algorithm](config, space, objective)
     space, objective = _problem(kind, seed)
@@ -84,8 +76,8 @@ def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
 def test_baseline_runners_match_reference_loops_at_d200(reference_runs,
                                                         algorithm):
     # a non-toy shape for the baselines' per-run draw and work buffers
-    config = _config(algorithm, pop_size=30, max_iter=10, seed=5,
-                     record_history=True)
+    config = EngineConfig(algorithm, pop_size=30, max_iter=10, seed=5,
+                          record_history=True)
     func = lookup("F1")
     got = RUNNERS[algorithm](config, func.space(200), func.objective())
     want = reference_runs[algorithm](config, func.space(200), func.objective())
@@ -128,10 +120,31 @@ def test_non_integer_counts_rejected_before_the_run(algorithm, bad):
         calls.append(x)
         return _per_row(x)
 
-    config = _config(algorithm, **{"pop_size": 5, "max_iter": 3, **bad})
+    config = EngineConfig(algorithm, **{"pop_size": 5, "max_iter": 3, **bad})
     space, _ = _problem("per-row", 0)
     with pytest.raises(TypeError, match="must be an integer"):
         RUNNERS[algorithm](config, space, objective)
+    assert calls == []
+
+
+@pytest.mark.parametrize("runner,algorithm", [
+    (runner, algorithm) for runner in (run, run_pso, run_gwo)
+    for algorithm in ALGORITHMS + ("simplex",)
+    if RUNNERS.get(algorithm) is not runner],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_runners_refuse_other_algorithms_before_the_run(runner, algorithm):
+    # each runner drives only its own algorithms; any other is refused by
+    # the validator, before the objective sees a point
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return _per_row(x)
+
+    space, _ = _problem("per-row", 0)
+    config = EngineConfig(algorithm, pop_size=5, max_iter=3)
+    with pytest.raises(ValueError, match=f"unsupported algorithm '{algorithm}'"):
+        runner(config, space, objective)
     assert calls == []
 
 
