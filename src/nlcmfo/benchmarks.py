@@ -43,13 +43,14 @@ class CompositeCollisionError(ValueError):
 # raw function bodies
 # ---------------------------------------------------------------------------
 #
-# Every body takes an (n, d) swarm and returns its n values, reducing along
-# axis 1; a single point is a one-row swarm.  Each row equals the value the
-# point would get on its own, bit for bit: row-wise sum/prod/cumsum/max over
-# a C-contiguous array reduce exactly like the 1-d call, and a term whose
-# vector form rounds differently from the scalar one (math.exp against the
-# SIMD np.exp, Python ``**`` against np.power) is computed per row in Python
-# over ``.tolist()``.
+# Every body is an objective as the engine calls it: it takes an (n, d)
+# float64 swarm and returns its n values, reducing along axis 1; a single
+# point is a one-row swarm (``BenchmarkFunction.evaluate``).  Each row
+# equals the value the point would get on its own, bit for bit: row-wise
+# sum/prod/cumsum/max over a C-contiguous array reduce exactly like the
+# 1-d call, and a term whose vector form rounds differently from the
+# scalar one (math.exp against the SIMD np.exp, Python ``**`` against
+# np.power) is computed per row in Python over ``.tolist()``.
 
 def _rows(fn, column):
     """fn applied to each value of a column, as an array."""
@@ -304,7 +305,7 @@ class BenchmarkFunction:
         if x.ndim != 1:
             raise ValueError("point must be a 1-d vector")
         self.space(x.size)  # raises on a wrong dimension
-        return self.objective(rng)(x)
+        return float(self.objective(rng)(x[None, :])[0])
 
     def noise_rng(self, seed: int) -> Optional[np.random.Generator]:
         """The noise generator of a run seeded ``seed``: stream 1 of that seed
@@ -312,28 +313,16 @@ class BenchmarkFunction:
         return make_rng(seed, stream=1) if self.noisy else None
 
     def objective(self, rng: Optional[np.random.Generator] = None):
-        """Unvalidated closure for optimizer loops (dims come from space()).
-
-        The closure takes one point (returning a float) or an (n, d) swarm
-        (returning its n values, each bitwise equal to the point's own) and
-        carries ``vectorized = True``.
-        """
-        body = self._eval
-        if self.noisy:
-            if rng is None:
-                raise ValueError(
-                    f"{self.fid} adds uniform noise per evaluation; pass a seeded rng"
-                )
-            body = functools.partial(body, rng=rng)
-
-        def objective(x):
-            x = np.asarray(x, dtype=np.float64)
-            if x.ndim == 1:
-                return float(body(x[None, :])[0])
-            return body(x)
-
-        objective.vectorized = True
-        return objective
+        """The unvalidated swarm objective for optimizer loops: the body
+        itself, mapping an (n, d) float64 swarm to its n values (dims come
+        from space()); for the noisy F7, the body bound to ``rng``."""
+        if not self.noisy:
+            return self._eval
+        if rng is None:
+            raise ValueError(
+                f"{self.fid} adds uniform noise per evaluation; pass a seeded rng"
+            )
+        return functools.partial(self._eval, rng=rng)
 
 
 def _entry(fid, name, dim, lower, upper, f_min, minimizer, fn,
@@ -420,8 +409,9 @@ def register_composite(pack) -> None:
 
     ``pack`` is one mapping or a list of mappings, each with keys id, dim,
     lower, upper, eval (callable vector->real) and optionally name, f_min,
-    minimizer.  Ids must be F24-F29 and not yet registered.  The registered
-    objective is vectorized: it calls ``eval`` once per row of a swarm.
+    minimizer.  Ids must be F24-F29 and not yet registered.  ``eval`` takes
+    one point; the registered objective takes the swarm and calls it once
+    per row.
     """
     specs = pack if isinstance(pack, (list, tuple)) else [pack]
     staged = []

@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error (bad arguments, unknown
 function or algorithm, unreadable config, an --out that cannot be a
-directory) detected before any runs, 2 runtime failure (a run aborted
-mid-experiment, or tune's best model diverged in training).
+directory, a composite whose box is empty or degenerate, a tune dataset
+whose test split holds one class) detected before any runs, 2 runtime
+failure (a run aborted mid-experiment, or tune's best model diverged in
+training).
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ import numpy as np
 from .space import SearchSpace
 from .stochastic import ChaoticMap, LevySampler, make_rng
 
-Objective = Callable[[np.ndarray], float]
+# an objective maps an (n, d) swarm to its n values
+Objective = Callable[[np.ndarray], np.ndarray]
 
 # the algorithms ``run`` drives; ``run_pso`` and ``run_gwo`` drive the rest
 MOTH_FLAME = ("mfo", "nlcmfo")
@@ -167,26 +168,21 @@ def spiral_step_nlcmfo(moth, flame, t, w: float, levy):
 
 
 def evaluate_swarm(objective: Objective, positions: np.ndarray) -> np.ndarray:
-    """Objective value of every row; NaN/inf aborts with the position.
+    """Objective value of every row, from one call on the whole swarm.
 
-    An objective marked ``vectorized`` takes the whole (n, d) swarm in one
-    call; any other is called row by row.  The package's own objectives
-    (the benchmark functions and ``hypertune.tune``'s) are all vectorized,
-    so the per-row path serves only user callables.
+    An objective maps the (n, d) swarm to its n values; a return of any
+    other shape is a ValueError, and a NaN/inf value raises
+    ``ObjectiveError`` with the first such row.
     """
-    if getattr(objective, "vectorized", False):
-        fitness = objective(positions)
-        finite = np.isfinite(fitness)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise ObjectiveError(positions[bad], float(fitness[bad]), bad)
-        return fitness
-    fitness = np.empty(positions.shape[0])
-    for i, row in enumerate(positions):
-        value = float(objective(row))
-        if not math.isfinite(value):
-            raise ObjectiveError(row, value, i)
-        fitness[i] = value
+    fitness = np.asarray(objective(positions), dtype=np.float64)
+    n = positions.shape[0]
+    if fitness.shape != (n,):
+        raise ValueError(
+            f"objective returned shape {fitness.shape}, expected ({n},)")
+    finite = np.isfinite(fitness)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ObjectiveError(positions[bad], float(fitness[bad]), bad)
     return fitness
 
 

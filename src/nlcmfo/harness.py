@@ -153,16 +153,20 @@ def _validate(config: ExperimentConfig) -> dict:
             )
     if not config.functions:
         raise ConfigError("no functions selected")
-    if config.composite_pack is not None:
-        _ensure_pack(config.composite_pack)
-    for fid in config.functions:
-        benchmarks.lookup(fid)  # raises on unknown / unavailable ids
     try:
         check_counts(config, {"runs": 1, "base_seed": 0, "workers": 1})
         if config.dim is not None:
             check_counts(config, {"dim": 1})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if config.composite_pack is not None:
+        _ensure_pack(config.composite_pack)
+    for fid in config.functions:
+        func = benchmarks.lookup(fid)  # raises on unknown / unavailable ids
+        try:  # a pack's box may be empty or degenerate
+            func.space(_cell_dim(func, config.dim))
+        except ValueError as exc:
+            raise ConfigError(f"{func.fid}: {exc}") from exc
     if config.telemetry not in TELEMETRY_LEVELS:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"

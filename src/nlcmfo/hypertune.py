@@ -80,7 +80,8 @@ def make_toy_dataset(n_samples: int = 600, n_features: int = 2, seed: int = 0,
 
     Class means sit at -separation and +separation on every axis, so the
     default overlap is moderate and large separations are near-separable.
-    A random permutation assigns the first 70% of rows to the train split.
+    A random permutation assigns the first 70% of rows to the train split;
+    a test split that draws a single class is a ValueError.
     """
     if n_samples < 40:
         raise ValueError("need at least 40 samples")
@@ -100,6 +101,11 @@ def make_toy_dataset(n_samples: int = 600, n_features: int = 2, seed: int = 0,
     order = rng.permutation(n_samples)
     X, y = X[order], y[order]
     n_train = int(round(0.7 * n_samples))
+    # tune's ROC report needs both classes in the test split (np.unique
+    # would do, but its first call costs 1.7 MB of peak memory)
+    if y[n_train:].min() == y[n_train:].max():
+        raise ValueError(f"the test split of {n_samples} samples with data "
+                         f"seed {seed} holds a single class")
     return ToyDataset(X[:n_train], y[:n_train], X[n_train:], y[n_train:])
 
 
@@ -286,7 +292,6 @@ def tune(config: EngineConfig, data: ToyDataset,
                 scores[hp] = evaluate_L_D(model, data)
         return np.array([scores[hp] for hp in hps])
 
-    objective.vectorized = True
     result = run(config, space, objective)
     best = decode_hyperparams(result.best_position)
     # the curve never rises, so the entries above its final value are the

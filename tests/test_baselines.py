@@ -10,8 +10,9 @@ from nlcmfo.space import SearchSpace
 from nlcmfo.stochastic import make_rng
 
 
-def sphere(x):
-    return float(np.dot(x, x))
+def sphere(xs):
+    """Each row's squared norm, one np.dot per row."""
+    return np.array([np.dot(x, x) for x in xs])
 
 
 def _space(dim=2, half=5.0):
@@ -44,7 +45,7 @@ def test_telemetry_contract(runner, cfg):
     assert result.trajectory.shape == (big_t,)
     assert np.all(np.diff(result.convergence) <= 0.0)
     assert result.best_fitness == result.convergence[-1]
-    assert result.best_fitness == sphere(result.best_position)
+    assert result.best_fitness == sphere(result.best_position[None, :])[0]
     assert _space(3).contains(result.best_position[None, :])
 
 
@@ -107,8 +108,8 @@ def test_bad_iteration_count_rejected(runner, cfg):
 @pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
                                         (run_gwo, _gwo_config)])
 def test_objective_errors_propagate(runner, cfg):
-    def bad(x):
-        return float("nan")
+    def bad(xs):
+        return np.full(xs.shape[0], np.nan)
 
     with pytest.raises(ObjectiveError):
         runner(cfg(pop_size=5, max_iter=5, seed=0), _space(), bad)

@@ -207,8 +207,8 @@ def test_quartic_requires_rng_and_noise_varies():
         f.objective()
     rng = make_rng(0, stream=1)
     obj = f.objective(rng=rng)
-    x = np.zeros(30)
-    draws = {obj(x) for _ in range(5)}
+    x = np.zeros((1, 30))
+    draws = {obj(x)[0] for _ in range(5)}
     assert len(draws) == 5                        # fresh noise per call
     assert all(0.0 <= v < 1.0 for v in draws)
 
@@ -271,13 +271,17 @@ def test_swarm_call_equals_per_row_calls_bitwise(fid):
             assert batch.tobytes() == np.array(rows).tobytes(), (fid, d, half)
 
 
-def test_builtin_objective_takes_a_point_or_a_swarm():
-    obj = lookup("F1").objective()
-    assert obj.vectorized is True
-    value = obj(np.array([3.0, 4.0]))
-    assert type(value) is float and value == 25.0
+def test_builtin_objective_is_its_swarm_body():
+    f1 = lookup("F1")
+    obj = f1.objective()
+    assert obj is f1._eval
     assert np.array_equal(obj(np.array([[3.0, 4.0], [0.0, 1.0]])), [25.0, 1.0])
-    assert lookup("F7").objective(rng=make_rng(0, stream=1)).vectorized is True
+    # F7's body with its noise rng bound: one draw per row, in row order
+    f7 = lookup("F7")
+    noisy = f7.objective(rng=make_rng(0, stream=1))
+    assert noisy.func is f7._eval
+    values = noisy(np.zeros((3, 2)))
+    assert values.tobytes() == make_rng(0, stream=1).random(3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +400,11 @@ def test_composite_objective_is_called_per_row(composite_sandbox):
     register_composite({"id": "F24", "dim": 3, "lower": -1, "upper": 1,
                         "eval": fn})
     obj = lookup("F24").objective()
-    assert obj.vectorized is True
-    value = obj(np.array([1.0, 2.0, 3.0]))
-    assert type(value) is float and value == 6.0
-    assert seen == [(3,)]
     swarm = obj(np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]))
     assert np.array_equal(swarm, [6.0, -0.5])
+    assert seen == [(3,), (3,)]
+    value = lookup("F24").evaluate([1.0, 2.0, 3.0])
+    assert type(value) is float and value == 6.0
     assert seen == [(3,), (3,), (3,)]
 
 
@@ -421,10 +424,10 @@ def test_composite_pack_swarm_call_equals_per_row_calls_bitwise(
         },
     })
     load_composite_pack(tmp_path)
-    obj = lookup("F24").objective()
+    f24 = lookup("F24")
     swarm = rng.uniform(-5, 5, (7, 3))
-    rows = [obj(row) for row in swarm]
-    assert obj(swarm).tobytes() == np.array(rows).tobytes()
+    rows = [f24.evaluate(row) for row in swarm]
+    assert f24.objective()(swarm).tobytes() == np.array(rows).tobytes()
 
 
 def test_load_composite_pack_empty_directory(tmp_path, composite_sandbox):

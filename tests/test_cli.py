@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from nlcmfo import benchmarks, cli, harness
+from nlcmfo import benchmarks, cli, harness, hypertune
 from nlcmfo.benchmarks import clear_composites, register_composite
 from nlcmfo.cli import _expand_functions, main
 from nlcmfo.engine import EngineConfig, run
@@ -124,6 +124,25 @@ class TestBench:
         assert not out.exists()
         with pytest.raises(benchmarks.CompositeUnavailableError):
             benchmarks.lookup("F24")
+
+    def test_degenerate_composite_box_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch, composite_sandbox):
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "f24.json").write_text(
+            '{"id": "F24", "dim": 2, "lower": 5, "upper": 5}')
+        out = tmp_path / "results"
+        rc = main(["bench", "--algorithms", "mfo", "--functions", "F1", "F24",
+                   "--runs", "2", "--composite-pack", str(pack),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: F24: degenerate bounds at dimension 0: "
+                       "lower=5.0 upper=5.0\n")
+        assert ran == []
+        assert not out.exists()
 
     def test_unknown_function_fails_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -374,6 +393,23 @@ class TestTune:
         assert len(captured.err.splitlines()) == 1
         assert "diverged" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_single_class_test_split_fails_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(hypertune, "train_toy_models",
+                            lambda hps, *args, **kwargs: trained.extend(hps))
+        out = tmp_path / "t"
+        rc = main(["tune", "--samples", "40", "--data-seed", "448",
+                   "--pop-size", "5", "--max-iter", "2", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert "single class" in captured.err
+        assert captured.out == ""
+        assert trained == []
         assert not out.exists()
 
     def test_too_small_sample_count_fails(self, tmp_path, capsys):

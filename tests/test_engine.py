@@ -17,8 +17,14 @@ from nlcmfo.space import SearchSpace
 from nlcmfo.stochastic import ChaoticMap, make_rng
 
 
-def sphere(x):
-    return float(np.dot(x, x))
+def sphere(xs):
+    """Each row's squared norm, one np.dot per row."""
+    return np.array([np.dot(x, x) for x in xs])
+
+
+def shifted_sphere(center):
+    """The squared distance of each row from ``center``."""
+    return lambda xs: np.array([np.sum((x - center) ** 2) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +173,7 @@ def test_run_pairs_moths_with_ranked_flames_then_the_worst(monkeypatch):
     result = run(EngineConfig(algorithm="mfo", pop_size=5, max_iter=2, seed=4,
                               record_history=True), space, sphere)
     start = space.sample(5, make_rng(4))
-    flames = start[np.argsort([sphere(x) for x in start], kind="stable")]
+    flames = start[np.argsort(sphere(start), kind="stable")]
     assert np.array_equal(result.history[0], flames[[0, 1, 2, 2, 2]])
 
 
@@ -177,8 +183,8 @@ def test_evaluate_swarm_values():
 
 
 def test_evaluate_swarm_rejects_nonfinite():
-    def bad(x):
-        return float("nan") if x[0] > 0 else 0.0
+    def bad(xs):
+        return np.array([float("nan") if x[0] > 0 else 0.0 for x in xs])
 
     pos = np.array([[-1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ObjectiveError) as exc:
@@ -188,27 +194,25 @@ def test_evaluate_swarm_rejects_nonfinite():
                               "at row 1 (d=2) [2.0, 0.0]")
 
 
-def test_evaluate_swarm_calls_vectorized_objective_once():
+def test_evaluate_swarm_calls_the_objective_once():
     calls = []
 
     def swarm_sphere(x):
         calls.append(x.shape)
         return np.sum(x * x, axis=1)
 
-    swarm_sphere.vectorized = True
     pos = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
     assert np.array_equal(evaluate_swarm(swarm_sphere, pos), [5.0, 0.0, 25.0])
     assert calls == [(3, 2)]
 
 
-def test_evaluate_swarm_vectorized_reports_first_nonfinite_row():
+def test_evaluate_swarm_reports_first_nonfinite_row():
     def swarm_bad(x):
         values = np.zeros(x.shape[0])
         values[x[:, 0] > 0] = np.nan
         values[x[:, 0] > 2] = np.inf
         return values
 
-    swarm_bad.vectorized = True
     pos = np.array([[-1.0, 0.0], [2.0, 5.0], [3.0, 0.0]])
     with pytest.raises(ObjectiveError) as exc:
         evaluate_swarm(swarm_bad, pos)
@@ -221,7 +225,6 @@ def test_objective_error_shows_only_the_head_of_a_long_row():
     def swarm_inf(x):
         return np.where(x[:, 0] > 0, np.inf, 0.0)
 
-    swarm_inf.vectorized = True
     pos = np.zeros((4, 1000))
     pos[3, :4] = [0.5, -1.25, 3.0, 7.0]
     with pytest.raises(ObjectiveError) as exc:
@@ -229,6 +232,35 @@ def test_objective_error_shows_only_the_head_of_a_long_row():
     assert exc.value.position.tobytes() == pos[3].tobytes()
     assert str(exc.value) == ("objective returned non-finite value inf "
                               "at row 3 (d=1000) [0.5, -1.25, 3.0, ...]")
+
+
+WRONG_SHAPES = {
+    "one-short": lambda xs: np.sum(xs * xs, axis=1)[:-1],
+    "column": lambda xs: np.sum(xs * xs, axis=1, keepdims=True),
+    "scalar": lambda xs: float(np.sum(xs * xs)),
+}
+
+
+@pytest.mark.parametrize("kind,got", [("one-short", "(2,)"),
+                                      ("column", "(3, 1)"), ("scalar", "()")])
+def test_evaluate_swarm_rejects_a_fitness_of_the_wrong_shape(kind, got):
+    pos = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+    with pytest.raises(ValueError) as exc:
+        evaluate_swarm(WRONG_SHAPES[kind], pos)
+    assert str(exc.value) == f"objective returned shape {got}, expected (3,)"
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_SHAPES))
+def test_run_stops_at_the_first_fitness_of_the_wrong_shape(kind):
+    calls = []
+
+    def objective(xs):
+        calls.append(xs.shape)
+        return WRONG_SHAPES[kind](xs)
+
+    with pytest.raises(ValueError, match=r"expected \(5,\)"):
+        run(EngineConfig(pop_size=5, max_iter=4), _space(), objective)
+    assert calls == [(5, 2)]
 
 
 def test_update_flames_keeps_best_of_merge():
@@ -335,7 +367,7 @@ def test_run_telemetry_contract(algorithm):
     assert result.history is None
     assert np.all(np.diff(result.convergence) <= 0.0)
     assert result.best_fitness == result.convergence[-1]
-    assert result.best_fitness == sphere(result.best_position)
+    assert result.best_fitness == sphere(result.best_position[None, :])[0]
     assert _space(3).contains(result.best_position[None, :])
     assert np.all(np.isfinite(result.mean_fitness))
     assert result.wall_time > 0.0
@@ -372,8 +404,8 @@ def test_run_seed_changes_outcome():
 
 
 def test_run_objective_error_carries_position():
-    def bad(x):
-        return float("nan")
+    def bad(xs):
+        return np.full(xs.shape[0], np.nan)
 
     with pytest.raises(ObjectiveError) as exc:
         run(EngineConfig(pop_size=4, max_iter=5, seed=0), _space(), bad)
@@ -393,11 +425,7 @@ def test_run_validation_errors(kwargs):
 
 
 def test_mfo_refines_origin_and_shifted_quadratics():
-    shifted_min = np.array([2.5, -1.5])
-
-    def shifted(x):
-        return float(np.sum((x - shifted_min) ** 2))
-
+    shifted = shifted_sphere(np.array([2.5, -1.5]))
     config = EngineConfig(algorithm="mfo", pop_size=20, max_iter=150, seed=0)
     assert run(config, _space(), sphere).best_fitness < 1e-3
     assert run(config, _space(), shifted).best_fitness < 1e-3
@@ -406,11 +434,7 @@ def test_mfo_refines_origin_and_shifted_quadratics():
 def test_nlcmfo_collapses_to_origin_but_stalls_off_origin():
     # the flame term is multiplied by the Levy factor, which drives strong
     # convergence to optima at the origin and poor refinement elsewhere
-    shifted_min = np.array([2.5, -1.5])
-
-    def shifted(x):
-        return float(np.sum((x - shifted_min) ** 2))
-
+    shifted = shifted_sphere(np.array([2.5, -1.5]))
     config = EngineConfig(algorithm="nlcmfo", pop_size=20, max_iter=150, seed=0)
     assert run(config, _space(), sphere).best_fitness < 1e-20
     off_origin = [

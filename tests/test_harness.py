@@ -13,6 +13,7 @@ from nlcmfo import harness
 from nlcmfo.benchmarks import (
     clear_composites,
     CompositeUnavailableError,
+    lookup,
     register_composite,
     UnknownFunctionError,
 )
@@ -336,6 +337,19 @@ class TestCompositePack:
             run_experiment(tiny_config(composite_pack=make_pack("b"),
                                        functions=("F24",), runs=1))
 
+    @pytest.mark.parametrize("box", [{"lower": 5, "upper": 5}, {"dim": 0}])
+    def test_bad_composite_box_rejected_before_any_run(
+            self, tmp_path, monkeypatch, composite_sandbox, box):
+        # F1's cell comes first, yet its objective never sees a swarm
+        calls = []
+        monkeypatch.setattr(lookup("F1"), "_eval", calls.append)
+        spec = {"id": "F24", "dim": 2, "lower": -5, "upper": 5, **box}
+        (tmp_path / "f24.json").write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match="^F24: "):
+            run_experiment(tiny_config(functions=("F1", "F24"),
+                                       composite_pack=str(tmp_path)))
+        assert calls == []
+
 
 class TestTelemetryLevels:
     def test_summary_keeps_no_curves(self):
@@ -399,6 +413,25 @@ class TestAbortedRuns:
             else:
                 assert rec.aborted and rec.error == "RuntimeError: boom"
                 assert math.isnan(rec.best_fitness)
+
+    @pytest.mark.parametrize("kind,got", [
+        ("one-short", "(5,)"), ("column", "(6, 1)"), ("scalar", "()")])
+    def test_wrong_fitness_shape_becomes_aborted_record(
+            self, monkeypatch, raising_composite, kind, got):
+        bad = {"one-short": lambda xs: np.zeros(len(xs) - 1),
+               "column": lambda xs: np.zeros((len(xs), 1)),
+               "scalar": lambda xs: 0.0}[kind]
+        monkeypatch.setattr(lookup(raising_composite), "_eval", bad)
+        result = run_experiment(tiny_config(
+            functions=("F1", raising_composite), dim=2, runs=2))
+        assert result.aborted == 2
+        for rec in result.records:
+            if rec.function == "F1":
+                assert not rec.aborted and rec.evaluations == 6 * (10 + 1)
+            else:
+                assert rec.aborted and rec.evaluations == 0
+                assert rec.error == (f"ValueError: objective returned shape "
+                                     f"{got}, expected (6,)")
 
     def test_dying_worker_aborts_unfinished_runs_and_keeps_the_rest(
             self, dying_composite):

@@ -158,6 +158,12 @@ class TestMakeToyDataset:
         with pytest.raises(ValueError):
             make_toy_dataset(100, 1)
 
+    def test_single_class_test_split_rejected(self):
+        # the 12 test rows of data seed 448 all draw class 1
+        with pytest.raises(ValueError, match="data seed 448 holds a single "
+                                             "class"):
+            make_toy_dataset(40, 2, 448)
+
 
 # ---------------------------------------------------------------------------
 # the gradient SGD steps on
@@ -518,7 +524,6 @@ class TestTune:
                 assert len(calls) == made
                 return first
 
-            twice.vectorized = True
             return run(config, space, twice)
 
         monkeypatch.setattr(hypertune, "train_toy_models", counting)
@@ -532,9 +537,10 @@ class TestTune:
         data = make_toy_dataset(600, 2, 0, 1.0)
         config = EngineConfig(pop_size=30, max_iter=20, seed=0)
 
-        def objective(x):  # trains on every evaluation
-            hp = decode_hyperparams(x)
-            return evaluate_L_D(train_toy_model(hp, data), data)
+        def objective(xs):  # trains on every evaluation
+            return np.array([
+                evaluate_L_D(train_toy_model(decode_hyperparams(x), data), data)
+                for x in xs])
 
         memo = tune(config, data)
         plain = run(config, SearchSpace(HYPER_LB.copy(), HYPER_UB.copy()),

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlcmfo import hypertune
 from nlcmfo.baselines import run_gwo, run_pso
-from nlcmfo.benchmarks import lookup
+from nlcmfo.benchmarks import (clear_composites, load_composite_pack, lookup,
+                               register_composite)
 from nlcmfo.engine import EngineConfig, drive, run
 from nlcmfo.harness import ExperimentConfig, run_experiment
 from nlcmfo.space import SearchSpace
@@ -35,8 +37,13 @@ def _signed_zero(x):
     return -0.0 if x[0] < 0 else 0.0
 
 
-_PER_ROW = {"per-row": _per_row, "plateau": _plateau,
-            "signed-zero": _signed_zero}
+def _rowwise(f):
+    """The swarm objective that gives each row f's value at that point."""
+    return lambda xs: np.array([f(x) for x in xs])
+
+
+_PER_ROW = {"per-row": _rowwise(_per_row), "plateau": _rowwise(_plateau),
+            "signed-zero": _rowwise(_signed_zero)}
 
 
 def _problem(kind, seed):
@@ -85,6 +92,54 @@ def test_baseline_runners_match_reference_loops_at_d200(reference_runs,
 
 
 # ---------------------------------------------------------------------------
+# every in-tree objective takes the whole swarm
+# ---------------------------------------------------------------------------
+
+def _counted(objective, calls):
+    """``objective``, recording the shapes of each swarm and its values."""
+    def spy(xs):
+        values = objective(xs)
+        calls.append((xs.shape, values.shape))
+        return values
+    return spy
+
+
+@pytest.fixture
+def composite_sandbox():
+    clear_composites()
+    yield
+    clear_composites()
+
+
+@pytest.mark.parametrize("kind", ["F1", "F7", "registered", "pack"])
+@pytest.mark.parametrize("algorithm", ["mfo", "nlcmfo"])
+def test_in_tree_objectives_take_one_swarm_per_iteration(
+        composite_sandbox, make_pack, algorithm, kind):
+    n, big_t = 6, 4
+    if kind == "registered":
+        register_composite({"id": "F24", "dim": 3, "lower": -2, "upper": 2,
+                            "eval": lambda x: float(np.sum(x))})
+    elif kind == "pack":
+        load_composite_pack(make_pack())
+    func = lookup({"registered": "F24", "pack": "F25"}.get(kind, kind))
+    space = func.space(3)
+    calls = []
+    run(EngineConfig(algorithm, pop_size=n, max_iter=big_t), space,
+        _counted(func.objective(rng=func.noise_rng(0)), calls))
+    assert calls == [((n, 3), (n,))] * (big_t + 1)
+
+
+def test_tune_objective_takes_one_swarm_per_iteration(monkeypatch):
+    n, big_t = 5, 3
+    calls = []
+    monkeypatch.setattr(hypertune, "run", lambda config, space, objective:
+                        run(config, space, _counted(objective, calls)))
+    hypertune.tune(EngineConfig(pop_size=n, max_iter=big_t),
+                   hypertune.make_toy_dataset(40))
+    assert calls == [((n, 4), (n,))] * (big_t + 1)
+
+
+# ---------------------------------------------------------------------------
 # drive's own contract, on a search that yields nothing but moves
 # ---------------------------------------------------------------------------
 
@@ -116,9 +171,9 @@ def _random_walk(sent):
 def test_non_integer_counts_rejected_before_the_run(algorithm, bad):
     calls = []
 
-    def objective(x):
-        calls.append(x)
-        return _per_row(x)
+    def objective(xs):
+        calls.append(xs)
+        return _PER_ROW["per-row"](xs)
 
     config = EngineConfig(algorithm, **{"pop_size": 5, "max_iter": 3, **bad})
     space, _ = _problem("per-row", 0)
@@ -137,9 +192,9 @@ def test_runners_refuse_other_algorithms_before_the_run(runner, algorithm):
     # the validator, before the objective sees a point
     calls = []
 
-    def objective(x):
-        calls.append(x)
-        return _per_row(x)
+    def objective(xs):
+        calls.append(xs)
+        return _PER_ROW["per-row"](xs)
 
     space, _ = _problem("per-row", 0)
     config = EngineConfig(algorithm, pop_size=5, max_iter=3)
@@ -154,10 +209,10 @@ def test_drive_keeps_the_first_lowest_row_of_every_swarm(kind, seed):
     space, objective = SearchSpace.cube(3, -4.0, 4.0), _PER_ROW[kind]
     evaluated = []
 
-    def recorded(x):
-        value = objective(x)
-        evaluated.append((x.copy(), value))
-        return value
+    def recorded(xs):
+        values = objective(xs)
+        evaluated.extend(zip(xs.copy(), values))
+        return values
 
     config, sent = _Walk(seed), []
     result = drive(config, space, recorded, _random_walk(sent))
