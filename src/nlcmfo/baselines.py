@@ -50,7 +50,8 @@ def _pso(config: EngineConfig, space: SearchSpace, rng):
         np.subtract(gbest, pos, out=tmp)
         np.multiply(r2, tmp, out=r2)
         np.add(vel, r2, out=vel)
-        np.clip(vel, vmin, vmax, out=vel)
+        # the ndarray method np.clip dispatches to, without its wrapper
+        vel.clip(vmin, vmax, out=vel)
         pos, fit = yield pos + vel
 
         improved = fit < pbest_fit

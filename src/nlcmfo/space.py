@@ -45,7 +45,9 @@ class SearchSpace:
 
     def clip(self, positions: np.ndarray) -> np.ndarray:
         """Clamp positions into the box, coordinate-wise (idempotent)."""
-        return np.clip(positions, self.lower, self.upper)
+        # the ndarray method is what np.clip dispatches to (the same clip
+        # ufunc, so the same bytes) without its Python-level wrapper
+        return positions.clip(self.lower, self.upper)
 
     def contains(self, positions: np.ndarray) -> bool:
         return bool(

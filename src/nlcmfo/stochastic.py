@@ -102,24 +102,24 @@ class ChaoticMap:
         start state, both maps send their domain into itself, and the
         keep-alive nudge keeps later states off the absorbing points.
         """
-        step_fn, keep_alive = self._step_fn, self._keep_alive
+        step_fn, lo, hi = self._step_fn, self._lo, self._hi
         state = self.state
         raw = []
         for _ in range(k):
             value = step_fn(state)
             raw.append(value)
-            state = keep_alive(value)
+            # the keep-alive nudge, inline against locals: a method call
+            # per draw was about a sixth of this loop's time
+            if value == lo:
+                state = lo + _EDGE
+            elif value == hi:
+                state = hi - _EDGE
+            else:
+                state = value
         self.state = state
         raw = np.array(raw)
-        if self._lo == -1.0:
+        if lo == -1.0:
             return (raw + 1.0) / 2.0
-        return raw
-
-    def _keep_alive(self, raw: float) -> float:
-        if raw == self._lo:
-            return self._lo + _EDGE
-        if raw == self._hi:
-            return self._hi - _EDGE
         return raw
 
 

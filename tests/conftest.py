@@ -115,8 +115,10 @@ def reference_runs():
     Maps an algorithm name to ``loop(config, space, objective)``, which
     returns a ``RunResult`` (config validation left out).  Only the loops
     are copied; the schedules, moves, samplers and the flame merge are the
-    package's own.  The algorithm constants are spelled out as the literals
-    the old config defaults held, in the old operand order.
+    package's own.  The clamp into the box is ``np.clip`` spelled out, so
+    the reference does not lean on ``SearchSpace.clip``.  The algorithm
+    constants are spelled out as the literals the old config defaults
+    held, in the old operand order.
     """
     from nlcmfo.engine import (MapScheduler, RunResult, convergence_constant,
                                evaluate_swarm, flame_count, nonlinear_weight,
@@ -157,7 +159,7 @@ def reference_runs():
             else:
                 t = t_mfo(a, rng, size=n)
                 moths = spiral_step_mfo(moths, paired, t[:, None])
-            moths = space.clip(moths)
+            moths = np.clip(moths, space.lower, space.upper)
             fitness = evaluate_swarm(objective, moths)
             evaluations += n
             flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths,
@@ -193,7 +195,7 @@ def reference_runs():
             vel = (0.5 * vel + 2.0 * r1 * (pbest - pos)
                    + 2.0 * r2 * (gbest - pos))
             vel = np.clip(vel, -vmax, vmax)
-            pos = space.clip(pos + vel)
+            pos = np.clip(pos + vel, space.lower, space.upper)
             fit = evaluate_swarm(objective, pos)
             evaluations += n
             improved = fit < pbest_fit
@@ -230,7 +232,7 @@ def reference_runs():
                 big_a = 2.0 * a * r1 - a
                 big_c = 2.0 * r2
                 moved += leader - big_a * np.abs(big_c * leader - pos)
-            pos = space.clip(moved / 3.0)
+            pos = np.clip(moved / 3.0, space.lower, space.upper)
             fit = evaluate_swarm(objective, pos)
             evaluations += n
             leaders, leader_fit = update_flames(leaders, leader_fit, pos, fit, 3)

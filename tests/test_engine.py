@@ -1,5 +1,6 @@
 """Tests for the moth-flame engine: schedules, moves, archive, full runs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -156,6 +157,16 @@ def test_spiral_broadcast_shapes():
     assert spiral_step_mfo(moth, flame, t).shape == (6, 3)
     levy = rng.random((6, 3))
     assert spiral_step_nlcmfo(moth, flame, t, 2.0, levy).shape == (6, 3)
+
+
+def test_space_clip_gives_np_clip_bytes_at_the_edges():
+    # signed zeros, infinities, NaN and values on a bound of exactly 0.0:
+    # there a clamp built from np.where or fmin/fmax gives other bytes
+    space = SearchSpace([0.0, -1.0, -2.0, 0.0], [1.0, 0.0, 2.0, 3.0])
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1.0, 0.5, 1.0, 5.0]
+    rows = np.array(list(itertools.product(specials, repeat=space.dim)))
+    want = np.clip(rows, space.lower, space.upper)
+    assert space.clip(rows).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

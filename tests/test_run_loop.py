@@ -47,9 +47,16 @@ _PER_ROW = {"per-row": _rowwise(_per_row), "plateau": _rowwise(_plateau),
 
 
 def _problem(kind, seed):
-    """A fresh (space, objective) pair; F7's noise stream restarts each call."""
+    """A fresh (space, objective) pair; F7's noise stream restarts each call.
+
+    "unit-cube" is the sphere on [0, 1]^5: its minimum sits on the lower
+    bound, so clipped rows, GWO's leaders and its sums land on exact
+    zeros, where a -0.0 for 0.0 shows in the bytes.
+    """
     if kind in _PER_ROW:
         return SearchSpace([-4.0, -1.0, 0.5], [3.0, 2.0, 6.0]), _PER_ROW[kind]
+    if kind == "unit-cube":
+        return SearchSpace.cube(5, 0.0, 1.0), lookup("F1").objective()
     func = lookup(kind)
     rng = make_rng(seed, stream=1) if func.noisy else None
     return func.space(3), func.objective(rng=rng)
@@ -66,7 +73,7 @@ def _result_bytes(result):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("kind", ["F1", "per-row", "F7", "plateau",
-                                  "signed-zero"])
+                                  "signed-zero", "unit-cube"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
                                                 kind, record_history, seed):
@@ -77,6 +84,17 @@ def test_runners_match_reference_loops_bytewise(reference_runs, algorithm,
     space, objective = _problem(kind, seed)
     want = reference_runs[algorithm](config, space, objective)
     assert _result_bytes(got) == _result_bytes(want)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_unit_cube_case_reaches_exact_zeros(algorithm):
+    # the premise of the "unit-cube" reference case: the runs put
+    # coordinates on the bound 0.0
+    config = EngineConfig(algorithm, pop_size=7, max_iter=12, seed=0,
+                          record_history=True)
+    space, objective = _problem("unit-cube", 0)
+    result = RUNNERS[algorithm](config, space, objective)
+    assert (result.history == 0.0).any()
 
 
 @pytest.mark.parametrize("algorithm", ["pso", "gwo"])
