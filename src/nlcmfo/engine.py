@@ -152,7 +152,7 @@ def spiral_step_mfo(moth, flame, t):
     return d * np.exp(np.asarray(t)) * _cos2pi(t) + flame
 
 
-def spiral_step_nlcmfo(moth, flame, t, w: float, levy):
+def spiral_step_nlcmfo(moth, flame, t, w: float, levy, out=None):
     """Levy-perturbed damped spiral: S = w*R.D*e^t cos(2 pi t) + R.F (b = 1).
 
     R (the Levy row or matrix) multiplies both the spiral term and the
@@ -160,11 +160,24 @@ def spiral_step_nlcmfo(moth, flame, t, w: float, levy):
     too, which is what drives the strong pull toward the origin late in a
     run (and the known weakness on functions whose optimum sits far from
     the origin).
+
+    ``out`` is a float64 work array of shape (2, *S.shape), fresh when
+    None, that holds the two terms; only the returned move is a new array.
+    The terms are built in place in the order
+    ((((w*R)*D)*e^t)*cos) + R*F.
     """
-    d = np.abs(np.asarray(flame) - np.asarray(moth))
-    levy = np.asarray(levy)
-    spiral = w * levy * d * np.exp(np.asarray(t)) * _cos2pi(t)
-    return spiral + levy * np.asarray(flame)
+    if out is None:
+        out = np.empty((2,) + np.broadcast_shapes(
+            np.shape(moth), np.shape(flame), np.shape(t), np.shape(levy)))
+    spiral, attract = out
+    np.subtract(flame, moth, out=attract)
+    np.abs(attract, out=attract)
+    np.multiply(w, levy, out=spiral)
+    np.multiply(spiral, attract, out=spiral)
+    np.multiply(spiral, np.exp(np.asarray(t)), out=spiral)
+    np.multiply(spiral, _cos2pi(t), out=spiral)
+    np.multiply(levy, flame, out=attract)
+    return np.add(spiral, attract)
 
 
 def evaluate_swarm(objective: Objective, positions: np.ndarray) -> np.ndarray:
@@ -325,26 +338,45 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
     chaotic = config.algorithm == "nlcmfo"
 
+    # nlcmfo's move runs in per-run buffers (the pairing, the Levy draws
+    # and the two spiral terms): fresh (n, d) temporaries made glibc trim
+    # the heap and fault the pages back in (about 36,700 minor faults per
+    # F1 d=1000 run, 440-500 with the buffers).  Where they are made moves
+    # the trimming too: all three before the first swarm cost a grid's
+    # later pso and gwo runs 440 and 180 faults each, against none with
+    # draws and work made after the flame archive.  mfo keeps its fresh
+    # pairing: a buffer or a take there lifted its faults from about 400
+    # to 9,000-22,000 per run
+    if chaotic:
+        sampler = LevySampler(1.5)
+        scheduler = MapScheduler()
+        paired = np.empty((n, dim))
+
     moths, fitness = yield space.sample(n, rng)
     order = fitness.argsort(kind="stable")
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
     if chaotic:
-        sampler = LevySampler(1.5)
-        scheduler = MapScheduler()
+        draws = np.empty((2, n, dim))
+        work = np.empty((2, n, dim))
 
     moth_idx = np.arange(n)
     for l in range(1, big_t + 1):
         k = flame_count(n, l, big_t)
         a = convergence_constant(l, big_t)
         # moth i follows flame i while it survives, else the worst survivor
-        paired = flame_pos[np.minimum(moth_idx, k - 1)]
+        idx = np.minimum(moth_idx, k - 1)
         if chaotic:
+            # the indices are in range, and mode="clip" keeps take from
+            # buffering its output as the default mode="raise" does
+            flame_pos.take(idx, axis=0, out=paired, mode="clip")
             w = nonlinear_weight(l, big_t)
             cm = scheduler.active.steps(n)
             t = t_nlcmfo(a, cm)
-            levy = sampler.matrix(n, dim, rng)
-            moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy)
+            levy = sampler.matrix(n, dim, rng, out=draws)
+            moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy,
+                                       out=work)
         else:
+            paired = flame_pos[idx]
             t = t_mfo(a, rng, size=n)
             moths = spiral_step_mfo(moths, paired, t[:, None])
         # the move rebinds ``moths`` before it is yielded, which frees the

@@ -29,6 +29,13 @@ class SearchSpace:
             )
         self.lower = lo
         self.upper = hi
+        # clip's scalar-bound loop gives the array loop's bytes except at a
+        # bound of +-0.0, where it keeps an opposite-signed zero
+        cube = (lo == lo[0]).all() and (hi == hi[0]).all()
+        if cube and lo[0] != 0.0 and hi[0] != 0.0:
+            self._clip_bounds = (float(lo[0]), float(hi[0]))
+        else:
+            self._clip_bounds = (lo, hi)
 
     @classmethod
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
@@ -46,8 +53,9 @@ class SearchSpace:
     def clip(self, positions: np.ndarray) -> np.ndarray:
         """Clamp positions into the box, coordinate-wise (idempotent)."""
         # the ndarray method is what np.clip dispatches to (the same clip
-        # ufunc, so the same bytes) without its Python-level wrapper
-        return positions.clip(self.lower, self.upper)
+        # ufunc, so the same bytes) without its Python-level wrapper; a
+        # cube's float bounds take the faster scalar-bound loop
+        return positions.clip(*self._clip_bounds)
 
     def contains(self, positions: np.ndarray) -> bool:
         return bool(

@@ -149,12 +149,27 @@ class LevySampler:
         self.alpha = float(alpha)
         self.sigma_x = levy_sigma_x(self.alpha)
 
-    def matrix(self, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-        """rows x cols array of independent draws (fresh per call)."""
-        x = rng.normal(0.0, self.sigma_x, size=(rows, cols))
-        y = rng.normal(0.0, 1.0, size=(rows, cols))
+    def matrix(self, rows: int, cols: int, rng: np.random.Generator,
+               out=None) -> np.ndarray:
+        """rows x cols array of independent draws.
+
+        The x block, then the y block, comes from one standard-normal fill
+        of ``out``, a float64 (2, rows, cols) work array (fresh when None);
+        the draws are ``out[0]``, overwritten by the next call on ``out``.
+        """
+        if out is None:
+            out = np.empty((2, rows, cols))
+        rng.standard_normal(out=out)
+        x, y = out
+        # rng.normal(0, s) computes 0.0 + s*z; the + 0.0 turns a -0.0 draw
+        # into 0.0 as it does
+        x *= self.sigma_x
+        x += 0.0
         zero = y == 0.0
         while zero.any():
             y[zero] = rng.normal(0.0, 1.0, size=int(zero.sum()))
             zero = y == 0.0
-        return 0.05 * x / np.abs(y) ** (1.0 / self.alpha)
+        np.abs(y, out=y)
+        np.power(y, 1.0 / self.alpha, out=y)
+        np.multiply(0.05, x, out=x)
+        return np.divide(x, y, out=x)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import time
 
@@ -114,17 +115,18 @@ def reference_runs():
 
     Maps an algorithm name to ``loop(config, space, objective)``, which
     returns a ``RunResult`` (config validation left out).  Only the loops
-    are copied; the schedules, moves, samplers and the flame merge are the
-    package's own.  The clamp into the box is ``np.clip`` spelled out, so
-    the reference does not lean on ``SearchSpace.clip``.  The algorithm
-    constants are spelled out as the literals the old config defaults
-    held, in the old operand order.
+    are copied; the schedules, mfo's move, the chaotic maps and the flame
+    merge are the package's own.  The clamp into the box is ``np.clip``,
+    and the flame pairing, the Levy draws and nlcmfo's move are their
+    plain expressions, spelled out here so the reference does not lean on
+    ``SearchSpace.clip``, ``LevySampler.matrix`` or
+    ``spiral_step_nlcmfo``.  The algorithm constants are spelled out as
+    the literals the old config defaults held, in the old operand order.
     """
     from nlcmfo.engine import (MapScheduler, RunResult, convergence_constant,
                                evaluate_swarm, flame_count, nonlinear_weight,
-                               spiral_step_mfo, spiral_step_nlcmfo, t_mfo,
-                               t_nlcmfo, update_flames)
-    from nlcmfo.stochastic import LevySampler
+                               spiral_step_mfo, t_mfo, t_nlcmfo, update_flames)
+    from nlcmfo.stochastic import levy_sigma_x
 
     def telemetry(config, space):
         big_t = config.max_iter
@@ -142,7 +144,8 @@ def reference_runs():
         order = np.argsort(fitness, kind="stable")
         flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
         if chaotic:
-            sampler = LevySampler(1.5)
+            alpha = 1.5
+            sigma_x = levy_sigma_x(alpha)
             scheduler = MapScheduler()
             prev_fit = flame_fit.copy()
         convergence, mean_fitness, trajectory, history = telemetry(config, space)
@@ -153,9 +156,19 @@ def reference_runs():
             paired = flame_pos[np.minimum(moth_idx, k - 1)]
             if chaotic:
                 w = nonlinear_weight(l, big_t)
-                t = t_nlcmfo(a, scheduler.active.steps(n))
-                levy = sampler.matrix(n, dim, rng)
-                moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy)
+                t = t_nlcmfo(a, scheduler.active.steps(n))[:, None]
+                x = rng.normal(0.0, sigma_x, size=(n, dim))
+                y = rng.normal(0.0, 1.0, size=(n, dim))
+                zero = y == 0.0
+                while zero.any():
+                    y[zero] = rng.normal(0.0, 1.0, size=int(zero.sum()))
+                    zero = y == 0.0
+                levy = 0.05 * x / np.abs(y) ** (1.0 / alpha)
+                d = np.abs(paired - moths)
+                # cos(2 pi t), exactly 0 at the quarter points
+                cos = np.where(np.mod(t, 0.5) == 0.25, 0.0,
+                               np.cos(2.0 * math.pi * t))
+                moths = w * levy * d * np.exp(t) * cos + levy * paired
             else:
                 t = t_mfo(a, rng, size=n)
                 moths = spiral_step_mfo(moths, paired, t[:, None])

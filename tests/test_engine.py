@@ -149,6 +149,22 @@ def test_spiral_nlcmfo_zero_distance_scales_flame():
     assert np.array_equal(got, levy * flame)
 
 
+def test_spiral_nlcmfo_work_array_keeps_the_plain_expression_bytes():
+    rng = make_rng(3)
+    moth = rng.uniform(-5.0, 5.0, (6, 4))
+    flame = rng.uniform(-5.0, 5.0, (6, 4))
+    levy = rng.standard_normal((6, 4))
+    t = np.array([0.25, -0.75, 1.3, 0.0, -1.9, 0.6])[:, None]
+    want = (2.5 * levy * np.abs(flame - moth) * np.exp(t)
+            * np.where(np.mod(t, 0.5) == 0.25, 0.0, np.cos(2.0 * math.pi * t))
+            + levy * flame)
+    work = np.empty((2, 6, 4))
+    got = spiral_step_nlcmfo(moth, flame, t, 2.5, levy, out=work)
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, work)
+    assert spiral_step_nlcmfo(moth, flame, t, 2.5, levy).tobytes() == got.tobytes()
+
+
 def test_spiral_broadcast_shapes():
     rng = make_rng(0)
     moth = rng.random((6, 3))
@@ -160,13 +176,25 @@ def test_spiral_broadcast_shapes():
 
 
 def test_space_clip_gives_np_clip_bytes_at_the_edges():
-    # signed zeros, infinities, NaN and values on a bound of exactly 0.0:
-    # there a clamp built from np.where or fmin/fmax gives other bytes
-    space = SearchSpace([0.0, -1.0, -2.0, 0.0], [1.0, 0.0, 2.0, 3.0])
-    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1.0, 0.5, 1.0, 5.0]
-    rows = np.array(list(itertools.product(specials, repeat=space.dim)))
-    want = np.clip(rows, space.lower, space.upper)
-    assert space.clip(rows).tobytes() == want.tobytes()
+    # signed zeros, infinities, NaN, values on a bound and one ulp past it:
+    # there a clamp built from np.where or fmin/fmax gives other bytes.  A
+    # cube with nonzero bounds clips with float bounds; the zero-bound
+    # cubes and the other box keep the (d,) bound arrays, so a -0.0 or 0.0
+    # lands where np.clip with those arrays puts it
+    boxes = [([0.0, -1.0, -2.0, 0.0], [1.0, 0.0, 2.0, 3.0])]
+    for lo, hi in [(-100.0, 100.0), (-5.0, 5.0), (-1.0, 1.0), (0.5, 1.0),
+                   (-600.0, 600.0), (-1.28, 1.28), (0.0, 1.0), (-0.0, 1.0),
+                   (-1.0, 0.0), (-1.0, -0.0)]:
+        boxes.append(([lo] * 4, [hi] * 4))
+    for lower, upper in boxes:
+        space = SearchSpace(lower, upper)
+        edges = {lower[0], upper[0], np.nextafter(lower[0], -np.inf),
+                 np.nextafter(upper[0], np.inf)}
+        specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1.0, 0.5, 1.0,
+                    5.0, *edges]
+        rows = np.array(list(itertools.product(specials, repeat=space.dim)))
+        want = np.clip(rows, space.lower, space.upper)
+        assert space.clip(rows).tobytes() == want.tobytes(), (lower, upper)
 
 
 # ---------------------------------------------------------------------------

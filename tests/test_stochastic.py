@@ -179,6 +179,64 @@ def test_matrix_matches_manual_reconstruction():
     assert np.array_equal(got, expected)
 
 
+class _StubRng:
+    """Writes chosen values through ``standard_normal(out=)``, hands out
+    queued redraws from ``normal`` and records every call."""
+
+    def __init__(self, fill, redraws=()):
+        self.fill = np.array(fill, dtype=np.float64)
+        self.redraws = [np.array(r, dtype=np.float64) for r in redraws]
+        self.calls = []
+
+    def standard_normal(self, out):
+        self.calls.append(("standard_normal", out.shape))
+        out[...] = self.fill
+
+    def normal(self, loc, scale, size):
+        self.calls.append(("normal", loc, scale, size))
+        return self.redraws.pop(0)
+
+
+def _levy(sigma_x, z_x, y):
+    """Mantegna's quotient with x drawn as rng.normal(0, s) draws it."""
+    return 0.05 * (0.0 + sigma_x * np.asarray(z_x)) / np.abs(y) ** (1.0 / 1.5)
+
+
+def test_matrix_turns_a_negative_zero_numerator_draw_into_zero():
+    s = LevySampler(1.5)
+    got = s.matrix(1, 3, _StubRng([[[-0.0, 0.5, -2.0]], [[2.0, -1.5, 0.3]]]))
+    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+    want = _levy(s.sigma_x, [[-0.0, 0.5, -2.0]], [[2.0, -1.5, 0.3]])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_redraws_exact_zero_denominators_in_order():
+    # y holds 0.0 and -0.0 at three places (C order); the first redraw
+    # gives another zero at the first of them, which the second redraws
+    s = LevySampler(1.5)
+    x = [[1.0, -1.0], [0.25, 2.0]]
+    rng = _StubRng([x, [[0.0, 1.5], [-0.0, 0.0]]],
+                   redraws=[[0.0, 2.0, -4.0], [0.5]])
+    got = s.matrix(2, 2, rng)
+    assert rng.calls == [("standard_normal", (2, 2, 2)),
+                         ("normal", 0.0, 1.0, 3), ("normal", 0.0, 1.0, 1)]
+    want = _levy(s.sigma_x, x, [[0.5, 1.5], [2.0, -4.0]])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_into_a_work_array_gives_the_fresh_bytes():
+    s = LevySampler(1.5)
+    buf = np.empty((2, 4, 3))
+    rng, fresh_rng, manual_rng = make_rng(42), make_rng(42), make_rng(42)
+    for _ in range(3):
+        got = s.matrix(4, 3, rng, out=buf)
+        assert got.base is buf and np.shares_memory(got, buf[0])
+        assert got.tobytes() == s.matrix(4, 3, fresh_rng).tobytes()
+        x = manual_rng.normal(0.0, s.sigma_x, size=(4, 3))
+        y = manual_rng.normal(0.0, 1.0, size=(4, 3))
+        assert got.tobytes() == (0.05 * x / np.abs(y) ** (1.0 / 1.5)).tobytes()
+
+
 def test_matrix_shape_and_determinism():
     s = LevySampler()
     m = s.matrix(7, 2, make_rng(0))
