@@ -21,6 +21,7 @@ iteration moves and re-evaluates the whole swarm.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import time
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
-from .stochastic import ChaoticMap, LevySampler, make_rng
+from .stochastic import ChaoticMap, DrawAhead, LevySampler, make_rng
 
 # an objective maps an (n, d) swarm to its n values
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -290,32 +291,39 @@ def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult
     start = time.perf_counter()
     n, big_t = config.pop_size, config.max_iter
     steps = search(config, space, make_rng(config.seed))
-    pos = next(steps)
-    fit = evaluate_swarm(objective, pos)
-    j = fit.argmin()
-    # later bests are written into this one copy: a fresh row per
-    # improvement changed glibc's heap trimming at d=1000 enough to lift
-    # mfo's minor faults per run from 0.6-9k to 21-24k
-    best_position, best_fitness = pos[j].copy(), fit[j]
-
-    convergence = np.empty(big_t)
-    mean_fitness = np.empty(big_t)
-    trajectory = np.empty(big_t)
-    history = np.empty((big_t, n, space.dim)) if config.record_history else None
-
-    for i in range(big_t):
-        pos = space.clip(steps.send((pos, fit)))
+    # closed however the run ends, so a search's draw thread is joined
+    # before the run returns or raises
+    try:
+        pos = next(steps)
         fit = evaluate_swarm(objective, pos)
         j = fit.argmin()
-        if fit[j] < best_fitness:
-            best_position[:] = pos[j]
-            best_fitness = fit[j]
-        convergence[i] = best_fitness
-        # add.reduce / size is fit.mean()'s arithmetic without its wrapper
-        mean_fitness[i] = np.add.reduce(fit) / fit.size
-        trajectory[i] = pos[0, 0]
-        if history is not None:
-            history[i] = pos
+        # later bests are written into this one copy: a fresh row per
+        # improvement changed glibc's heap trimming at d=1000 enough to
+        # lift mfo's minor faults per run from 0.6-9k to 21-24k
+        best_position, best_fitness = pos[j].copy(), fit[j]
+
+        convergence = np.empty(big_t)
+        mean_fitness = np.empty(big_t)
+        trajectory = np.empty(big_t)
+        history = (np.empty((big_t, n, space.dim)) if config.record_history
+                   else None)
+
+        for i in range(big_t):
+            pos = space.clip(steps.send((pos, fit)))
+            fit = evaluate_swarm(objective, pos)
+            j = fit.argmin()
+            if fit[j] < best_fitness:
+                best_position[:] = pos[j]
+                best_fitness = fit[j]
+            convergence[i] = best_fitness
+            # add.reduce / size is fit.mean()'s arithmetic without its
+            # wrapper
+            mean_fitness[i] = np.add.reduce(fit) / fit.size
+            trajectory[i] = pos[0, 0]
+            if history is not None:
+                history[i] = pos
+    finally:
+        steps.close()
 
     return RunResult(
         best_position=best_position,
@@ -355,39 +363,53 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     moths, fitness = yield space.sample(n, rng)
     order = fitness.argsort(kind="stable")
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
+    # the Levy draws' block and the spiral terms' work array are made
+    # here, after the archive; at d=1000 the draws alternate between two
+    # blocks, one filled ahead on a helper thread, and the second block's
+    # 118 pages lift the faults per run from 440-500 to 555-614
     if chaotic:
-        draws = np.empty((2, n, dim))
+        draws = DrawAhead(rng, "standard_normal", (2, n, dim), big_t)
         work = np.empty((2, n, dim))
+    else:
+        draws = contextlib.nullcontext()
 
     moth_idx = np.arange(n)
-    for l in range(1, big_t + 1):
-        k = flame_count(n, l, big_t)
-        a = convergence_constant(l, big_t)
-        # moth i follows flame i while it survives, else the worst survivor
-        idx = np.minimum(moth_idx, k - 1)
-        if chaotic:
-            # the indices are in range, and mode="clip" keeps take from
-            # buffering its output as the default mode="raise" does
-            flame_pos.take(idx, axis=0, out=paired, mode="clip")
-            w = nonlinear_weight(l, big_t)
-            cm = scheduler.active.steps(n)
-            t = t_nlcmfo(a, cm)
-            levy = sampler.matrix(n, dim, rng, out=draws)
-            moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy,
-                                       out=work)
-        else:
-            paired = flame_pos[idx]
-            t = t_mfo(a, rng, size=n)
-            moths = spiral_step_mfo(moths, paired, t[:, None])
-        # the move rebinds ``moths`` before it is yielded, which frees the
-        # previous swarm as early as a plain loop would; yielding the
-        # spiral expression directly changed glibc's heap trimming at
-        # d=1000 enough to cost mfo 65x the page faults and ~1.5x the time
-        moths, fitness = yield moths
-        prev_fit = flame_fit
-        flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths, fitness, n)
-        if chaotic:
-            scheduler.observe(flame_fit, prev_fit)
+    with draws:
+        for l in range(1, big_t + 1):
+            k = flame_count(n, l, big_t)
+            a = convergence_constant(l, big_t)
+            # moth i follows flame i while it survives, else the worst
+            # survivor
+            idx = np.minimum(moth_idx, k - 1)
+            if chaotic:
+                # the indices are in range, and mode="clip" keeps take from
+                # buffering its output as the default mode="raise" does
+                flame_pos.take(idx, axis=0, out=paired, mode="clip")
+                w = nonlinear_weight(l, big_t)
+                cm = scheduler.active.steps(n)
+                t = t_nlcmfo(a, cm)
+                # ``draws`` stands in for the rng: it hands over the block
+                # filled ahead, and the exact-zero redraw draws inline, so
+                # the next block's fill starts only after it
+                levy = sampler.matrix(n, dim, draws, out=draws.block)
+                draws.advance()
+                moths = spiral_step_nlcmfo(moths, paired, t[:, None], w,
+                                           levy, out=work)
+            else:
+                paired = flame_pos[idx]
+                t = t_mfo(a, rng, size=n)
+                moths = spiral_step_mfo(moths, paired, t[:, None])
+            # the move rebinds ``moths`` before it is yielded, which frees
+            # the previous swarm as early as a plain loop would; yielding
+            # the spiral expression directly changed glibc's heap trimming
+            # at d=1000 enough to cost mfo 65x the page faults and ~1.5x
+            # the time
+            moths, fitness = yield moths
+            prev_fit = flame_fit
+            flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths,
+                                                 fitness, n)
+            if chaotic:
+                scheduler.observe(flame_fit, prev_fit)
 
 
 def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:

@@ -5,6 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def clip_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The bounds to pass ``clip`` for the (d,) bound arrays lo and hi.
+
+    Two floats where each array holds one nonzero value, else the arrays:
+    clip's scalar-bound loop is faster and gives the array loop's bytes
+    except at a bound of +-0.0, where it keeps an opposite-signed zero.
+    """
+    if ((lo == lo[0]).all() and (hi == hi[0]).all()
+            and lo[0] != 0.0 and hi[0] != 0.0):
+        return float(lo[0]), float(hi[0])
+    return lo, hi
+
+
 class SearchSpace:
     """Axis-aligned box  lower[j] <= x[j] <= upper[j]  with strict lower < upper.
 
@@ -29,13 +42,7 @@ class SearchSpace:
             )
         self.lower = lo
         self.upper = hi
-        # clip's scalar-bound loop gives the array loop's bytes except at a
-        # bound of +-0.0, where it keeps an opposite-signed zero
-        cube = (lo == lo[0]).all() and (hi == hi[0]).all()
-        if cube and lo[0] != 0.0 and hi[0] != 0.0:
-            self._clip_bounds = (float(lo[0]), float(hi[0]))
-        else:
-            self._clip_bounds = (lo, hi)
+        self._clip_bounds = clip_bounds(lo, hi)
 
     @classmethod
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchSpace":

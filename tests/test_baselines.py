@@ -1,12 +1,14 @@
 """Tests for the particle swarm and grey wolf baselines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from nlcmfo.baselines import _gwo, _pso, run_gwo, run_pso
 from nlcmfo.engine import (EngineConfig, ObjectiveError, evaluate_swarm, run,
                            update_flames)
-from nlcmfo.space import SearchSpace
+from nlcmfo.space import SearchSpace, clip_bounds
 from nlcmfo.stochastic import make_rng
 
 
@@ -70,6 +72,46 @@ def test_pso_velocity_clamp_bounds_step_size():
     assert steps.max() <= vmax.max() + 1e-12
     # early steps reach the clamp, so a looser one would show
     assert steps.max() == pytest.approx(vmax.max())
+
+
+# (lower, upper, whether the velocity clamp takes float bounds): one
+# clamp width on a cube and on a box that is not one, several widths, and
+# a width whose clamp 0.2 * 5e-324 rounds to zero, so its bounds are +-0.0
+CLAMP_BOXES = [([-100.0] * 3, [100.0] * 3, True),
+               ([-1.28] * 3, [1.28] * 3, True),
+               ([0.0, 1.0, -3.0], [1.0, 2.0, -2.0], True),
+               ([0.0, -1.0, -2.0], [1.0, 0.0, 2.0], False),
+               ([0.0] * 3, [5e-324] * 3, False)]
+
+
+@pytest.mark.parametrize("lower,upper,scalar", CLAMP_BOXES)
+def test_pso_velocity_clamp_gives_np_clip_bytes_at_the_edges(lower, upper,
+                                                             scalar):
+    # signed zeros, infinities, NaN, values on a clamp bound and one ulp
+    # past it: the clamp's bounds give np.clip's bytes with the (d,) arrays
+    space = SearchSpace(lower, upper)
+    vmax = 0.2 * (space.upper - space.lower)
+    bounds = clip_bounds(-vmax, vmax)
+    assert isinstance(bounds[0], float) == scalar
+    edges = {vmax[0], -vmax[0], np.nextafter(vmax[0], np.inf),
+             np.nextafter(-vmax[0], -np.inf)}
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1.0, 0.5, 1.0, *edges]
+    vel = np.array(list(itertools.product(specials, repeat=3)))
+    want = np.clip(vel, -vmax, vmax)
+    vel.clip(*bounds, out=vel)
+    assert vel.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lower,upper,scalar", CLAMP_BOXES)
+def test_pso_matches_reference_loop_on_every_clamp_box(reference_runs, lower,
+                                                       upper, scalar):
+    config = _pso_config(pop_size=7, max_iter=12, seed=3,
+                         record_history=True)
+    space = SearchSpace(lower, upper)
+    got = run_pso(config, space, sphere)
+    want = reference_runs["pso"](config, space, sphere)
+    assert got.history.tobytes() == want.history.tobytes()
+    assert got.convergence.tobytes() == want.convergence.tobytes()
 
 
 @pytest.mark.parametrize("search,cfg", [(_pso, _pso_config),

@@ -4,20 +4,22 @@ per-algorithm loops byte for byte, and grid runs keep the contract's
 properties serially and on a worker pool."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcmfo import hypertune
-from nlcmfo.baselines import run_gwo, run_pso
+from nlcmfo import hypertune, stochastic
+from nlcmfo.baselines import _gwo, _pso, run_gwo, run_pso
 from nlcmfo.benchmarks import (clear_composites, load_composite_pack, lookup,
                                register_composite)
-from nlcmfo.engine import EngineConfig, drive, run
+from nlcmfo.engine import EngineConfig, ObjectiveError, _moth_flame, drive, run
 from nlcmfo.harness import ExperimentConfig, run_experiment
 from nlcmfo.space import SearchSpace
-from nlcmfo.stochastic import make_rng
+from nlcmfo.stochastic import AHEAD_MIN_VALUES, make_rng
 
 ALGORITHMS = ("mfo", "nlcmfo", "pso", "gwo")
 RUNNERS = {"mfo": run, "nlcmfo": run, "pso": run_pso, "gwo": run_gwo}
@@ -107,6 +109,158 @@ def test_baseline_runners_match_reference_loops_at_d200(reference_runs,
     got = RUNNERS[algorithm](config, func.space(200), func.objective())
     want = reference_runs[algorithm](config, func.space(200), func.objective())
     assert _result_bytes(got) == _result_bytes(want)
+
+
+# ---------------------------------------------------------------------------
+# draw blocks of AHEAD_MIN_VALUES or more values, filled one iteration ahead
+# ---------------------------------------------------------------------------
+
+DRAWN_AHEAD = {"nlcmfo": _moth_flame, "pso": _pso, "gwo": _gwo}
+
+
+def _block_dims(algorithm, n):
+    """d=30, the largest d whose draw block is filled inline, the smallest
+    whose block is filled ahead, and d=1100, at pop_size n."""
+    per_row = (6 if algorithm == "gwo" else 2) * n
+    below = (AHEAD_MIN_VALUES - 1) // per_row
+    return {"d30": 30, "below": below, "above": below + 1, "d1100": 1100}
+
+
+@pytest.mark.parametrize("size", ["d30", "below", "above", "d1100"])
+@pytest.mark.parametrize("algorithm", DRAWN_AHEAD)
+def test_runners_match_reference_loops_across_the_draw_ahead_threshold(
+        reference_runs, algorithm, size):
+    dims = _block_dims(algorithm, 30)
+    assert dims["below"] < 1100 and 30 < dims["above"]
+    config = EngineConfig(algorithm, pop_size=30, max_iter=6, seed=3,
+                          record_history=True)
+    func = lookup("F1")
+    got = RUNNERS[algorithm](config, func.space(dims[size]), func.objective())
+    want = reference_runs[algorithm](config, func.space(dims[size]),
+                                     func.objective())
+    assert _result_bytes(got) == _result_bytes(want)
+
+
+@pytest.mark.parametrize("algorithm", DRAWN_AHEAD)
+def test_draw_ahead_bytes_hold_under_a_short_switch_interval(reference_runs,
+                                                             algorithm):
+    # the main thread and the draw thread trade the interpreter lock as
+    # often as it lets them; the run and the helper share only the rng,
+    # one at a time
+    config = EngineConfig(algorithm, pop_size=30, max_iter=6, seed=8)
+    func = lookup("F1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = RUNNERS[algorithm](config, func.space(1100), func.objective())
+    finally:
+        sys.setswitchinterval(interval)
+    want = reference_runs[algorithm](config, func.space(1100),
+                                     func.objective())
+    assert _result_bytes(got) == _result_bytes(want)
+
+
+class _RecordedRng:
+    """A run's generator that records its draws as ``events``: the start
+    swarm, then each block fill's start and end (with whether it ran on
+    the main thread) and each exact-zero redraw.  Normal blocks numbered in
+    ``zeros`` get two exact-zero denominators."""
+
+    def __init__(self, rng, events, zeros=()):
+        self._rng, self.events, self.zeros = rng, events, zeros
+        self.fills = 0
+
+    def random(self, size=None, out=None):
+        if out is None:
+            self.events.append("sample")
+            return self._rng.random(size)
+        return self._fill(self._rng.random, out)
+
+    def standard_normal(self, out):
+        out = self._fill(self._rng.standard_normal, out)
+        if self.fills in self.zeros:
+            out[1, 0, :2] = 0.0
+        return out
+
+    def normal(self, loc, scale, size):
+        self.events.append(("redraw", self.fills, size))
+        return self._rng.normal(loc, scale, size)
+
+    def _fill(self, method, out):
+        self.fills += 1
+        on_main = threading.current_thread() is threading.main_thread()
+        self.events.append(("fill", self.fills, on_main))
+        method(out=out)
+        self.events.append(("filled", self.fills))
+        return out
+
+
+@pytest.mark.parametrize("size", ["d30", "d1100"])
+@pytest.mark.parametrize("algorithm", DRAWN_AHEAD)
+def test_draw_ahead_keeps_the_inline_stream_order(monkeypatch, algorithm,
+                                                  size):
+    # each fill starts after the last one ended and after the redraws of
+    # its iteration (nlcmfo's block 2 holds exact zeros), on the helper
+    # thread only above the threshold; the last iteration starts no fill,
+    # and the run's bytes are those of the all-inline run
+    n, big_t = 30, 4
+    dim = _block_dims(algorithm, n)[size]
+    zeros = (2,) if algorithm == "nlcmfo" else ()
+    config = EngineConfig(algorithm, pop_size=n, max_iter=big_t, seed=2)
+    func = lookup("F1")
+
+    def recorded_run():
+        events = []
+        search = DRAWN_AHEAD[algorithm]
+        result = drive(config, func.space(dim), func.objective(),
+                       lambda c, s, rng: search(
+                           c, s, _RecordedRng(rng, events, zeros)))
+        return events, _result_bytes(result)
+
+    events, got = recorded_run()
+    on_main = size == "d30"
+    want = ["sample"]
+    for k in range(1, big_t + 1):
+        want += [("fill", k, on_main), ("filled", k)]
+        if k in zeros:
+            want.append(("redraw", k, 2))
+    assert events == want
+    monkeypatch.setattr(stochastic, "AHEAD_MIN_VALUES", math.inf)
+    inline_events, inline = recorded_run()
+    assert inline == got
+    assert inline_events == [e[:2] + (True,) if e[0] == "fill" else e
+                             for e in want]
+
+
+@pytest.mark.parametrize("outcome", ["finished", "non-finite", "bad shape"])
+@pytest.mark.parametrize("algorithm", DRAWN_AHEAD)
+def test_no_draw_thread_outlives_its_run(algorithm, outcome):
+    # the first swarm is evaluated before the draw thread starts, the
+    # second while it runs; a run that raises joins it too, while its
+    # traceback (which holds the run's frames) is still alive
+    before = threading.active_count()
+    counts = []
+
+    def objective(xs):
+        counts.append(threading.active_count())
+        values = np.add.reduce(xs * xs, axis=1)
+        if len(counts) == 3 and outcome == "non-finite":
+            values[1] = np.nan
+        if len(counts) == 3 and outcome == "bad shape":
+            values = values[:-1]
+        return values
+
+    config = EngineConfig(algorithm, pop_size=30, max_iter=4)
+    space = SearchSpace.cube(1100, -100.0, 100.0)
+    if outcome == "finished":
+        RUNNERS[algorithm](config, space, objective)
+    else:
+        error = ObjectiveError if outcome == "non-finite" else ValueError
+        with pytest.raises(error) as raised:
+            RUNNERS[algorithm](config, space, objective)
+        assert raised.tb is not None
+    assert counts[:2] == [before, before + 1]
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
