@@ -240,7 +240,10 @@ class MapScheduler:
 
     def observe(self, fitness_now: np.ndarray, fitness_prev: np.ndarray) -> bool:
         """Feed one iteration's flame fitness; True when the map toggled."""
-        if np.array_equal(fitness_now, fitness_prev):
+        # np.array_equal's answer without its wrapper; the shape check
+        # keeps it False for vectors of different shapes
+        if (fitness_now.shape == fitness_prev.shape
+                and bool((fitness_now == fitness_prev).all())):
             self.counter += 1
             if self.counter >= 5:
                 self.active_is_primary = not self.active_is_primary

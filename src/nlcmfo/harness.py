@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
@@ -349,7 +351,9 @@ def export_curves(records, out_dir) -> list:
     """Write per-cell curve CSVs (iter column + one column per run).
 
     Returns the written paths.  Records without curve telemetry are skipped.
-    Full-history snapshots go to one file per run (see write_search_history).
+    Full-history snapshots go to one file per run (see write_search_history),
+    written after the curves and, for a large enough export, in parallel
+    (see _write_histories); the paths keep the per-cell order either way.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -358,7 +362,7 @@ def export_curves(records, out_dir) -> list:
         if rec.convergence is None:
             continue
         cells.setdefault((rec.algorithm, rec.function, rec.dim), []).append(rec)
-    written = []
+    written, histories = [], []
     for (algorithm, fid, dim), group in cells.items():
         group = sorted(group, key=lambda r: r.run_index)
         stem = f"{algorithm}_{fid}_d{dim}"
@@ -373,9 +377,58 @@ def export_curves(records, out_dir) -> list:
             if rec.history is None:
                 continue
             path = out_dir / f"{stem}_run{rec.run_index}_search_history.csv"
-            write_search_history(rec.history, path)
+            histories.append((rec.history, path))
             written.append(path)
+    _write_histories(histories)
     return written
+
+
+# Histories of fewer values than this in total are written serially: on
+# 2 cores four (T, 30, 30) histories took 0.014 s serially against 0.028 s
+# pooled at 7,200 values, 0.049 against 0.043 s at 28,800 and 0.168
+# against 0.107 s at 115,200 (the pool's start-up is about 15 ms).
+POOL_MIN_VALUES = 1 << 15
+
+# (history, path) pairs of the pool that started this worker process; set
+# by its initializer, never in the parent
+_JOBS: list = []
+
+
+def _keep_jobs(jobs) -> None:
+    global _JOBS
+    _JOBS = jobs
+
+
+def _write_job(index: int) -> None:
+    write_search_history(*_JOBS[index])
+
+
+def _write_histories(jobs) -> None:
+    """Write each ``(history, path)`` of ``jobs`` with write_search_history.
+
+    Nearly all of a file's cost is float repr, so at ``POOL_MIN_VALUES``
+    values or more the files are written one per task on a fork-started
+    process pool of up to ``len(os.sched_getaffinity(0))`` processes.  The
+    workers inherit ``jobs`` through fork rather than a pickle, and each
+    task is an index into it.  The bytes are those of a serial write, a
+    failed write raises its own exception here, and every worker has been
+    joined when this returns or raises.  Where ``os`` has no
+    ``sched_getaffinity`` (where fork is missing or unsafe), on one allowed
+    core, or while another thread runs (a fork copies no thread, only the
+    locks they hold), the files are written serially in this process.
+    """
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else 1)
+    k = min(len(jobs), cores)
+    if (k < 2 or threading.active_count() > 1
+            or sum(history.size for history, _ in jobs) < POOL_MIN_VALUES):
+        for history, path in jobs:
+            write_search_history(history, path)
+        return
+    with ProcessPoolExecutor(
+            max_workers=k, mp_context=multiprocessing.get_context("fork"),
+            initializer=_keep_jobs, initargs=(jobs,)) as pool:
+        list(pool.map(_write_job, range(len(jobs))))
 
 
 def write_curves(path, names, curves) -> None:
@@ -398,7 +451,8 @@ def write_search_history(history: np.ndarray, path) -> None:
     (``%r`` calls the same float repr).  On a (500, 30, 30) history, the
     largest table the toolkit writes, one csv.writer row per value takes
     about twice as long; this takes about 0.66 s, of which repr() alone is
-    0.58 s, so it is near the floor for repr-formatted values.
+    0.58 s, so the per-file cost is float repr and a bundle's files are
+    written in parallel instead (see _write_histories).
     """
     n_iter, n_moths, d = history.shape
     # "\0" stands for the iteration number, filled in per iteration

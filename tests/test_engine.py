@@ -374,6 +374,30 @@ def test_scheduler_toggles_back_after_another_window():
         assert s.active is getattr(s, active)
 
 
+@pytest.mark.parametrize("now, prev", [
+    (np.array([1.0, 2.0]), np.array([1.0, 2.0])),
+    (np.array([1.0, 2.0]), np.array([1.0, 3.0])),
+    (np.array([1.0, np.nan]), np.array([1.0, np.nan])),
+    (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])),
+    (np.array([1.0]), np.array([[1.0]])),   # broadcasts to equal
+], ids=["equal", "unequal", "nan", "other-length", "other-shape"])
+def test_scheduler_counts_as_array_equal_does(now, prev):
+    """Counter, toggles and answers equal those of an np.array_equal test."""
+    s = MapScheduler()
+    counter, primary = 0, True
+    same = np.array([4.0, 5.0])
+    for pair in [(same, same)] * 3 + [(now, prev)] * 7 + [(same, same)] * 4:
+        toggled = False
+        if np.array_equal(*pair):
+            counter += 1
+            if counter >= 5:
+                primary, counter, toggled = not primary, 0, True
+        else:
+            counter = 0
+        assert s.observe(*pair) is toggled
+        assert (s.counter, s.active_is_primary) == (counter, primary)
+
+
 def test_scheduler_near_equal_is_progress():
     # stagnation means an exactly repeated fitness vector, not a close one
     s = MapScheduler()

@@ -4,7 +4,10 @@ telemetry levels, and CSV export."""
 import csv
 import json
 import math
+import multiprocessing
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -660,6 +663,98 @@ class TestWriteSearchHistory:
         # bitwise, so -0.0 and the subnormals count too
         assert np.array_equal(parsed.view(np.int64),
                               history.ravel().view(np.int64))
+
+
+def history_records(shape, count=4):
+    """``count`` finished runs of one cell, each with a full history."""
+    curve = np.zeros(shape[0])
+    return [RunRecord("nlcmfo", "F1", shape[2], r, r, 0.0, np.zeros(shape[2]),
+                      0, 0.0, convergence=curve, mean_curve=curve,
+                      trajectory=curve, history=spread_history(shape) * (r + 1))
+            for r in range(count)]
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a ProcessPoolExecutor was built")
+
+
+class TestPooledHistoryExport:
+    """Histories of at least POOL_MIN_VALUES values go to a fork pool."""
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no os.sched_getaffinity, so no pool")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        built = []
+
+        class Recorded(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorded)
+        return built
+
+    def test_pooled_files_equal_the_reference_in_order(
+            self, tmp_path, two_cores, reference_history_writer):
+        records = history_records((40, 30, 30))
+        assert (sum(r.history.size for r in records)
+                >= harness.POOL_MIN_VALUES)
+        out = tmp_path / "curves"
+        with warnings.catch_warnings():
+            # a fork with live threads warns on Python 3.12+
+            warnings.simplefilter("error")
+            written = export_curves(records, out)
+        assert two_cores == [2]
+        histories = [out / f"nlcmfo_F1_d30_run{r}_search_history.csv"
+                     for r in range(4)]
+        assert written == [
+            *(out / f"nlcmfo_F1_d30_{m}.csv"
+              for m in ("convergence", "mean_fitness", "trajectory")),
+            *histories]
+        for rec, path in zip(records, histories):
+            reference_history_writer(rec.history, tmp_path / "reference.csv")
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_raises_its_own_error(self, tmp_path, two_cores):
+        out = tmp_path / "curves"
+        (out / "nlcmfo_F1_d30_run2_search_history.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            export_curves(history_records((40, 30, 30)), out)
+        assert two_cores == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("shape, cores", [
+        ((9, 30, 30), {0, 1}),    # 32,400 values, just below 2^15
+        ((40, 30, 30), {0}),
+        ((40, 30, 30), None),     # no os.sched_getaffinity
+    ], ids=["below-constant", "one-core", "no-affinity"])
+    def test_serial_paths_build_no_pool(self, tmp_path, monkeypatch, shape,
+                                        cores, reference_history_writer):
+        if cores is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse_pool)
+        records = history_records(shape)
+        export_curves(records, tmp_path)
+        reference_history_writer(records[3].history, tmp_path / "reference.csv")
+        assert ((tmp_path / "nlcmfo_F1_d30_run3_search_history.csv")
+                .read_bytes() == (tmp_path / "reference.csv").read_bytes())
+
+    def test_live_thread_keeps_the_write_serial(self, tmp_path, two_cores):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            export_curves(history_records((40, 30, 30)), tmp_path)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert two_cores == []
 
 
 class TestExportExperiment:
