@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .engine import check_integer
 from .space import SearchSpace
 from .stochastic import make_rng
 
@@ -411,11 +412,11 @@ def lookup(fid: str) -> BenchmarkFunction:
 def register_composite(pack) -> None:
     """Register composite implementations for the F24-F29 slots.
 
-    ``pack`` is one mapping or a list of mappings, each with keys id, dim,
-    lower, upper, eval (callable vector->real) and optionally name, f_min,
-    minimizer.  Ids must be F24-F29 and not yet registered.  ``eval`` takes
-    one point; the registered objective takes the swarm and calls it once
-    per row.
+    ``pack`` is one mapping or a list of mappings, each with keys id, dim
+    (an integer), lower, upper, eval (callable vector->real) and optionally
+    name, f_min, minimizer.  Ids must be F24-F29 and not yet registered.
+    ``eval`` takes one point; the registered objective takes the swarm and
+    calls it once per row.
     """
     specs = pack if isinstance(pack, (list, tuple)) else [pack]
     staged = []
@@ -431,7 +432,7 @@ def register_composite(pack) -> None:
         if not callable(fn):
             raise ValueError(f"composite {fid} needs a callable 'eval'")
         staged.append(_entry(
-            fid, spec.get("name", fid.lower()), int(spec.get("dim")),
+            fid, spec.get("name", fid.lower()), check_integer("dim", spec.get("dim")),
             spec.get("lower"), spec.get("upper"), spec.get("f_min"),
             spec.get("minimizer"),
             lambda x, _fn=fn: np.array([float(_fn(row)) for row in x]),
@@ -469,10 +470,10 @@ def load_composite_pack(directory) -> list[str]:
     packs needing richer semantics register eval callables directly.
 
     The pack loads whole or not at all: every file is parsed and checked
-    (a malformed file, an unknown basis or a shift/rotation whose shape
-    does not match dim is a ValueError) before one ``register_composite``
-    call registers them all.  A directory loaded since the last
-    ``clear_composites`` is not read again; the call returns its ids.
+    (a malformed file, a non-integer dim, an unknown basis or a shift or
+    rotation whose shape does not match dim is a ValueError) before one
+    ``register_composite`` call registers them all.  A directory loaded
+    since the last ``clear_composites`` is not read again; it returns its ids.
     """
     directory = Path(directory)
     key = str(directory.resolve())
@@ -496,7 +497,7 @@ def load_composite_pack(directory) -> list[str]:
 def _composite_spec(path: Path) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
-    dim = int(raw["dim"])
+    dim = check_integer("dim", raw["dim"])
     bias = float(raw.get("bias", 0.0))
     parts = []
     for comp in raw.get("components", []):

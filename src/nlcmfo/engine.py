@@ -254,30 +254,35 @@ class MapScheduler:
         return False
 
 
+def check_integer(name: str, value):
+    """Return ``value`` if it is an integer; a float, string or bool is a
+    TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_counts(config, floors: dict) -> None:
-    """Check that each field named in ``floors`` is an integer (a float,
-    string or bool is a TypeError) and at least its floor (a ValueError)."""
+    """Check that each field named in ``floors`` is an integer (see
+    ``check_integer``) and at least its floor (a ValueError)."""
     for name, floor in floors.items():
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < floor:
+        if check_integer(name, getattr(config, name)) < floor:
             raise ValueError(f"{name} must be >= {floor}")
 
 
 def validate_config(config: EngineConfig,
                     algorithms: tuple = tuple(_POP_FLOORS)) -> None:
     """Raise the error a run with this config would raise, before it starts:
-    an algorithm outside ``algorithms`` (by default all four), or pop_size
-    below the algorithm's floor (3 for gwo, 2 for the rest) or max_iter < 1
-    (each an integer)."""
+    an algorithm outside ``algorithms`` (by default all four), pop_size
+    below the algorithm's floor (3 for gwo, 2 for the rest), max_iter < 1
+    or seed < 0 (each an integer)."""
     if config.algorithm not in algorithms:
         raise ValueError(
             f"unsupported algorithm {config.algorithm!r}; choose one of "
             f"{algorithms}"
         )
     check_counts(config, {"pop_size": _POP_FLOORS[config.algorithm],
-                          "max_iter": 1})
+                          "max_iter": 1, "seed": 0})
 
 
 def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult:

@@ -124,11 +124,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def _validate(config: ExperimentConfig) -> dict:
-    """Check the whole grid before any run; return each algorithm's config.
+def _validate(config: ExperimentConfig) -> list:
+    """Check the whole grid before any run; return its run tasks.
 
-    A returned config carries ``seed=base_seed``; each run replaces the seed
-    with its own.
+    A task is (algorithm, fid, dim, run_index, config, telemetry,
+    composite_pack), in algorithm -> function -> run order; its config
+    carries the run's seed, base_seed + run_index.
     """
     # JSON gives any type; a wrong one must not surface as a TypeError later
     for name in ("algorithms", "functions"):
@@ -163,28 +164,35 @@ def _validate(config: ExperimentConfig) -> dict:
         raise ConfigError(str(exc)) from exc
     if config.composite_pack is not None:
         _ensure_pack(config.composite_pack)
+    cells = []
     for fid in config.functions:
         func = benchmarks.lookup(fid)  # raises on unknown / unavailable ids
+        dim = func.dim if config.dim is None or not func.scalable else config.dim
         try:  # a pack's box may be empty or degenerate
-            func.space(_cell_dim(func, config.dim))
+            func.space(dim)
         except ValueError as exc:
             raise ConfigError(f"{func.fid}: {exc}") from exc
+        cells.append((func.fid, dim))
     if config.telemetry not in TELEMETRY_LEVELS:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
         )
-    # the engine's validator owns the pop_size and max_iter checks
-    configs = {}
+    # the engine's validator owns the pop_size, max_iter and seed checks
+    tasks = []
     for algorithm in config.algorithms:
-        configs[algorithm] = EngineConfig(
+        engine_config = EngineConfig(
             algorithm=algorithm, pop_size=config.pop_size,
             max_iter=config.max_iter, seed=config.base_seed,
             record_history=config.telemetry == "full-history")
         try:
-            validate_config(configs[algorithm])
+            validate_config(engine_config)
         except (TypeError, ValueError) as exc:  # TypeError: e.g. 30.0 from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
-    return configs
+        tasks += [(algorithm, fid, dim, r,
+                   replace(engine_config, seed=config.base_seed + r),
+                   config.telemetry, config.composite_pack)
+                  for fid, dim in cells for r in range(config.runs)]
+    return tasks
 
 
 def _ensure_pack(directory) -> None:
@@ -193,12 +201,6 @@ def _ensure_pack(directory) -> None:
     except (OSError, LookupError, ValueError) as exc:
         # a collision means other functions already hold this pack's ids
         raise ConfigError(f"composite pack {directory}: {exc}") from exc
-
-
-def _cell_dim(func: benchmarks.BenchmarkFunction, dim: Optional[int]) -> int:
-    if dim is not None and func.scalable:
-        return dim
-    return func.dim
 
 
 def _aborted(task, exc: Exception) -> RunRecord:
@@ -228,7 +230,7 @@ def _execute_task(task) -> RunRecord:
         convergence=result.convergence if keep_curves else None,
         mean_curve=result.mean_fitness if keep_curves else None,
         trajectory=result.trajectory if keep_curves else None,
-        history=result.history if telemetry == "full-history" else None,
+        history=result.history,
     )
 
 
@@ -237,18 +239,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     A dead pool worker aborts every run without a result; the rest are kept.
     """
-    configs = _validate(config)
-    tasks = []
-    for algorithm in config.algorithms:
-        for fid in config.functions:
-            func = benchmarks.lookup(fid)
-            dim = _cell_dim(func, config.dim)
-            for r in range(config.runs):
-                tasks.append((
-                    algorithm, str(fid).upper(), dim, r,
-                    replace(configs[algorithm], seed=config.base_seed + r),
-                    config.telemetry, config.composite_pack,
-                ))
+    tasks = _validate(config)
     if config.workers == 1 or len(tasks) == 1:
         records = [_execute_task(t) for t in tasks]
     else:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,6 +336,16 @@ def test_register_composite_requires_callable(composite_sandbox):
                             "eval": 3.0})
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, "3"])
+def test_register_composite_requires_an_integer_dim(composite_sandbox, dim):
+    with pytest.raises(TypeError,
+                       match=re.escape(f"dim must be an integer, got {dim!r}")):
+        register_composite({"id": "F24", "dim": dim, "lower": 0, "upper": 1,
+                            "eval": lambda x: 0.0})
+    with pytest.raises(CompositeUnavailableError):
+        lookup("F24")
+
+
 def test_clear_composites(composite_sandbox):
     register_composite({"id": "F24", "dim": 2, "lower": 0, "upper": 1,
                         "eval": lambda x: 0.0})
@@ -459,6 +470,18 @@ def test_load_composite_pack_registers_nothing_on_a_bad_file(
     for fid in ("F24", "F25"):
         with pytest.raises(CompositeUnavailableError):
             lookup(fid)
+
+
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, "3"])
+def test_load_composite_pack_requires_an_integer_dim(tmp_path,
+                                                     composite_sandbox, dim):
+    # checked before the shift shape, which would fail on some of these
+    _write_pack(tmp_path, {"f24.json": dict(_GOOD_F24, dim=dim)})
+    with pytest.raises(ValueError) as excinfo:
+        load_composite_pack(tmp_path)
+    assert str(excinfo.value) == f"f24.json: dim must be an integer, got {dim!r}"
+    with pytest.raises(CompositeUnavailableError):
+        lookup("F24")
 
 
 def test_load_composite_pack_rejects_one_id_in_two_files(tmp_path,

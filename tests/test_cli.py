@@ -125,6 +125,22 @@ class TestBench:
         with pytest.raises(benchmarks.CompositeUnavailableError):
             benchmarks.lookup("F24")
 
+    def test_fractional_composite_dim_fails_and_registers_nothing(
+            self, tmp_path, capsys, make_pack, composite_sandbox):
+        pack = make_pack()
+        (tmp_path / "pack" / "f25.json").write_text(
+            '{"id": "F25", "dim": 2.7, "lower": -5, "upper": 5}')
+        out = tmp_path / "results"
+        rc = main(["bench", "--functions", "F24", "--composite-pack",
+                   str(pack), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: composite pack {pack}: f25.json: dim must be an integer, "
+            f"got 2.7\n")
+        assert not out.exists()
+        with pytest.raises(benchmarks.CompositeUnavailableError):
+            benchmarks.lookup("F24")
+
     def test_degenerate_composite_box_fails_before_any_run(
             self, tmp_path, capsys, monkeypatch, composite_sandbox):
         ran = []
@@ -410,6 +426,15 @@ class TestTune:
         assert "single class" in captured.err
         assert captured.out == ""
         assert trained == []
+        assert not out.exists()
+
+    def test_negative_seed_fails_naming_the_field(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        rc = main(["tune", "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_too_small_sample_count_fails(self, tmp_path, capsys):

@@ -338,7 +338,8 @@ def _random_walk(sent):
 
 
 @pytest.mark.parametrize("bad", [{"pop_size": 5.0}, {"max_iter": 2.5},
-                                 {"max_iter": True}])
+                                 {"max_iter": True}, {"seed": 2.5},
+                                 {"seed": True}])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_non_integer_counts_rejected_before_the_run(algorithm, bad):
     calls = []
@@ -350,6 +351,21 @@ def test_non_integer_counts_rejected_before_the_run(algorithm, bad):
     config = EngineConfig(algorithm, **{"pop_size": 5, "max_iter": 3, **bad})
     space, _ = _problem("per-row", 0)
     with pytest.raises(TypeError, match="must be an integer"):
+        RUNNERS[algorithm](config, space, objective)
+    assert calls == []
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_negative_seed_rejected_before_the_run(algorithm):
+    calls = []
+
+    def objective(xs):
+        calls.append(xs)
+        return _PER_ROW["per-row"](xs)
+
+    config = EngineConfig(algorithm, pop_size=5, max_iter=3, seed=-1)
+    space, _ = _problem("per-row", 0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         RUNNERS[algorithm](config, space, objective)
     assert calls == []
 
@@ -417,7 +433,8 @@ def test_drive_keeps_the_first_lowest_row_of_every_swarm(kind, seed):
 small_grids = st.fixed_dictionaries({
     "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1,
                            max_size=4, unique=True).map(tuple),
-    "functions": st.lists(st.sampled_from(("F1", "F7", "F10", "F16")),
+    # f7 is spelled in lower case; F16 has a fixed dim that ignores "dim"
+    "functions": st.lists(st.sampled_from(("F1", "f7", "F10", "F16")),
                           min_size=1, max_size=2, unique=True).map(tuple),
     "dim": st.integers(1, 4),
     "runs": st.integers(1, 3),
@@ -440,6 +457,14 @@ def _record_bytes(rec):
 def test_grid_runs_keep_the_run_contract(grid):
     result = run_experiment(ExperimentConfig(telemetry="full-history",
                                              workers=1, **grid))
+    # one record per run, in algorithm -> function -> run order
+    assert [(r.algorithm, r.function, r.dim, r.run_index, r.seed)
+            for r in result.records] == [
+        (algorithm, fid.upper(),
+         grid["dim"] if lookup(fid).scalable else lookup(fid).dim,
+         r, grid["base_seed"] + r)
+        for algorithm in grid["algorithms"] for fid in grid["functions"]
+        for r in range(grid["runs"])]
     n, big_t = grid["pop_size"], grid["max_iter"]
     for rec in result.records:
         assert not rec.aborted
