@@ -34,18 +34,17 @@ def _pso(config: EngineConfig, space: SearchSpace, rng):
     # temporaries made glibc trim the heap and fault the pages back in each
     # iteration (25,745 minor faults per F1 d=1000 run, 0-438 with the
     # buffers).  At d=1000 the draws alternate between two blocks, one
-    # filled ahead on a helper thread; the second lifts the faults to
+    # drawn ahead on a helper thread; the second lifts the faults to
     # 496-555.  The yielded move ``pos + vel`` stays a fresh array, and no
     # buffer aliases pbest or gbest
-    draws = DrawAhead(rng, "random", (2, n, dim), config.max_iter)
+    draws = DrawAhead(rng.random, (2, n, dim), config.max_iter)
     tmp = np.empty((n, dim))
     # float bounds where 0.2 * (upper - lower) is one nonzero value, as
     # SearchSpace clips: 11 against 42 ms per 500 clamps at (30, 1000)
     vbounds = clip_bounds(-vmax, vmax)
     with draws:
         for _ in range(config.max_iter):
-            r1, r2 = draws.random(out=draws.block)
-            draws.advance()
+            r1, r2 = draws.next()
             # vel = 0.5 * vel + 2 * r1 * (pbest - pos) + 2 * r2 * (gbest - pos)
             np.multiply(vel, 0.5, out=vel)
             np.multiply(r1, 2.0, out=r1)
@@ -92,17 +91,16 @@ def _gwo(config: EngineConfig, space: SearchSpace, rng):
     # one draw block and one sum buffer per run, made here, for the same
     # reason as in _pso (fresh temporaries cost glibc heap trims at
     # d=1000).  At d=1000 the draws alternate between two blocks, one
-    # filled ahead on a helper thread, and the faults per run rise from
+    # drawn ahead on a helper thread, and the faults per run rise from
     # 0-560 to 705-914.  The yielded move ``moved / 3.0`` stays a fresh
     # array, and no buffer aliases leaders
-    draws = DrawAhead(rng, "random", (3, 2, n, dim), big_t)
+    draws = DrawAhead(rng.random, (3, 2, n, dim), big_t)
     moved = np.empty((n, dim))
     with draws:
         for l in range(1, big_t + 1):
             a = 2.0 - 2.0 * (l - 1) / big_t
             # PCG64 fills C order: the same values as r1, r2 drawn per leader
-            block = draws.random(out=draws.block)
-            draws.advance()
+            block = draws.next()
             moved.fill(0.0)  # each sum starts at +0.0: 0.0 + -0.0 gives 0.0
             for leader, (r1, r2) in zip(leaders, block):
                 # moved += leader - (2a * r1 - a) * |2 * r2 * leader - pos|

@@ -23,9 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import check_integer
 from .space import SearchSpace
-from .stochastic import make_rng
+from .stochastic import check_integer, make_rng
 
 
 class UnknownFunctionError(LookupError):
@@ -305,11 +304,17 @@ class BenchmarkFunction:
         return SearchSpace.cube(d, self.lower, self.upper)
 
     def evaluate(self, x, rng: Optional[np.random.Generator] = None) -> float:
-        """Validated single evaluation; the noisy F7 requires an rng."""
+        """Validated single evaluation of a finite 1-d point of the
+        function's dimension; the noisy F7 requires an rng."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("point must be a 1-d vector")
         self.space(x.size)  # raises on a wrong dimension
+        finite = np.isfinite(x)
+        if not finite.all():
+            i = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"point coordinate {i} is {float(x[i])!r}, "
+                             "not finite")
         return float(self.objective(rng)(x[None, :])[0])
 
     def noise_rng(self, seed: int) -> Optional[np.random.Generator]:

@@ -22,8 +22,8 @@ iteration moves and re-evaluates the whole swarm.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,7 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
-from .stochastic import ChaoticMap, DrawAhead, LevySampler, make_rng
+from .stochastic import (ChaoticMap, DrawAhead, LevySampler, check_integer,
+                         make_rng)
 
 # an objective maps an (n, d) swarm to its n values
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -254,14 +255,6 @@ class MapScheduler:
         return False
 
 
-def check_integer(name: str, value):
-    """Return ``value`` if it is an integer; a float, string or bool is a
-    TypeError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def check_counts(config, floors: dict) -> None:
     """Check that each field named in ``floors`` is an integer (see
     ``check_integer``) and at least its floor (a ValueError)."""
@@ -373,10 +366,14 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
     # the Levy draws' block and the spiral terms' work array are made
     # here, after the archive; at d=1000 the draws alternate between two
-    # blocks, one filled ahead on a helper thread, and the second block's
-    # 118 pages lift the faults per run from 440-500 to 555-614
+    # blocks, one drawn ahead on a helper thread, and the second block's
+    # 118 pages lift the faults per run from 440-500 to 555-614.  The
+    # helper draws the fill and its exact-zero redraws; the transform runs
+    # here while the next block is drawn (on the helper as well, it slowed
+    # the run: the helper is already the busier thread)
     if chaotic:
-        draws = DrawAhead(rng, "standard_normal", (2, n, dim), big_t)
+        draws = DrawAhead(functools.partial(sampler.draw, rng), (2, n, dim),
+                          big_t)
         work = np.empty((2, n, dim))
     else:
         draws = contextlib.nullcontext()
@@ -396,11 +393,7 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
                 w = nonlinear_weight(l, big_t)
                 cm = scheduler.active.steps(n)
                 t = t_nlcmfo(a, cm)
-                # ``draws`` stands in for the rng: it hands over the block
-                # filled ahead, and the exact-zero redraw draws inline, so
-                # the next block's fill starts only after it
-                levy = sampler.matrix(n, dim, draws, out=draws.block)
-                draws.advance()
+                levy = sampler.matrix(n, dim, None, out=draws.next())
                 moths = spiral_step_nlcmfo(moths, paired, t[:, None], w,
                                            levy, out=work)
             else:

@@ -41,6 +41,13 @@ from .engine import (EngineConfig, ObjectiveError, check_counts, run,
 ALGORITHMS = {"mfo": "run", "nlcmfo": "run", "pso": "run_pso", "gwo": "run_gwo"}
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
 
+# Pools fork where ``os`` has ``sched_getaffinity`` (Linux): a worker that
+# forkserver (Python 3.14's default there) or spawn starts imports the
+# package afresh, without the composites registered in this process.
+# Elsewhere a run pool takes the interpreter's default start method.
+_FORK = (multiprocessing.get_context("fork")
+         if hasattr(os, "sched_getaffinity") else None)
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (caught before any run starts)."""
@@ -245,8 +252,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         # read in task order, so output is independent of scheduling
         # a fork pool starts all max_workers at the first submit
-        with ProcessPoolExecutor(
-                max_workers=min(config.workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks)),
+                                 mp_context=_FORK) as pool:
             futures = [pool.submit(_execute_task, t) for t in tasks]
             records = []
             for task, future in zip(tasks, futures):
@@ -417,7 +424,7 @@ def _write_histories(jobs) -> None:
             write_search_history(history, path)
         return
     with ProcessPoolExecutor(
-            max_workers=k, mp_context=multiprocessing.get_context("fork"),
+            max_workers=k, mp_context=_FORK,
             initializer=_keep_jobs, initargs=(jobs,)) as pool:
         list(pool.map(_write_job, range(len(jobs))))
 

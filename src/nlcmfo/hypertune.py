@@ -28,7 +28,7 @@ import numpy as np
 from .engine import EngineConfig, RunResult, run
 from .harness import write_table
 from .space import SearchSpace
-from .stochastic import make_rng
+from .stochastic import check_seed, make_rng
 
 HYPER_LB = np.array([0.5, 0.01, 5.0, 1e-4])
 HYPER_UB = np.array([1.0, 0.5, 15.0, 5e-4])
@@ -91,7 +91,7 @@ def make_toy_dataset(n_samples: int = 600, n_features: int = 2, seed: int = 0,
     # candidate diverges and the tuned L_D is meaningless
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")
-    rng = make_rng(seed)
+    rng = make_rng(seed, name="data_seed")
     n1 = n_samples // 2
     n0 = n_samples - n1
     X = rng.standard_normal((n_samples, n_features))
@@ -184,7 +184,7 @@ def train_toy_models(hps, data: ToyDataset, seed: int = 0) -> list:
     y = np.asarray(data.y_train, dtype=np.float64)
     n, p = X.shape
     k = len(hps)
-    rng = make_rng(seed)
+    rng = make_rng(seed, name="trainer_seed")
     # columns, so they scale each member's row
     momentum = np.array([[hp.momentum] for hp in hps], dtype=np.float64)
     lr = np.array([[hp.learning_rate] for hp in hps], dtype=np.float64)
@@ -276,6 +276,8 @@ def tune(config: EngineConfig, data: ToyDataset,
     scored yet train together in one ``train_toy_models`` batch.  A
     population of n for T iterations costs n*(T+1) evaluations.
     """
+    # the first training starts inside the run; check its seed before
+    check_seed("trainer_seed", trainer_seed)
     space = SearchSpace(HYPER_LB.copy(), HYPER_UB.copy())
     scores = {}
     bound_hits = np.zeros((2, len(HYPER_LB)), dtype=np.int64)

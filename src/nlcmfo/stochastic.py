@@ -11,6 +11,7 @@ every draw bitwise.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 # (the thread took 1.7-2.5x a d=30 run's time).  It paid from about 12k
 # normal values a block (nlcmfo at d=200) and 36k uniform ones (gwo at
 # d=200), though pso's lighter iterations still lost 12-14% at 33-42k
-# (d=550-700) and gained 7% at 60k (d=1000).
+# (d=550-700) and gained 7% at 60k (d=1000).  These figures predate the
+# handoff that starts the next draw before the current block's transform.
 AHEAD_MIN_VALUES = 1 << 15
 
 # Nudge applied to a raw next state that lands exactly on a boundary of the
@@ -42,7 +44,24 @@ class ParameterError(ValueError):
     """A tunable parameter outside its documented range."""
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+def check_integer(name: str, value):
+    """Return ``value`` if it is an integer; a float, string or bool is a
+    TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_seed(name: str, seed):
+    """Return ``seed`` if it is an integer (see ``check_integer``) >= 0; a
+    negative one is a ValueError naming ``name``."""
+    if check_integer(name, seed) < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return seed
+
+
+def make_rng(seed: int, stream: int = 0,
+             name: str = "seed") -> np.random.Generator:
     """Build the package-wide RNG: PCG64 seeded through a SeedSequence.
 
     Parameters
@@ -53,61 +72,53 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
         Sub-stream index.  Stream 0 is the optimizer's stream; noisy
         objectives (F7) use stream 1 of the same root seed, so a single
         seed still governs the whole run.
+    name : str
+        The caller's name for ``seed``, which ``check_seed`` checks.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(stream,))
+    ss = np.random.SeedSequence(check_seed(name, seed), spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 class DrawAhead:
-    """One run's per-iteration random block, filled one iteration ahead.
+    """One run's per-iteration random block, drawn one iteration ahead.
 
-    A search that draws one ``shape`` block per iteration with
-    ``rng.random(out=)`` or ``rng.standard_normal(out=)`` (``method``)
-    draws it through this object instead, ``count`` blocks in all:
-    ``block`` is the buffer of this iteration's block, ``random(out=block)``
-    and ``standard_normal(out=block)`` return it once it holds its draws,
-    and ``advance()``, called after every other draw of the iteration,
-    moves on to the next block.  ``normal`` draws inline from ``rng``, so
-    the object stands in for the rng inside ``LevySampler.matrix``.
+    A search that draws one ``shape`` block per iteration, ``count`` blocks
+    in all, passes ``draw``, which draws a whole block into its ``out=``
+    argument (``rng.random``, or nlcmfo's ``LevySampler.draw``: the fill
+    and its exact-zero redraws), and takes each block from ``next()``.
 
     A block of ``AHEAD_MIN_VALUES`` values or more alternates between two
-    buffers: the first fill starts here, each ``advance`` but the last
-    starts the next one, and a single helper thread runs them while the
-    search works on the current block.  numpy fills ``out=`` with the GIL
-    released, and the rng belongs to this run alone, so the stream is drawn
-    in the inline order and every value is the same.  Only the raw fills
-    run on the thread.  A smaller block is filled inline, at the
-    ``random``/``standard_normal`` call, into one buffer.  As a context
-    manager, leaving it joins the thread.
+    buffers: the first draw starts here, and each ``next`` but the last
+    starts the next draw as it hands over the current block, so a single
+    helper thread draws while the search transforms and reads the block.
+    numpy fills ``out=`` with the GIL released, and the rng belongs to this
+    run alone, so the stream is drawn in the inline order and every value
+    is the same.  A smaller block is drawn inline, at the ``next`` call,
+    into one buffer.  As a context manager, leaving it joins the thread.
     """
 
-    def __init__(self, rng: np.random.Generator, method: str, shape,
-                 count: int):
-        self.normal = rng.normal
-        self._fill = getattr(rng, method)
-        self.block = np.empty(shape)
-        self._pending, self._left = None, 0
-        if self.block.size >= AHEAD_MIN_VALUES:
+    def __init__(self, draw, shape, count: int):
+        self._draw = draw
+        self._block = np.empty(shape)
+        self._pending = None
+        if self._block.size >= AHEAD_MIN_VALUES:
             self._spare = np.empty(shape)
             self._pool = ThreadPoolExecutor(max_workers=1)
-            self._pending = self._pool.submit(self._fill, out=self.block)
+            self._pending = self._pool.submit(draw, out=self._block)
             self._left = count - 1
 
-    def random(self, out: np.ndarray) -> np.ndarray:
-        """Return ``out``, this iteration's block, holding its draws."""
+    def next(self) -> np.ndarray:
+        """This iteration's block, holding its draws."""
+        block = self._block
         if self._pending is None:
-            self._fill(out=out)
-        else:
-            self._pending.result()
-        return out
-
-    standard_normal = random
-
-    def advance(self) -> None:
+            self._draw(out=block)
+            return block
+        self._pending.result()
         if self._left:
-            self.block, self._spare = self._spare, self.block
             self._left -= 1
-            self._pending = self._pool.submit(self._fill, out=self.block)
+            self._block, self._spare = self._spare, block
+            self._pending = self._pool.submit(self._draw, out=self._block)
+        return block
 
     def __enter__(self) -> "DrawAhead":
         return self
@@ -218,28 +229,35 @@ class LevySampler:
         self.alpha = float(alpha)
         self.sigma_x = levy_sigma_x(self.alpha)
 
-    def matrix(self, rows: int, cols: int, rng: np.random.Generator,
-               out=None) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out``, a float64 (2, rows, cols) array, with ``matrix``'s
+        raw draws: one standard-normal fill (the x block, then the y block),
+        then each exact-zero y redrawn in C order until none is left."""
+        rng.standard_normal(out=out)
+        y = out[1]
+        zero = y == 0.0
+        while zero.any():
+            y[zero] = rng.normal(0.0, 1.0, size=int(zero.sum()))
+            zero = y == 0.0
+
+    def matrix(self, rows: int, cols: int, rng, out=None) -> np.ndarray:
         """rows x cols array of independent draws.
 
-        The x block, then the y block, comes from one standard-normal fill
-        of ``out``, a float64 (2, rows, cols) work array (fresh when None);
-        the draws are ``out[0]``, overwritten by the next call on ``out``.
-        ``rng`` needs only ``standard_normal(out=)`` and ``normal``, so a
-        ``DrawAhead`` can stand in for it.
+        ``out`` is a float64 (2, rows, cols) work array (fresh when None)
+        that ``draw(rng, out)`` fills; the draws are ``out[0]``, overwritten
+        by the next call on ``out``.  With ``rng`` None, ``out`` already
+        holds ``draw``'s values (a ``DrawAhead`` block), and only the
+        transform, which draws nothing, runs here.
         """
         if out is None:
             out = np.empty((2, rows, cols))
-        rng.standard_normal(out=out)
+        if rng is not None:
+            self.draw(rng, out)
         x, y = out
         # rng.normal(0, s) computes 0.0 + s*z; the + 0.0 turns a -0.0 draw
         # into 0.0 as it does
         x *= self.sigma_x
         x += 0.0
-        zero = y == 0.0
-        while zero.any():
-            y[zero] = rng.normal(0.0, 1.0, size=int(zero.sum()))
-            zero = y == 0.0
         np.abs(y, out=y)
         np.power(y, 1.0 / self.alpha, out=y)
         np.multiply(0.05, x, out=x)

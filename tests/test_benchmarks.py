@@ -248,6 +248,14 @@ def test_dimension_validation():
         lookup("F1").evaluate(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(value):
+    # F1's body alone would give nan or inf; the point check names the
+    # first non-finite coordinate
+    with pytest.raises(ValueError, match=r"coordinate 2 is .*, not finite"):
+        lookup("F1").evaluate([0.0, 1.0, value, value])
+
+
 # ---------------------------------------------------------------------------
 # swarm evaluation
 # ---------------------------------------------------------------------------

@@ -73,6 +73,23 @@ class TestEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_noise_seed_fails_naming_the_field(self, capsys):
+        rc = main(["eval", "--seed", "-1", "F7", "0", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_fails(self, capsys, value):
+        # a behaviour change: both printed their value and exited 0
+        rc = main(["eval", "F1", "1", value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: point coordinate 1 is "
+                                f"{float(value)!r}, not finite\n")
+        assert captured.out == ""
+
     def test_noisy_function_seed_controls_the_draw(self, capsys):
         main(["eval", "F7", "0", "0", "--seed", "5"])
         first = capsys.readouterr().out
@@ -435,6 +452,22 @@ class TestTune:
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be >= 0\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [("--trainer-seed", "trainer_seed"),
+                                             ("--data-seed", "data_seed")])
+    def test_negative_trainer_or_data_seed_fails_before_training(
+            self, tmp_path, capsys, monkeypatch, flag, field):
+        trained = []
+        monkeypatch.setattr(hypertune, "train_toy_models",
+                            lambda hps, *args, **kwargs: trained.extend(hps))
+        out = tmp_path / "t"
+        rc = main(["tune", flag, "-1", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be >= 0\n"
+        assert captured.out == ""
+        assert trained == []
         assert not out.exists()
 
     def test_too_small_sample_count_fails(self, tmp_path, capsys):

@@ -295,6 +295,26 @@ class TestRunExperiment:
         assert max(started) == 2
 
 
+    def test_pooled_grid_with_a_registered_composite_under_forkserver(
+            self, composite_sandbox):
+        # the pool asks for fork, so its workers hold F24 whatever the
+        # interpreter's default start method is
+        register_composite({"id": "F24", "dim": 2, "lower": -5.0,
+                            "upper": 5.0, "eval": lambda x: float(x @ x)})
+        config = dict(algorithms=("mfo",), functions=("F24", "F1"), dim=2,
+                      runs=2, pop_size=5, max_iter=4)
+        serial = run_experiment(ExperimentConfig(**config))
+        method = multiprocessing.get_start_method()
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            pooled = run_experiment(ExperimentConfig(workers=2, **config))
+        finally:
+            multiprocessing.set_start_method(method, force=True)
+        assert [rec.aborted for rec in pooled.records] == [False] * 4
+        assert ([rec.best_fitness for rec in pooled.records]
+                == [rec.best_fitness for rec in serial.records])
+
+
 class TestCompositePack:
     def test_pack_functions_run_serially_and_pooled(self, make_pack,
                                                     composite_sandbox):

@@ -19,7 +19,7 @@ from nlcmfo.benchmarks import (clear_composites, load_composite_pack, lookup,
 from nlcmfo.engine import EngineConfig, ObjectiveError, _moth_flame, drive, run
 from nlcmfo.harness import ExperimentConfig, run_experiment
 from nlcmfo.space import SearchSpace
-from nlcmfo.stochastic import AHEAD_MIN_VALUES, make_rng
+from nlcmfo.stochastic import AHEAD_MIN_VALUES, LevySampler, make_rng
 
 ALGORITHMS = ("mfo", "nlcmfo", "pso", "gwo")
 RUNNERS = {"mfo": run, "nlcmfo": run, "pso": run_pso, "gwo": run_gwo}
@@ -230,6 +230,75 @@ def test_draw_ahead_keeps_the_inline_stream_order(monkeypatch, algorithm,
     assert inline == got
     assert inline_events == [e[:2] + (True,) if e[0] == "fill" else e
                              for e in want]
+
+
+class _SignalledRng:
+    """A run's generator whose k-th standard-normal fill sets
+    ``started[k]`` as it begins."""
+
+    def __init__(self, rng, started):
+        self._rng, self.started, self.fills = rng, started, 0
+
+    def random(self, size):
+        return self._rng.random(size)
+
+    def standard_normal(self, out):
+        self.fills += 1
+        self.started[self.fills].set()
+        return self._rng.standard_normal(out=out)
+
+    def normal(self, loc, scale, size):
+        return self._rng.normal(loc, scale, size)
+
+
+def test_nlcmfo_starts_the_next_fill_before_the_current_transform(
+        monkeypatch, reference_runs):
+    # the transform of block k (LevySampler.matrix on a drawn block) waits
+    # until block k+1's fill has begun; a fill started only after the
+    # transform would leave it waiting, and the timeout fails the test
+    n, big_t = 30, 4
+    started = [threading.Event() for _ in range(big_t + 2)]
+    transform = LevySampler.matrix
+    waited = []
+
+    def matrix(self, rows, cols, rng, out=None):
+        k = len(waited) + 1
+        waited.append(k == big_t or started[k + 1].wait(5.0))
+        assert waited[-1], f"block {k + 1}'s fill had not begun"
+        return transform(self, rows, cols, rng, out)
+
+    monkeypatch.setattr(LevySampler, "matrix", matrix)
+    config = EngineConfig("nlcmfo", pop_size=n, max_iter=big_t, seed=4)
+    func = lookup("F1")
+    got = drive(config, func.space(1100), func.objective(),
+                lambda c, s, rng: _moth_flame(c, s,
+                                              _SignalledRng(rng, started)))
+    assert waited == [True] * big_t
+    want = reference_runs["nlcmfo"](config, func.space(1100),
+                                    func.objective())
+    assert _result_bytes(got) == _result_bytes(want)
+
+
+def test_nlcmfo_transforms_on_the_run_thread_and_draws_on_the_helper(
+        monkeypatch):
+    # the helper runs only the draw half, which nothing traced wraps; the
+    # transform in LevySampler.matrix stays on the run's thread
+    entered = {"matrix": [], "draw": []}
+    for name in entered:
+        original = getattr(LevySampler, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            entered[_name].append(threading.current_thread())
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LevySampler, name, spy)
+    config = EngineConfig("nlcmfo", pop_size=30, max_iter=5, seed=1)
+    run(config, SearchSpace.cube(1100, -100.0, 100.0),
+        lookup("F1").objective())
+    main = threading.main_thread()
+    assert entered["matrix"] == [main] * 5
+    assert len(entered["draw"]) == 5
+    assert all(thread is not main for thread in entered["draw"])
 
 
 @pytest.mark.parametrize("outcome", ["finished", "non-finite", "bad shape"])

@@ -33,6 +33,18 @@ def test_streams_of_one_seed_are_distinct_but_reproducible():
     assert np.array_equal(noise, make_rng(7, stream=1).random(50))
 
 
+@pytest.mark.parametrize("seed, error, message", [
+    (-1, ValueError, "data_seed must be >= 0"),
+    (1.0, TypeError, "data_seed must be an integer, got 1.0"),
+    (True, TypeError, "data_seed must be an integer, got True")])
+def test_bad_seed_is_named_by_the_caller(seed, error, message):
+    with pytest.raises(error) as raised:
+        make_rng(seed, stream=1, name="data_seed")
+    assert str(raised.value) == message
+    with pytest.raises(error, match="^seed must be"):
+        make_rng(seed)
+
+
 # ---------------------------------------------------------------------------
 # levy_sigma_x
 # ---------------------------------------------------------------------------
