@@ -23,17 +23,16 @@ from .hypertune import (ConfusionCounts, HyperParams, MetricsReport,
                         make_toy_dataset, metrics, roc_auc, roc_points,
                         train_toy_model, tune)
 from .space import SearchSpace
-from .stochastic import (ChaoticDomainError, ChaoticMap, LevySampler,
-                         ParameterError, levy_sigma_x, make_rng)
+from .stochastic import ChaoticMap, LevySampler, levy_sigma_x, make_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkFunction", "ChaoticDomainError", "ChaoticMap",
+    "BenchmarkFunction", "ChaoticMap",
     "CompositeCollisionError", "CompositeUnavailableError", "ConfigError",
     "ConfusionCounts", "EngineConfig", "ExperimentConfig", "ExperimentResult",
     "HyperParams", "LevySampler", "MetricsReport",
-    "ObjectiveError", "ParameterError", "RunResult",
+    "ObjectiveError", "RunResult",
     "SearchSpace", "ToyDataset", "ToyLogisticClassifier", "TuneResult",
     "UnknownFunctionError", "clear_composites", "confusion",
     "decode_hyperparams", "evaluate_L_D",

@@ -18,6 +18,7 @@ training).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -34,6 +35,13 @@ from .hypertune import (confusion, export_dataset, make_toy_dataset, metrics,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers; eval's
+        # points are floats, so -1e5, -.5, -inf and -nan are points too
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)",
+                                                   re.IGNORECASE)
+
     # argparse exits with 2 on usage errors by default; 2 is reserved for
     # runtime aborts here, so remap usage problems to the config-error code.
     def error(self, message):

@@ -230,8 +230,8 @@ class MapScheduler:
     """
 
     def __init__(self):
-        self.primary = ChaoticMap("sine", 0.7)
-        self.secondary = ChaoticMap("chebyshev", 0.7)
+        self.primary = ChaoticMap("sine")
+        self.secondary = ChaoticMap("chebyshev")
         self.active_is_primary = True
         self.counter = 0
 
@@ -357,7 +357,7 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     # pairing: a buffer or a take there lifted its faults from about 400
     # to 9,000-22,000 per run
     if chaotic:
-        sampler = LevySampler(1.5)
+        sampler = LevySampler()
         scheduler = MapScheduler()
         paired = np.empty((n, dim))
 
@@ -393,7 +393,7 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
                 w = nonlinear_weight(l, big_t)
                 cm = scheduler.active.steps(n)
                 t = t_nlcmfo(a, cm)
-                levy = sampler.matrix(n, dim, None, out=draws.next())
+                levy = sampler.matrix(n, dim, draws.next())
                 moths = spiral_step_nlcmfo(moths, paired, t[:, None], w,
                                            levy, out=work)
             else:

@@ -220,12 +220,14 @@ def _aborted(task, exc: Exception) -> RunRecord:
 
 def _execute_task(task) -> RunRecord:
     algorithm, fid, dim, run_index, config, telemetry, pack_dir = task
-    if pack_dir is not None:
-        _ensure_pack(pack_dir)
-    func = benchmarks.lookup(fid)
-    space = func.space(dim)
-    objective = func.objective(rng=func.noise_rng(config.seed))
     try:
+        # a worker that does not fork lacks the parent's registered
+        # composites: their lookup fails here and aborts only their runs
+        if pack_dir is not None:
+            _ensure_pack(pack_dir)
+        func = benchmarks.lookup(fid)
+        space = func.space(dim)
+        objective = func.objective(rng=func.noise_rng(config.seed))
         result = globals()[ALGORITHMS[algorithm]](config, space, objective)
     except Exception as exc:  # a failed run is recorded; the grid goes on
         return _aborted(task, exc)

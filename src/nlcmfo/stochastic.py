@@ -36,14 +36,6 @@ AHEAD_MIN_VALUES = 1 << 15
 _EDGE = 1e-7
 
 
-class ChaoticDomainError(ValueError):
-    """Chaotic map state outside the map's native domain."""
-
-
-class ParameterError(ValueError):
-    """A tunable parameter outside its documented range."""
-
-
 def check_integer(name: str, value):
     """Return ``value`` if it is an integer; a float, string or bool is a
     TypeError naming ``name``."""
@@ -144,32 +136,22 @@ _MAPS = {
     "sine": (_sine, 0.0, 1.0),
 }
 
-MAP_KINDS = tuple(_MAPS)
-
 
 class ChaoticMap:
     """The sine or chebyshev scalar chaotic map with a normalized [0,1] output.
 
-    The map holds its raw state in the native domain (unit interval for
-    sine, [-1,1] for chebyshev).  ``step`` returns the exact next value
-    normalized to [0,1]; the stored state is additionally nudged off exact
-    absorbing boundaries so the orbit stays alive.  ``steps`` draws several
-    values at once.
+    ``kind`` is "sine" or "chebyshev", the two maps ``MapScheduler``
+    builds, and the orbit starts at 0.7.  The map holds its raw state in
+    the native domain (unit interval for sine, [-1,1] for chebyshev).
+    ``step`` returns the exact next value normalized to [0,1]; the stored
+    state is additionally nudged off exact absorbing boundaries so the
+    orbit stays alive.  ``steps`` draws several values at once.
     """
 
-    def __init__(self, kind: str, state: float = 0.7):
-        if kind not in _MAPS:
-            raise ParameterError(
-                f"unknown chaotic map {kind!r}; choose one of {MAP_KINDS}"
-            )
+    def __init__(self, kind: str):
         self.kind = kind
         self._step_fn, self._lo, self._hi = _MAPS[kind]
-        if not (self._lo <= state <= self._hi) or not math.isfinite(state):
-            raise ChaoticDomainError(
-                f"{kind} map state {state!r} outside native domain "
-                f"[{self._lo}, {self._hi}]"
-            )
-        self.state = float(state)
+        self.state = 0.7
 
     def step(self) -> float:
         """Advance one step; return the normalized next value in [0, 1]."""
@@ -178,9 +160,9 @@ class ChaoticMap:
     def steps(self, k: int) -> np.ndarray:
         """Advance k steps; return the k normalized next values in [0, 1].
 
-        The state needs no domain check here: the constructor checks the
-        start state, both maps send their domain into itself, and the
-        keep-alive nudge keeps later states off the absorbing points.
+        The state needs no domain check here: 0.7 is in both domains,
+        both maps send their domain into itself, and the keep-alive nudge
+        keeps later states off the absorbing points.
         """
         step_fn, lo, hi = self._step_fn, self._lo, self._hi
         state = self.state
@@ -210,9 +192,7 @@ def levy_sigma_x(alpha: float) -> float:
     valid for stability index alpha in (0.3, 1.99].
     """
     if not 0.3 < alpha <= 1.99:
-        raise ParameterError(
-            f"levy stability index {alpha!r} outside (0.3, 1.99]"
-        )
+        raise ValueError(f"levy stability index {alpha!r} outside (0.3, 1.99]")
     num = math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0)
     den = math.gamma((1.0 + alpha) / 2.0) * alpha * 2.0 ** ((alpha - 1.0) / 2.0)
     return (num / den) ** (1.0 / alpha)
@@ -221,13 +201,13 @@ def levy_sigma_x(alpha: float) -> float:
 class LevySampler:
     """Mantegna sampler: levy = 0.05 * x / |y|^(1/alpha), x~N(0, sigma_x^2), y~N(0,1).
 
-    Heavy-tailed and symmetric about 0, with the scale fixed at 0.05.  A y
-    draw of exactly zero (probability zero, but cheap to guard) is redrawn.
+    Heavy-tailed and symmetric about 0, with alpha fixed at 1.5 and the
+    scale at 0.05.  A y draw of exactly zero (probability zero, but cheap
+    to guard) is redrawn.
     """
 
-    def __init__(self, alpha: float = 1.5):
-        self.alpha = float(alpha)
-        self.sigma_x = levy_sigma_x(self.alpha)
+    alpha = 1.5
+    sigma_x = levy_sigma_x(alpha)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out``, a float64 (2, rows, cols) array, with ``matrix``'s
@@ -240,19 +220,13 @@ class LevySampler:
             y[zero] = rng.normal(0.0, 1.0, size=int(zero.sum()))
             zero = y == 0.0
 
-    def matrix(self, rows: int, cols: int, rng, out=None) -> np.ndarray:
-        """rows x cols array of independent draws.
+    def matrix(self, rows: int, cols: int, out: np.ndarray) -> np.ndarray:
+        """rows x cols array of independent draws, transformed in place
+        from ``out``, a (2, rows, cols) block that ``draw`` filled.
 
-        ``out`` is a float64 (2, rows, cols) work array (fresh when None)
-        that ``draw(rng, out)`` fills; the draws are ``out[0]``, overwritten
-        by the next call on ``out``.  With ``rng`` None, ``out`` already
-        holds ``draw``'s values (a ``DrawAhead`` block), and only the
-        transform, which draws nothing, runs here.
+        The draws are ``out[0]``, overwritten by the next ``draw`` on
+        ``out``; the transform itself draws nothing.
         """
-        if out is None:
-            out = np.empty((2, rows, cols))
-        if rng is not None:
-            self.draw(rng, out)
         x, y = out
         # rng.normal(0, s) computes 0.0 + s*z; the + 0.0 turns a -0.0 draw
         # into 0.0 as it does

@@ -78,7 +78,7 @@ def test_criterion_1_closed_form_checks():
                    levy_sigma_x(1.0) == 1.0,
                    time.perf_counter() - start))
     start = time.perf_counter()
-    sine = ChaoticMap("sine", state=0.7)
+    sine = ChaoticMap("sine")
     checks.append(("sine 0.7->0.809017+-1e-6",
                    abs(sine.step() - 0.809017) <= 1e-6,
                    time.perf_counter() - start))

@@ -80,15 +80,32 @@ class TestEval:
         assert captured.err == "error: seed must be >= 0\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
     def test_non_finite_point_fails(self, capsys, value):
-        # a behaviour change: both printed their value and exited 0
+        # a behaviour change: nan and inf printed their value and exited 0
         rc = main(["eval", "F1", "1", value])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == (f"error: point coordinate 1 is "
                                 f"{float(value)!r}, not finite\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args, value", [
+        (["-1e5", "2"], 1e10 + 4.0),
+        (["--seed", "3", "-1e5", "2"], 1e10 + 4.0),
+        (["-1e5", "2", "--seed", "3"], 1e10 + 4.0),
+        (["-1E-3", "-.5"], 1e-6 + 0.25)])
+    def test_negative_point_in_any_float_notation(self, capsys, args, value):
+        # argparse alone takes only -1 and -1.5 for numbers, not -1e5
+        rc = main(["eval", "F1"] + args)
+        assert rc == 0
+        assert capsys.readouterr().out == f"{value!r}\n"
+
+    def test_unknown_option_still_fails(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--bogus", "F1", "1"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
     def test_noisy_function_seed_controls_the_draw(self, capsys):
         main(["eval", "F7", "0", "0", "--seed", "5"])

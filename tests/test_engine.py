@@ -86,7 +86,7 @@ def test_t_mfo_deterministic():
 
 
 def test_t_nlcmfo_example():
-    cm = ChaoticMap("sine", 0.7).step()
+    cm = ChaoticMap("sine").step()
     assert t_nlcmfo(-2.0, cm) == pytest.approx(1.4270509831248424, abs=1e-12)
 
 
@@ -342,6 +342,9 @@ def test_scheduler_starts_on_primary():
     assert s.active is s.primary
     assert (s.primary.kind, s.primary.state) == ("sine", 0.7)
     assert (s.secondary.kind, s.secondary.state) == ("chebyshev", 0.7)
+    # the two are ChaoticMap("sine") and ChaoticMap("chebyshev")
+    for built, kind in [(s.primary, "sine"), (s.secondary, "chebyshev")]:
+        assert built.steps(50).tobytes() == ChaoticMap(kind).steps(50).tobytes()
 
 
 def test_scheduler_toggles_after_window_repeats():

@@ -314,6 +314,24 @@ class TestRunExperiment:
         assert ([rec.best_fitness for rec in pooled.records]
                 == [rec.best_fitness for rec in serial.records])
 
+    def test_a_composite_missing_in_the_workers_aborts_only_its_runs(
+            self, composite_sandbox, monkeypatch):
+        # forkserver workers import the package afresh, without F24: its
+        # runs are aborted and F1's finish
+        register_composite({"id": "F24", "dim": 2, "lower": -5.0,
+                            "upper": 5.0, "eval": lambda x: float(x @ x)})
+        monkeypatch.setattr(harness, "_FORK",
+                            multiprocessing.get_context("forkserver"))
+        result = run_experiment(ExperimentConfig(
+            algorithms=("mfo",), functions=("F1", "F24"), dim=2, runs=2,
+            pop_size=5, max_iter=4, workers=2))
+        assert ([(rec.function, rec.aborted) for rec in result.records]
+                == [("F1", False)] * 2 + [("F24", True)] * 2)
+        assert all(math.isfinite(rec.best_fitness)
+                   for rec in result.records[:2])
+        assert all(rec.error.startswith("CompositeUnavailableError: F24 ")
+                   for rec in result.records[2:])
+
 
 class TestCompositePack:
     def test_pack_functions_run_serially_and_pooled(self, make_pack,

@@ -261,11 +261,11 @@ def test_nlcmfo_starts_the_next_fill_before_the_current_transform(
     transform = LevySampler.matrix
     waited = []
 
-    def matrix(self, rows, cols, rng, out=None):
+    def matrix(self, rows, cols, out):
         k = len(waited) + 1
         waited.append(k == big_t or started[k + 1].wait(5.0))
         assert waited[-1], f"block {k + 1}'s fill had not begun"
-        return transform(self, rows, cols, rng, out)
+        return transform(self, rows, cols, out)
 
     monkeypatch.setattr(LevySampler, "matrix", matrix)
     config = EngineConfig("nlcmfo", pop_size=n, max_iter=big_t, seed=4)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcmfo.stochastic import (MAP_KINDS, ChaoticDomainError, ChaoticMap,
-                               LevySampler, ParameterError, levy_sigma_x,
-                               make_rng)
+from nlcmfo.stochastic import ChaoticMap, LevySampler, levy_sigma_x, make_rng
+
+# the two maps nlcmfo runs
+MAP_KINDS = ("chebyshev", "sine")
 
 # ---------------------------------------------------------------------------
 # make_rng
@@ -72,7 +73,7 @@ def test_sigma_x_is_one_at_alpha_one():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.29, 0.0, -1.0, 1.991, 2.0, 2.5])
 def test_sigma_x_rejects_out_of_range_alpha(alpha):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match="^levy stability index .* outside"):
         levy_sigma_x(alpha)
 
 
@@ -93,40 +94,28 @@ STEP_FROM_07 = {
 }
 
 
-def test_known_kinds():
-    assert set(MAP_KINDS) == set(STEP_FROM_07)
-
-
 def test_single_step_values_from_common_state():
     for kind, expected in STEP_FROM_07.items():
-        assert ChaoticMap(kind, 0.7).step() == pytest.approx(expected, abs=1e-12)
+        assert ChaoticMap(kind).step() == pytest.approx(expected, abs=1e-12)
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ParameterError):
-        ChaoticMap("henon")
-
-
-@pytest.mark.parametrize("kind,state", [
-    ("sine", 1.5),
-    ("chebyshev", -1.5),
-    ("sine", float("nan")),
-])
-def test_out_of_domain_state_rejected(kind, state):
-    with pytest.raises(ChaoticDomainError):
-        ChaoticMap(kind, state)
+def _map_at(kind, state):
+    """A ``kind`` map whose orbit goes on from ``state`` (not nlcmfo's 0.7)."""
+    m = ChaoticMap(kind)
+    m.state = state
+    return m
 
 
 def test_chebyshev_accepts_negative_native_state():
     # native domain is [-1, 1]; output is normalized into [0, 1]
-    value = ChaoticMap("chebyshev", -0.5).step()
+    value = _map_at("chebyshev", -0.5).step()
     assert 0.0 <= value <= 1.0
 
 
 @given(st.sampled_from(MAP_KINDS), st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=60, deadline=None)
 def test_normalized_orbit_stays_in_unit_interval(kind, state):
-    m = ChaoticMap(kind, state)
+    m = _map_at(kind, state)
     for _ in range(100):
         assert 0.0 <= m.step() <= 1.0
 
@@ -134,7 +123,7 @@ def test_normalized_orbit_stays_in_unit_interval(kind, state):
 def test_boundary_value_is_returned_exactly_then_orbit_recovers():
     # sine maps 0.5 to exactly 1.0; the stored state is nudged inward so
     # the orbit does not collapse to the 1 -> ~0 -> ~0 absorbing chain
-    m = ChaoticMap("sine", 0.5)
+    m = _map_at("sine", 0.5)
     assert m.step() == 1.0
     assert m.state == 1.0 - 1e-7
     tail = [m.step() for _ in range(60)]
@@ -148,7 +137,7 @@ def test_boundary_value_is_returned_exactly_then_orbit_recovers():
     ("chebyshev", -0.5),  # normalized from [-1, 1]
 ])
 def test_steps_equal_successive_single_steps(kind, state):
-    batched, single = ChaoticMap(kind, state), ChaoticMap(kind, state)
+    batched, single = _map_at(kind, state), _map_at(kind, state)
     drawn = np.concatenate([batched.steps(1), batched.steps(30), batched.steps(169)])
     stepped = np.array([single.step() for _ in range(200)])
     assert drawn.tobytes() == stepped.tobytes()
@@ -158,7 +147,7 @@ def test_steps_equal_successive_single_steps(kind, state):
 def test_long_generic_orbits_do_not_die():
     # 500 steps from a generic state: the last stretch still varies
     for kind in MAP_KINDS:
-        m = ChaoticMap(kind, 0.7)
+        m = ChaoticMap(kind)
         values = [m.step() for _ in range(500)]
         assert all(0.0 <= v <= 1.0 for v in values), kind
         assert len(set(values[-50:])) > 1, kind
@@ -173,17 +162,24 @@ def test_sampler_defaults():
     s = LevySampler()
     assert s.alpha == 1.5
     assert s.sigma_x == levy_sigma_x(1.5)
+    # class constants: nothing sets them
+    assert LevySampler.alpha == 1.5
+    assert LevySampler.sigma_x == levy_sigma_x(1.5)
+    assert vars(s) == {}
 
 
-def test_sampler_rejects_bad_alpha():
-    with pytest.raises(ParameterError):
-        LevySampler(alpha=2.5)
+def _sampled(s, rows, cols, rng, out=None):
+    """``draw`` into ``out`` (fresh when None), then ``matrix`` on it."""
+    if out is None:
+        out = np.empty((2, rows, cols))
+    s.draw(rng, out)
+    return s.matrix(rows, cols, out)
 
 
 def test_matrix_matches_manual_reconstruction():
     # draw layout: one x block, then one y block, from the shared generator
-    s = LevySampler(1.5)
-    got = s.matrix(4, 3, make_rng(42))
+    s = LevySampler()
+    got = _sampled(s, 4, 3, make_rng(42))
     rng = make_rng(42)
     x = rng.normal(0.0, s.sigma_x, size=(4, 3))
     y = rng.normal(0.0, 1.0, size=(4, 3))
@@ -215,8 +211,8 @@ def _levy(sigma_x, z_x, y):
 
 
 def test_matrix_turns_a_negative_zero_numerator_draw_into_zero():
-    s = LevySampler(1.5)
-    got = s.matrix(1, 3, _StubRng([[[-0.0, 0.5, -2.0]], [[2.0, -1.5, 0.3]]]))
+    s = LevySampler()
+    got = _sampled(s, 1, 3, _StubRng([[[-0.0, 0.5, -2.0]], [[2.0, -1.5, 0.3]]]))
     assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
     want = _levy(s.sigma_x, [[-0.0, 0.5, -2.0]], [[2.0, -1.5, 0.3]])
     assert got.tobytes() == want.tobytes()
@@ -225,11 +221,11 @@ def test_matrix_turns_a_negative_zero_numerator_draw_into_zero():
 def test_matrix_redraws_exact_zero_denominators_in_order():
     # y holds 0.0 and -0.0 at three places (C order); the first redraw
     # gives another zero at the first of them, which the second redraws
-    s = LevySampler(1.5)
+    s = LevySampler()
     x = [[1.0, -1.0], [0.25, 2.0]]
     rng = _StubRng([x, [[0.0, 1.5], [-0.0, 0.0]]],
                    redraws=[[0.0, 2.0, -4.0], [0.5]])
-    got = s.matrix(2, 2, rng)
+    got = _sampled(s, 2, 2, rng)
     assert rng.calls == [("standard_normal", (2, 2, 2)),
                          ("normal", 0.0, 1.0, 3), ("normal", 0.0, 1.0, 1)]
     want = _levy(s.sigma_x, x, [[0.5, 1.5], [2.0, -4.0]])
@@ -237,13 +233,13 @@ def test_matrix_redraws_exact_zero_denominators_in_order():
 
 
 def test_matrix_into_a_work_array_gives_the_fresh_bytes():
-    s = LevySampler(1.5)
+    s = LevySampler()
     buf = np.empty((2, 4, 3))
     rng, fresh_rng, manual_rng = make_rng(42), make_rng(42), make_rng(42)
     for _ in range(3):
-        got = s.matrix(4, 3, rng, out=buf)
+        got = _sampled(s, 4, 3, rng, out=buf)
         assert got.base is buf and np.shares_memory(got, buf[0])
-        assert got.tobytes() == s.matrix(4, 3, fresh_rng).tobytes()
+        assert got.tobytes() == _sampled(s, 4, 3, fresh_rng).tobytes()
         x = manual_rng.normal(0.0, s.sigma_x, size=(4, 3))
         y = manual_rng.normal(0.0, 1.0, size=(4, 3))
         assert got.tobytes() == (0.05 * x / np.abs(y) ** (1.0 / 1.5)).tobytes()
@@ -251,14 +247,14 @@ def test_matrix_into_a_work_array_gives_the_fresh_bytes():
 
 def test_matrix_shape_and_determinism():
     s = LevySampler()
-    m = s.matrix(7, 2, make_rng(0))
+    m = _sampled(s, 7, 2, make_rng(0))
     assert m.shape == (7, 2)
-    assert np.array_equal(m, s.matrix(7, 2, make_rng(0)))
-    assert not np.array_equal(m, s.matrix(7, 2, make_rng(1)))
+    assert np.array_equal(m, _sampled(s, 7, 2, make_rng(0)))
+    assert not np.array_equal(m, _sampled(s, 7, 2, make_rng(1)))
 
 
 def test_draws_are_heavy_tailed_and_sign_symmetric():
-    draws = LevySampler().matrix(200, 100, make_rng(11)).ravel()
+    draws = _sampled(LevySampler(), 200, 100, make_rng(11)).ravel()
     # mostly small steps with occasional long jumps
     assert np.median(np.abs(draws)) < 0.1
     assert np.max(np.abs(draws)) > 0.5
