@@ -315,7 +315,10 @@ class BenchmarkFunction:
             i = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"point coordinate {i} is {float(x[i])!r}, "
                              "not finite")
-        return float(self.objective(rng)(x[None, :])[0])
+        value = np.asarray(self.objective(rng)(x[None, :]), dtype=np.float64)
+        if value.shape != (1,):
+            raise ValueError(f"objective returned shape {value.shape}, expected (1,)")
+        return float(value[0])
 
     def noise_rng(self, seed: int) -> Optional[np.random.Generator]:
         """The noise generator of a run seeded ``seed``: stream 1 of that seed
@@ -418,10 +421,9 @@ def register_composite(pack) -> None:
     """Register composite implementations for the F24-F29 slots.
 
     ``pack`` is one mapping or a list of mappings, each with keys id, dim
-    (an integer), lower, upper, eval (callable vector->real) and optionally
-    name, f_min, minimizer.  Ids must be F24-F29 and not yet registered.
-    ``eval`` takes one point; the registered objective takes the swarm and
-    calls it once per row.
+    (an integer), lower, upper, eval (the objective: an (n, d) swarm to its
+    n values, each row the value it gets alone) and optionally name, f_min,
+    minimizer.  Ids must be F24-F29 and not yet registered.
     """
     specs = pack if isinstance(pack, (list, tuple)) else [pack]
     staged = []
@@ -439,9 +441,7 @@ def register_composite(pack) -> None:
         staged.append(_entry(
             fid, spec.get("name", fid.lower()), check_integer("dim", spec.get("dim")),
             spec.get("lower"), spec.get("upper"), spec.get("f_min"),
-            spec.get("minimizer"),
-            lambda x, _fn=fn: np.array([float(_fn(row)) for row in x]),
-        ))
+            spec.get("minimizer"), fn))
     for entry in staged:
         _composites[entry.fid] = entry
 
@@ -522,12 +522,12 @@ def _composite_spec(path: Path) -> dict:
         parts.append((basis, weight, shift, rotation))
 
     def f(x):
-        total = bias
+        total = np.full(x.shape[0], bias)
         for basis, weight, shift, rotation in parts:
             z = x - shift
             if rotation is not None:
-                z = rotation @ z
-            total += weight * basis(z[None, :])[0]
+                z = np.matmul(rotation, z[:, :, None])[:, :, 0]  # rotation @ row, bit for bit
+            total += weight * basis(z)
         return total
 
     fid = str(raw["id"]).upper()

@@ -35,7 +35,7 @@ def dying_composite():
     """F24 (d=2) registered with an ``eval`` that ends the process running
     it, one second after it is called; evaluate it in pool workers only.
     The pause lets the runs already on other workers finish first."""
-    def die(x):
+    def die(X):
         time.sleep(1.0)
         os._exit(3)
 

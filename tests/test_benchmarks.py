@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from nlcmfo.benchmarks import (BUILTIN_IDS, COMPOSITE_IDS,
+from nlcmfo.benchmarks import (BASIS_FUNCTIONS, BUILTIN_IDS, COMPOSITE_IDS,
                                CompositeCollisionError,
                                CompositeUnavailableError,
                                UnknownFunctionError, clear_composites,
@@ -302,7 +302,7 @@ def test_register_composite_dict(composite_sandbox):
     register_composite({
         "id": "F24", "dim": 2, "lower": -100.0, "upper": 100.0,
         "f_min": 2400.0, "minimizer": [1.0, 2.0],
-        "eval": lambda x: 2400.0 + float(np.sum((np.asarray(x) - [1.0, 2.0]) ** 2)),
+        "eval": lambda X: 2400.0 + ((X - [1.0, 2.0]) ** 2).sum(axis=1),
     })
     f = lookup("F24")
     assert f.dim == 2 and not f.scalable
@@ -313,15 +313,15 @@ def test_register_composite_dict(composite_sandbox):
 def test_register_composite_rejects_builtin_slot(composite_sandbox):
     with pytest.raises(UnknownFunctionError):
         register_composite({"id": "F30", "dim": 2, "lower": 0, "upper": 1,
-                            "eval": lambda x: 0.0})
+                            "eval": lambda X: np.zeros(len(X))})
     with pytest.raises(UnknownFunctionError):
         register_composite({"id": "F1", "dim": 2, "lower": 0, "upper": 1,
-                            "eval": lambda x: 0.0})
+                            "eval": lambda X: np.zeros(len(X))})
 
 
 def test_register_composite_collision(composite_sandbox):
     spec = {"id": "F25", "dim": 2, "lower": 0, "upper": 1,
-            "eval": lambda x: 0.0}
+            "eval": lambda X: np.zeros(len(X))}
     register_composite(spec)
     with pytest.raises(CompositeCollisionError):
         register_composite(dict(spec))
@@ -329,9 +329,9 @@ def test_register_composite_collision(composite_sandbox):
 
 def test_register_composite_list_is_atomic(composite_sandbox):
     good = {"id": "F24", "dim": 2, "lower": 0, "upper": 1,
-            "eval": lambda x: 0.0}
+            "eval": lambda X: np.zeros(len(X))}
     bad = {"id": "F99", "dim": 2, "lower": 0, "upper": 1,
-           "eval": lambda x: 0.0}
+           "eval": lambda X: np.zeros(len(X))}
     with pytest.raises(UnknownFunctionError):
         register_composite([good, bad])
     with pytest.raises(CompositeUnavailableError):
@@ -349,14 +349,14 @@ def test_register_composite_requires_an_integer_dim(composite_sandbox, dim):
     with pytest.raises(TypeError,
                        match=re.escape(f"dim must be an integer, got {dim!r}")):
         register_composite({"id": "F24", "dim": dim, "lower": 0, "upper": 1,
-                            "eval": lambda x: 0.0})
+                            "eval": lambda X: np.zeros(len(X))})
     with pytest.raises(CompositeUnavailableError):
         lookup("F24")
 
 
 def test_clear_composites(composite_sandbox):
     register_composite({"id": "F24", "dim": 2, "lower": 0, "upper": 1,
-                        "eval": lambda x: 0.0})
+                        "eval": lambda X: np.zeros(len(X))})
     clear_composites()
     with pytest.raises(CompositeUnavailableError):
         lookup("F24")
@@ -409,44 +409,91 @@ def test_load_composite_pack_rotation_and_weight(tmp_path, composite_sandbox):
     assert lookup("F26").evaluate([1.0, -3.0]) == 0.0
 
 
-def test_composite_objective_is_called_per_row(composite_sandbox):
+def test_composite_objective_is_called_once_per_swarm(composite_sandbox):
     seen = []
 
     def fn(x):
         seen.append(np.shape(x))
-        return float(np.sum(x))
+        return x.sum(axis=1)
 
     register_composite({"id": "F24", "dim": 3, "lower": -1, "upper": 1,
                         "eval": fn})
     obj = lookup("F24").objective()
     swarm = obj(np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]))
     assert np.array_equal(swarm, [6.0, -0.5])
-    assert seen == [(3,), (3,)]
+    assert seen == [(2, 3)]
     value = lookup("F24").evaluate([1.0, 2.0, 3.0])
     assert type(value) is float and value == 6.0
-    assert seen == [(3,), (3,), (3,)]
+    assert seen == [(2, 3), (1, 3)]
+
+
+@pytest.mark.parametrize("fn, shape", [
+    (lambda X: 3.0, "()"),
+    (lambda X: np.float64(3.0), "()"),
+    (lambda X: np.full((len(X), 1), 3.0), "(1, 1)"),
+], ids=["float", "float64", "column"])
+def test_evaluate_rejects_a_return_of_the_wrong_shape(composite_sandbox, fn,
+                                                      shape):
+    register_composite({"id": "F24", "dim": 2, "lower": 0, "upper": 1,
+                        "eval": fn})
+    with pytest.raises(ValueError, match=re.escape(
+            f"objective returned shape {shape}, expected (1,)")):
+        lookup("F24").evaluate([0.5, 0.25])
+
+
+def _per_point_values(swarm, bias, components):
+    """A pack's values, one point at a time, from its formula written out:
+    bias + sum of weight * basis(rotation @ (x - shift)) in file order."""
+    values = []
+    for x in swarm:
+        total = bias
+        for comp in components:
+            z = x - np.array(comp["shift"])
+            if "rotation" in comp:
+                z = np.array(comp["rotation"]) @ z
+            basis = BASIS_FUNCTIONS[comp["basis"]]
+            total += comp["weight"] * basis(z[None, :])[0]
+        values.append(total)
+    return np.array(values)
+
+
+def _assert_pack_matches_per_point_values(directory, spec, rng):
+    _write_pack(directory, {"f24.json": spec})
+    load_composite_pack(directory)
+    swarm = rng.uniform(-5, 5, (7, spec["dim"]))
+    expected = _per_point_values(swarm, spec["bias"], spec["components"])
+    assert (lookup("F24").objective()(swarm).tobytes()
+            == expected.tobytes())
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 30])
+@pytest.mark.parametrize("basis", sorted(BASIS_FUNCTIONS))
+def test_composite_pack_swarm_call_equals_per_point_formula_bitwise(
+        tmp_path, composite_sandbox, basis, d, rotated):
+    rng = make_rng(5)
+    comp = {"basis": basis, "weight": 0.7,
+            "shift": rng.uniform(-2, 2, d).tolist()}
+    if rotated:
+        comp["rotation"] = rng.standard_normal((d, d)).tolist()
+    _assert_pack_matches_per_point_values(tmp_path, {
+        "id": "F24", "dim": d, "lower": -5, "upper": 5, "bias": 2400.0,
+        "components": [comp]}, rng)
 
 
 def test_composite_pack_swarm_call_equals_per_row_calls_bitwise(
         tmp_path, composite_sandbox):
     rng = make_rng(5)
-    _write_pack(tmp_path, {
-        "f24.json": {
-            "id": "F24", "dim": 3, "lower": -5, "upper": 5, "bias": 2400.0,
-            "components": [
-                {"basis": "rastrigin", "weight": 0.7,
-                 "shift": rng.uniform(-2, 2, 3).tolist(),
-                 "rotation": rng.standard_normal((3, 3)).tolist()},
-                {"basis": "ackley", "weight": 1.3,
-                 "shift": rng.uniform(-2, 2, 3).tolist()},
-            ],
-        },
-    })
-    load_composite_pack(tmp_path)
-    f24 = lookup("F24")
-    swarm = rng.uniform(-5, 5, (7, 3))
-    rows = [f24.evaluate(row) for row in swarm]
-    assert f24.objective()(swarm).tobytes() == np.array(rows).tobytes()
+    _assert_pack_matches_per_point_values(tmp_path, {
+        "id": "F24", "dim": 3, "lower": -5, "upper": 5, "bias": 2400.0,
+        "components": [
+            {"basis": "rastrigin", "weight": 0.7,
+             "shift": rng.uniform(-2, 2, 3).tolist(),
+             "rotation": rng.standard_normal((3, 3)).tolist()},
+            {"basis": "ackley", "weight": 1.3,
+             "shift": rng.uniform(-2, 2, 3).tolist()},
+        ],
+    }, rng)
 
 
 def test_load_composite_pack_empty_directory(tmp_path, composite_sandbox):

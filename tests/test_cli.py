@@ -3,6 +3,7 @@
 import csv
 import hashlib
 
+import numpy as np
 import pytest
 
 from nlcmfo import benchmarks, cli, harness, hypertune
@@ -211,7 +212,7 @@ class TestBench:
                                                     composite_sandbox):
         register_composite({
             "id": "F24", "dim": 2, "lower": -5.0, "upper": 5.0,
-            "eval": lambda x: float("nan"),
+            "eval": lambda X: np.full(X.shape[0], np.nan),
         })
         out = tmp_path / "results"
         rc = main(["bench", "--functions", "F24", "--runs", "1",
@@ -219,6 +220,9 @@ class TestBench:
         assert rc == 2
         captured = capsys.readouterr()
         assert "aborted" in captured.err
+        assert captured.err.startswith(
+            "error: nlcmfo F24 d=2 run 0 seed 0: "
+            "objective returned non-finite value")
         # the bundle is still written so the failure can be inspected
         assert (out / "finals.csv").exists()
         finals = read_csv(out / "finals.csv")
@@ -555,7 +559,7 @@ class TestDiag:
                                                  composite_sandbox):
         register_composite({
             "id": "F24", "dim": 2, "lower": -5.0, "upper": 5.0,
-            "eval": lambda x: float("nan"),
+            "eval": lambda X: np.full(X.shape[0], np.nan),
         })
         out = tmp_path / "diag"
         rc = main(["diag", "--function", "F24", "--pop-size", "4",

@@ -359,7 +359,7 @@ def test_in_tree_objectives_take_one_swarm_per_iteration(
     n, big_t = 6, 4
     if kind == "registered":
         register_composite({"id": "F24", "dim": 3, "lower": -2, "upper": 2,
-                            "eval": lambda x: float(np.sum(x))})
+                            "eval": lambda X: X.sum(axis=1)})
     elif kind == "pack":
         load_composite_pack(make_pack())
     func = lookup({"registered": "F24", "pack": "F25"}.get(kind, kind))
