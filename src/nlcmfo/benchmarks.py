@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
-from .stochastic import check_integer, make_rng
+from .stochastic import check_count, make_rng
 
 
 class UnknownFunctionError(LookupError):
@@ -294,18 +294,17 @@ class BenchmarkFunction:
 
     def space(self, dim: Optional[int] = None) -> SearchSpace:
         """The function's box; scalable functions accept a dim override."""
-        d = self.dim if dim is None else int(dim)
+        d = self.dim if dim is None else check_count("dim", dim, 1)
         if d != self.dim and not self.scalable:
             raise ValueError(
                 f"{self.fid} is fixed at dimension {self.dim}, got {d}"
             )
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
         return SearchSpace.cube(d, self.lower, self.upper)
 
-    def evaluate(self, x, rng: Optional[np.random.Generator] = None) -> float:
+    def evaluate(self, x, seed: int = 0) -> float:
         """Validated single evaluation of a finite 1-d point of the
-        function's dimension; the noisy F7 requires an rng."""
+        function's dimension, through ``objective(seed)``."""
+        check_count("seed", seed, 0)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("point must be a 1-d vector")
@@ -315,27 +314,19 @@ class BenchmarkFunction:
             i = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"point coordinate {i} is {float(x[i])!r}, "
                              "not finite")
-        value = np.asarray(self.objective(rng)(x[None, :]), dtype=np.float64)
+        value = np.asarray(self.objective(seed)(x[None, :]), dtype=np.float64)
         if value.shape != (1,):
             raise ValueError(f"objective returned shape {value.shape}, expected (1,)")
         return float(value[0])
 
-    def noise_rng(self, seed: int) -> Optional[np.random.Generator]:
-        """The noise generator of a run seeded ``seed``: stream 1 of that seed
-        for a noisy function (stream 0 drives the optimizer), else None."""
-        return make_rng(seed, stream=1) if self.noisy else None
-
-    def objective(self, rng: Optional[np.random.Generator] = None):
-        """The unvalidated swarm objective for optimizer loops: the body
-        itself, mapping an (n, d) float64 swarm to its n values (dims come
-        from space()); for the noisy F7, the body bound to ``rng``."""
+    def objective(self, seed: int = 0):
+        """The unvalidated swarm objective of a run seeded ``seed``: the
+        body itself, mapping an (n, d) float64 swarm to its n values (dims
+        come from space()); for the noisy F7, the body bound to its noise
+        stream, stream 1 of ``seed`` (stream 0 drives the optimizer)."""
         if not self.noisy:
             return self._eval
-        if rng is None:
-            raise ValueError(
-                f"{self.fid} adds uniform noise per evaluation; pass a seeded rng"
-            )
-        return functools.partial(self._eval, rng=rng)
+        return functools.partial(self._eval, rng=make_rng(seed, stream=1))
 
 
 def _entry(fid, name, dim, lower, upper, f_min, minimizer, fn,
@@ -421,9 +412,9 @@ def register_composite(pack) -> None:
     """Register composite implementations for the F24-F29 slots.
 
     ``pack`` is one mapping or a list of mappings, each with keys id, dim
-    (an integer), lower, upper, eval (the objective: an (n, d) swarm to its
-    n values, each row the value it gets alone) and optionally name, f_min,
-    minimizer.  Ids must be F24-F29 and not yet registered.
+    (an integer >= 1), lower, upper, eval (the objective: an (n, d) swarm
+    to its n values, each row the value it gets alone) and optionally name,
+    f_min, minimizer.  Ids must be F24-F29 and not yet registered.
     """
     specs = pack if isinstance(pack, (list, tuple)) else [pack]
     staged = []
@@ -439,7 +430,7 @@ def register_composite(pack) -> None:
         if not callable(fn):
             raise ValueError(f"composite {fid} needs a callable 'eval'")
         staged.append(_entry(
-            fid, spec.get("name", fid.lower()), check_integer("dim", spec.get("dim")),
+            fid, spec.get("name", fid.lower()), check_count("dim", spec.get("dim"), 1),
             spec.get("lower"), spec.get("upper"), spec.get("f_min"),
             spec.get("minimizer"), fn))
     for entry in staged:
@@ -475,10 +466,11 @@ def load_composite_pack(directory) -> list[str]:
     packs needing richer semantics register eval callables directly.
 
     The pack loads whole or not at all: every file is parsed and checked
-    (a malformed file, a non-integer dim, an unknown basis or a shift or
-    rotation whose shape does not match dim is a ValueError) before one
-    ``register_composite`` call registers them all.  A directory loaded
-    since the last ``clear_composites`` is not read again; it returns its ids.
+    (a malformed file, a dim that is not an integer >= 1, an unknown basis
+    or a shift or rotation whose shape does not match dim is a ValueError)
+    before one ``register_composite`` call registers them all.  A directory
+    loaded since the last ``clear_composites`` is not read again; it returns
+    its ids.
     """
     directory = Path(directory)
     key = str(directory.resolve())
@@ -502,7 +494,7 @@ def load_composite_pack(directory) -> list[str]:
 def _composite_spec(path: Path) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
-    dim = check_integer("dim", raw["dim"])
+    dim = check_count("dim", raw["dim"], 1)
     bias = float(raw.get("bias", 0.0))
     parts = []
     for comp in raw.get("components", []):

@@ -171,9 +171,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    func = benchmarks.lookup(args.function)
-    value = func.evaluate(args.point, rng=func.noise_rng(args.seed))
-    print(value)
+    print(benchmarks.lookup(args.function).evaluate(args.point, args.seed))
     return 0
 
 
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("function")
     eval_p.add_argument("point", nargs="+", type=float)
     eval_p.add_argument("--seed", type=int, default=0,
-                        help="noise seed (only F7 uses it)")
+                        help="noise seed, >= 0 (only F7 uses it)")
     eval_p.set_defaults(func=_cmd_eval)
 
     diag = sub.add_parser("diag", help="one run with full telemetry export")

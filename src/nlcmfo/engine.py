@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .space import SearchSpace
-from .stochastic import (ChaoticMap, DrawAhead, LevySampler, check_integer,
+from .stochastic import (ChaoticMap, DrawAhead, LevySampler, check_count,
                          make_rng)
 
 # an objective maps an (n, d) swarm to its n values
@@ -154,7 +154,7 @@ def spiral_step_mfo(moth, flame, t):
     return d * np.exp(np.asarray(t)) * _cos2pi(t) + flame
 
 
-def spiral_step_nlcmfo(moth, flame, t, w: float, levy, out=None):
+def spiral_step_nlcmfo(moth, flame, t, w: float, levy, out):
     """Levy-perturbed damped spiral: S = w*R.D*e^t cos(2 pi t) + R.F (b = 1).
 
     R (the Levy row or matrix) multiplies both the spiral term and the
@@ -163,14 +163,10 @@ def spiral_step_nlcmfo(moth, flame, t, w: float, levy, out=None):
     run (and the known weakness on functions whose optimum sits far from
     the origin).
 
-    ``out`` is a float64 work array of shape (2, *S.shape), fresh when
-    None, that holds the two terms; only the returned move is a new array.
-    The terms are built in place in the order
-    ((((w*R)*D)*e^t)*cos) + R*F.
+    ``out`` is a float64 work array of shape (2, *S.shape) that holds the
+    two terms; only the returned move is a new array.  The terms are built
+    in place in the order ((((w*R)*D)*e^t)*cos) + R*F.
     """
-    if out is None:
-        out = np.empty((2,) + np.broadcast_shapes(
-            np.shape(moth), np.shape(flame), np.shape(t), np.shape(levy)))
     spiral, attract = out
     np.subtract(flame, moth, out=attract)
     np.abs(attract, out=attract)
@@ -255,14 +251,6 @@ class MapScheduler:
         return False
 
 
-def check_counts(config, floors: dict) -> None:
-    """Check that each field named in ``floors`` is an integer (see
-    ``check_integer``) and at least its floor (a ValueError)."""
-    for name, floor in floors.items():
-        if check_integer(name, getattr(config, name)) < floor:
-            raise ValueError(f"{name} must be >= {floor}")
-
-
 def validate_config(config: EngineConfig,
                     algorithms: tuple = tuple(_POP_FLOORS)) -> None:
     """Raise the error a run with this config would raise, before it starts:
@@ -274,8 +262,9 @@ def validate_config(config: EngineConfig,
             f"unsupported algorithm {config.algorithm!r}; choose one of "
             f"{algorithms}"
         )
-    check_counts(config, {"pop_size": _POP_FLOORS[config.algorithm],
-                          "max_iter": 1, "seed": 0})
+    for name, floor in (("pop_size", _POP_FLOORS[config.algorithm]),
+                        ("max_iter", 1), ("seed", 0)):
+        check_count(name, getattr(config, name), floor)
 
 
 def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult:

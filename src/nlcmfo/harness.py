@@ -32,8 +32,8 @@ import numpy as np
 
 from . import benchmarks
 from .baselines import run_gwo, run_pso
-from .engine import (EngineConfig, ObjectiveError, check_counts, run,
-                     validate_config)
+from .engine import EngineConfig, ObjectiveError, run, validate_config
+from .stochastic import check_count
 
 # The one algorithm registry: name -> runner name.  A runner is looked up
 # in this module by name when a run starts, so a wrapper installed on
@@ -164,9 +164,10 @@ def _validate(config: ExperimentConfig) -> list:
     if not config.functions:
         raise ConfigError("no functions selected")
     try:
-        check_counts(config, {"runs": 1, "base_seed": 0, "workers": 1})
+        for name, floor in (("runs", 1), ("base_seed", 0), ("workers", 1)):
+            check_count(name, getattr(config, name), floor)
         if config.dim is not None:
-            check_counts(config, {"dim": 1})
+            check_count("dim", config.dim, 1)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if config.composite_pack is not None:
@@ -227,7 +228,7 @@ def _execute_task(task) -> RunRecord:
             _ensure_pack(pack_dir)
         func = benchmarks.lookup(fid)
         space = func.space(dim)
-        objective = func.objective(rng=func.noise_rng(config.seed))
+        objective = func.objective(config.seed)
         result = globals()[ALGORITHMS[algorithm]](config, space, objective)
     except Exception as exc:  # a failed run is recorded; the grid goes on
         return _aborted(task, exc)

@@ -28,7 +28,7 @@ import numpy as np
 from .engine import EngineConfig, RunResult, run
 from .harness import write_table
 from .space import SearchSpace
-from .stochastic import check_seed, make_rng
+from .stochastic import check_count, make_rng
 
 HYPER_LB = np.array([0.5, 0.01, 5.0, 1e-4])
 HYPER_UB = np.array([1.0, 0.5, 15.0, 5e-4])
@@ -83,10 +83,8 @@ def make_toy_dataset(n_samples: int = 600, n_features: int = 2, seed: int = 0,
     A random permutation assigns the first 70% of rows to the train split;
     a test split that draws a single class is a ValueError.
     """
-    if n_samples < 40:
-        raise ValueError("need at least 40 samples")
-    if n_features < 2:
-        raise ValueError("need at least 2 features")
+    check_count("n_samples", n_samples, 40)
+    check_count("n_features", n_features, 2)
     # a NaN or infinite mean gives non-finite rows, on which every
     # candidate diverges and the tuned L_D is meaningless
     if not math.isfinite(separation):
@@ -277,7 +275,7 @@ def tune(config: EngineConfig, data: ToyDataset,
     population of n for T iterations costs n*(T+1) evaluations.
     """
     # the first training starts inside the run; check its seed before
-    check_seed("trainer_seed", trainer_seed)
+    check_count("trainer_seed", trainer_seed, 0)
     space = SearchSpace(HYPER_LB.copy(), HYPER_UB.copy())
     scores = {}
     bound_hits = np.zeros((2, len(HYPER_LB)), dtype=np.int64)

@@ -36,20 +36,15 @@ AHEAD_MIN_VALUES = 1 << 15
 _EDGE = 1e-7
 
 
-def check_integer(name: str, value):
-    """Return ``value`` if it is an integer; a float, string or bool is a
-    TypeError naming ``name``."""
+def check_count(name: str, value, floor: int):
+    """Return ``value`` if it is an integer of at least ``floor``; a float,
+    string or bool is a TypeError and a smaller one a ValueError, each
+    naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
     return value
-
-
-def check_seed(name: str, seed):
-    """Return ``seed`` if it is an integer (see ``check_integer``) >= 0; a
-    negative one is a ValueError naming ``name``."""
-    if check_integer(name, seed) < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return seed
 
 
 def make_rng(seed: int, stream: int = 0,
@@ -65,9 +60,9 @@ def make_rng(seed: int, stream: int = 0,
         objectives (F7) use stream 1 of the same root seed, so a single
         seed still governs the whole run.
     name : str
-        The caller's name for ``seed``, which ``check_seed`` checks.
+        The caller's name for ``seed``, which must be an integer >= 0.
     """
-    ss = np.random.SeedSequence(check_seed(name, seed), spawn_key=(stream,))
+    ss = np.random.SeedSequence(check_count(name, seed, 0), spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
 
 

@@ -120,7 +120,7 @@ def test_criterion_2_benchmark_fidelity():
         if func.noisy:
             # additive uniform noise: subtract the same generator's draw to
             # expose the deterministic part at the minimizer
-            value = func.evaluate(func.minimizer, rng=make_rng(0, stream=1))
+            value = func.evaluate(func.minimizer, seed=0)
             noise = float(make_rng(0, stream=1).random())
             if abs((value - noise) - func.f_min) > 1e-4:
                 failures.append(fid)

@@ -123,7 +123,7 @@ def test_fixed_dimension_minimizers_reproduce_f_min():
 
 def test_quartic_noise_at_origin_is_pure_noise():
     f = lookup("F7")
-    value = f.evaluate(f.minimizer, rng=make_rng(0, stream=1))
+    value = f.evaluate(f.minimizer, seed=0)
     assert 0.0 <= value < 1.0
 
 
@@ -202,16 +202,12 @@ def test_step_function_plateaus():
 
 def test_quartic_requires_rng_and_noise_varies():
     f = lookup("F7")
-    with pytest.raises(ValueError):
-        f.evaluate(np.zeros(30))
-    with pytest.raises(ValueError):
-        f.objective()
-    rng = make_rng(0, stream=1)
-    obj = f.objective(rng=rng)
+    obj = f.objective(0)
     x = np.zeros((1, 30))
     draws = {obj(x)[0] for _ in range(5)}
     assert len(draws) == 5                        # fresh noise per call
     assert all(0.0 <= v < 1.0 for v in draws)
+    assert f.evaluate(x[0], seed=0) != f.evaluate(x[0], seed=1)
 
 
 def test_penalized_functions_match_independent_oracle():
@@ -246,6 +242,17 @@ def test_dimension_validation():
         lookup("F16").evaluate([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         lookup("F1").evaluate(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        lookup("F1").space(0)
+    assert lookup("F1").space(np.int64(3)).dim == 3
+
+
+@pytest.mark.parametrize("dim", [2.5, np.float64(3.9), True, "3"])
+def test_space_requires_an_integer_dim(dim):
+    # int(dim) made 2.5 a 2-d box and 3.9 a 3-d one
+    with pytest.raises(TypeError,
+                       match=re.escape(f"dim must be an integer, got {dim!r}")):
+        lookup("F1").space(dim)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -270,9 +277,10 @@ def test_swarm_call_equals_per_row_calls_bitwise(fid):
             centre = (f.upper + f.lower) / 2
             swarm = rng.uniform(centre - half, centre + half, size=(12, d))
             if f.noisy:
-                batch = f.objective(rng=make_rng(4, stream=1))(swarm)
-                row_rng = make_rng(4, stream=1)
-                rows = [f.evaluate(row, rng=row_rng) for row in swarm]
+                # one noise stream across the rows, as in the swarm call
+                batch = f.objective(4)(swarm)
+                per_row = f.objective(4)
+                rows = [per_row(row[None, :])[0] for row in swarm]
             else:
                 batch = f.objective()(swarm)
                 rows = [f.evaluate(row) for row in swarm]
@@ -287,7 +295,7 @@ def test_builtin_objective_is_its_swarm_body():
     assert np.array_equal(obj(np.array([[3.0, 4.0], [0.0, 1.0]])), [25.0, 1.0])
     # F7's body with its noise rng bound: one draw per row, in row order
     f7 = lookup("F7")
-    noisy = f7.objective(rng=make_rng(0, stream=1))
+    noisy = f7.objective(0)
     assert noisy.func is f7._eval
     values = noisy(np.zeros((3, 2)))
     assert values.tobytes() == make_rng(0, stream=1).random(3).tobytes()
@@ -535,6 +543,16 @@ def test_load_composite_pack_requires_an_integer_dim(tmp_path,
     with pytest.raises(ValueError) as excinfo:
         load_composite_pack(tmp_path)
     assert str(excinfo.value) == f"f24.json: dim must be an integer, got {dim!r}"
+    with pytest.raises(CompositeUnavailableError):
+        lookup("F24")
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_register_composite_requires_a_positive_dim(composite_sandbox, dim):
+    # it was accepted, and only space() refused it
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        register_composite({"id": "F24", "dim": dim, "lower": 0, "upper": 1,
+                            "eval": lambda X: np.zeros(len(X))})
     with pytest.raises(CompositeUnavailableError):
         lookup("F24")
 

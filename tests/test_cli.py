@@ -81,6 +81,14 @@ class TestEval:
         assert captured.err == "error: seed must be >= 0\n"
         assert captured.out == ""
 
+    def test_negative_seed_fails_for_a_function_without_noise(self, capsys):
+        # F1 draws no noise; it printed 5.0 for any seed
+        rc = main(["eval", "F1", "1", "2", "--seed", "-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
     def test_non_finite_point_fails(self, capsys, value):
         # a behaviour change: nan and inf printed their value and exited 0

@@ -151,12 +151,19 @@ class TestMakeToyDataset:
         assert not np.array_equal(a.X_train, b.X_train)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_samples must be >= 40$"):
             make_toy_dataset(39, 2)
 
     def test_too_few_features_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_features must be >= 2$"):
             make_toy_dataset(100, 1)
+
+    @pytest.mark.parametrize("counts, field", [((100.5, 2), "n_samples"),
+                                               ((100, 2.0), "n_features")])
+    def test_fractional_count_rejected_naming_the_field(self, counts, field):
+        # numpy's error for 100.5 named no field
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            make_toy_dataset(*counts)
 
     def test_single_class_test_split_rejected(self):
         # the 12 test rows of data seed 448 all draw class 1

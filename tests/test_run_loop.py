@@ -19,7 +19,7 @@ from nlcmfo.benchmarks import (clear_composites, load_composite_pack, lookup,
 from nlcmfo.engine import EngineConfig, ObjectiveError, _moth_flame, drive, run
 from nlcmfo.harness import ExperimentConfig, run_experiment
 from nlcmfo.space import SearchSpace
-from nlcmfo.stochastic import AHEAD_MIN_VALUES, LevySampler, make_rng
+from nlcmfo.stochastic import AHEAD_MIN_VALUES, LevySampler
 
 ALGORITHMS = ("mfo", "nlcmfo", "pso", "gwo")
 RUNNERS = {"mfo": run, "nlcmfo": run, "pso": run_pso, "gwo": run_gwo}
@@ -60,8 +60,7 @@ def _problem(kind, seed):
     if kind == "unit-cube":
         return SearchSpace.cube(5, 0.0, 1.0), lookup("F1").objective()
     func = lookup(kind)
-    rng = make_rng(seed, stream=1) if func.noisy else None
-    return func.space(3), func.objective(rng=rng)
+    return func.space(3), func.objective(seed)
 
 
 def _result_bytes(result):
@@ -366,7 +365,7 @@ def test_in_tree_objectives_take_one_swarm_per_iteration(
     space = func.space(3)
     calls = []
     run(EngineConfig(algorithm, pop_size=n, max_iter=big_t), space,
-        _counted(func.objective(rng=func.noise_rng(0)), calls))
+        _counted(func.objective(), calls))
     assert calls == [((n, 3), (n,))] * (big_t + 1)
 
 
