@@ -52,10 +52,13 @@ def decode_hyperparams(x) -> HyperParams:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (4,):
         raise ValueError(f"hyperparameter vector must have shape (4,), got {x.shape}")
-    clipped = np.clip(x, HYPER_LB, HYPER_UB)
-    epochs = math.floor(clipped[2] + 0.5)
-    return HyperParams(float(clipped[0]), float(clipped[1]), epochs,
-                       float(clipped[3]))
+    return _decode(x[None])[0]
+
+
+def _decode(xs) -> list:
+    """``decode_hyperparams`` of each row of an (n, 4) swarm, in one clip."""
+    return [HyperParams(m, lr, math.floor(e + 0.5), l2)
+            for m, lr, e, l2 in np.clip(xs, HYPER_LB, HYPER_UB).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +125,13 @@ def _logistic_grad(X, y, w, b, l2):
 
     One row per member: ``w`` is (K, p), ``b`` and ``l2`` are (K, 1).
     """
-    # one gemv per member on its C-contiguous row, as a lone member would
-    # make it: a single (m, p) @ (p, K) gemm may sum in another order
-    resid = _sigmoid(np.array([X @ wi for wi in w]) + b) - y
-    m = X.shape[0]
-    Xt = X.T
-    # add.reduce / m is np.mean's arithmetic without its Python-level
+    # np.matmul(A, B[:, :, None]) makes one gemv per member, as its lone
+    # X @ wi and X.T @ r do, so each row keeps their bytes (a gemm does not)
+    resid = _sigmoid(np.matmul(X, w[:, :, None])[:, :, 0] + b) - y
+    # add.reduce / len(X) is np.mean's arithmetic without its Python-level
     # wrapper; it sums each C-contiguous row as it sums a lone vector
-    return (np.array([Xt @ r for r in resid]) / m + l2 * w,
-            np.add.reduce(resid, axis=1, keepdims=True) / m)
+    return (np.matmul(X.T, resid[:, :, None])[:, :, 0] / len(X) + l2 * w,
+            np.add.reduce(resid, axis=1, keepdims=True) / len(X))
 
 
 @dataclass
@@ -231,8 +232,7 @@ def evaluate_L_D(model: ToyLogisticClassifier, data: ToyDataset) -> float:
         raise ValueError("test split is empty")
     if model.diverged_:
         return 100.0
-    pred = model.predict(data.X_test)
-    accuracy = float(np.mean(pred == data.y_test))
+    accuracy = float(np.mean(model.predict(data.X_test) == data.y_test))
     return (1.0 - accuracy) * 100.0
 
 
@@ -281,7 +281,7 @@ def tune(config: EngineConfig, data: ToyDataset,
     bound_hits = np.zeros((2, len(HYPER_LB)), dtype=np.int64)
 
     def objective(xs):
-        hps = [decode_hyperparams(x) for x in xs]
+        hps = _decode(xs)
         bound_hits[0] += np.sum(xs <= HYPER_LB, axis=0)
         bound_hits[1] += np.sum(xs >= HYPER_UB, axis=0)
         # dict keys keep the first-seen row order

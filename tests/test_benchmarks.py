@@ -200,7 +200,7 @@ def test_step_function_plateaus():
     assert f.evaluate(np.full(30, -1.6)) == 4 * 30.0
 
 
-def test_quartic_requires_rng_and_noise_varies():
+def test_quartic_noise_follows_the_seed():
     f = lookup("F7")
     obj = f.objective(0)
     x = np.zeros((1, 30))

@@ -80,6 +80,34 @@ class TestDecodeHyperparams:
             decode_hyperparams(np.array([0.7, 0.1, 9.5]))
         with pytest.raises(ValueError):
             decode_hyperparams(np.zeros((2, 4)))
+        # a one-row swarm is not a point either
+        with pytest.raises(ValueError):
+            decode_hyperparams(np.zeros((1, 4)))
+
+    def test_swarm_decode_equals_row_decode(self):
+        # tune decodes each swarm at once; every row must give exactly the
+        # HyperParams (values and field types) of its lone decode
+        rng = np.random.default_rng(3)
+        xs = np.vstack([
+            HYPER_LB, HYPER_UB,
+            [0.5, 0.5, 15.0, 1e-4],                 # each field on a bound
+            [1.0, 0.01, 5.0, 5e-4],
+            [2.0, 1.0, 50.0, 1.0],                  # outside the box
+            [-1.0, -1.0, -1.0, -1.0],
+            [0.4, 0.7, 4.5, 6e-4],
+            [0.7, 0.1, 7.5, 3e-4],                  # epoch ties
+            [0.7, 0.1, 6.4999999, 3e-4],
+            [0.7, 0.1, 14.5, 3e-4],
+            rng.uniform(HYPER_LB, HYPER_UB, (20, 4)),
+            rng.uniform(HYPER_LB - 1.0, HYPER_UB + 1.0, (10, 4))])
+        swarm = hypertune._decode(xs)
+        rows = [decode_hyperparams(x) for x in xs]
+        assert swarm == rows
+        assert [[type(v) for v in asdict(hp).values()] for hp in swarm] == [
+            [float, float, int, float]] * len(xs)
+        assert [hp.epochs for hp in swarm[7:10]] == [8, 6, 15]
+        assert swarm[4] == HyperParams(1.0, 0.5, 15, 5e-4)
+        assert swarm[5] == HyperParams(0.5, 0.01, 5, 1e-4)
 
     @given(st.lists(st.floats(-10, 60, allow_nan=False), min_size=4,
                     max_size=4))
@@ -389,6 +417,26 @@ class TestFitMatchesReferenceLoop:
                 data.X_train, data.y_train, momentum=hp.momentum,
                 learning_rate=hp.learning_rate, epochs=hp.epochs, l2=hp.l2,
                 batch_size=batch_size, seed=seed))
+
+    @pytest.mark.parametrize("batch_size", [7, 32])
+    @pytest.mark.parametrize("features", [2, 8])
+    def test_wide_lockstep_batch_bitwise_equal_to_reference(
+            self, monkeypatch, reference_fit, features, batch_size):
+        # 40 distinct members, more than the default population of 30, so
+        # each stacked product holds a wider batch than a tune run's
+        monkeypatch.setattr(hypertune, "_BATCH_SIZE", batch_size)
+        data = make_toy_dataset(100, features, seed=features)
+        rng = np.random.default_rng(features + batch_size)
+        hps = [HyperParams(m, lr, int(e), l2) for m, lr, e, l2 in zip(
+            rng.uniform(0.5, 1.0, 40), rng.uniform(0.01, 0.5, 40),
+            rng.integers(0, 16, 40), rng.uniform(1e-4, 5e-4, 40))]
+        assert len(set(hps)) == 40
+        models = train_toy_models(hps, data, seed=5)
+        for hp, model in zip(hps, models):
+            _assert_fit_matches(model, reference_fit(
+                data.X_train, data.y_train, momentum=hp.momentum,
+                learning_rate=hp.learning_rate, epochs=hp.epochs, l2=hp.l2,
+                batch_size=batch_size, seed=5))
 
 
 class TestEvaluateLD:
