@@ -23,6 +23,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import benchmarks
 from .engine import MOTH_FLAME, EngineConfig, ObjectiveError
 from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ExperimentConfig,
@@ -125,7 +127,7 @@ def _cmd_tune(args) -> int:
               f"{outcome.best_L_D:.6g}); nothing written", file=sys.stderr)
         return 2
     scores = model.predict_proba(data.X_test)
-    pred = model.predict(data.X_test)
+    pred = (scores >= 0.5).astype(np.int64)  # predict's own rule
     cm = confusion(pred, data.y_test)
     report = metrics(cm)
     points = roc_points(scores, data.y_test)

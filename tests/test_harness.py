@@ -1,6 +1,7 @@
 """Tests for the experiment harness: grid execution, aggregation,
 telemetry levels, and CSV export."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -281,13 +282,14 @@ class TestRunExperiment:
         # a fork pool starts every max_workers process at the first submit
         started = []
 
-        class CountingPool(harness.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 future = super().submit(*args, **kwargs)
                 started.append(len(self._processes))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
         result = run_experiment(tiny_config(algorithms=("mfo",),
                                             functions=("F1",), dim=2, runs=2,
                                             max_iter=3, workers=3))
@@ -320,8 +322,7 @@ class TestRunExperiment:
         # runs are aborted and F1's finish
         register_composite({"id": "F24", "dim": 2, "lower": -5.0,
                             "upper": 5.0, "eval": lambda X: (X * X).sum(axis=1)})
-        monkeypatch.setattr(harness, "_FORK",
-                            multiprocessing.get_context("forkserver"))
+        monkeypatch.setattr(harness, "_START_METHOD", "forkserver")
         result = run_experiment(ExperimentConfig(
             algorithms=("mfo",), functions=("F1", "F24"), dim=2, runs=2,
             pop_size=5, max_iter=4, workers=2))
@@ -728,12 +729,13 @@ class TestPooledHistoryExport:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         built = []
 
-        class Recorded(harness.ProcessPoolExecutor):
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorded)
         return built
 
     def test_pooled_files_equal_the_reference_in_order(
@@ -777,7 +779,8 @@ class TestPooledHistoryExport:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_pool)
         records = history_records(shape)
         export_curves(records, tmp_path)
         reference_history_writer(records[3].history, tmp_path / "reference.csv")
