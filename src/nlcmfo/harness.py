@@ -398,10 +398,12 @@ def export_curves(records, out_dir) -> list:
 
 
 # Histories of fewer values than this in total are written serially: on
-# 2 cores four (T, 30, 30) histories took 0.014 s serially against 0.028 s
-# pooled at 7,200 values, 0.049 against 0.043 s at 28,800 and 0.168
-# against 0.107 s at 115,200 (the pool's start-up is about 15 ms).
-POOL_MIN_VALUES = 1 << 15
+# 2 cores four (T, 30, 30) histories took 0.007-0.010 s serially against
+# 0.016-0.025 s pooled at 7,200 values, 0.020-0.027 against 0.023-0.030 s
+# at 28,800, 0.047-0.053 against 0.047-0.050 s at 86,400, 0.052-0.070
+# against 0.050-0.058 s at 115,200 and 0.24 against 0.15 s at 450,000 (the
+# pool's start-up is about 15 ms).
+POOL_MIN_VALUES = 100_000
 
 # (history, path) pairs of the pool that started this worker process; set
 # by its initializer, never in the parent
@@ -420,8 +422,8 @@ def _write_job(index: int) -> None:
 def _write_histories(jobs) -> None:
     """Write each ``(history, path)`` of ``jobs`` with write_search_history.
 
-    Nearly all of a file's cost is float repr, so at ``POOL_MIN_VALUES``
-    values or more the files are written one per task on a fork-started
+    A file's cost grows with its values, so at ``POOL_MIN_VALUES`` values
+    or more the files are written one per task on a fork-started
     process pool of up to ``len(os.sched_getaffinity(0))`` processes.  The
     workers inherit ``jobs`` through fork rather than a pickle, and each
     task is an index into it.  The bytes are those of a serial write, a
@@ -453,30 +455,40 @@ def write_curves(path, names, curves) -> None:
                  for l, values in enumerate(zip(*curves), start=1)))
 
 
+# write_search_history formats whole iterations, at most this many values
+# (but at least one iteration) at a time, so the kernel's temporaries stay
+# in the CPU caches: on a (500, 30, 30) history its text took 0.11 s in
+# blocks of 8,100 values and 0.20 s in blocks of 22,500.
+_BLOCK_VALUES = 1 << 13
+
+
 def write_search_history(history: np.ndarray, path) -> None:
     """Long-format position snapshots: one (iter, moth, dim, value) row each.
 
     Rows run in iter, moth, dim order; iter and dim count from 1, moth from
     0; values are repr() of the float, lines end in CRLF.  These are the
     bytes write_table gives (no field can need quoting), written here one
-    iteration per write through one ``%r`` line template built once
-    (``%r`` calls the same float repr).  On a (500, 30, 30) history, the
-    largest table the toolkit writes, one csv.writer row per value takes
-    about twice as long; this takes about 0.66 s, of which repr() alone is
-    0.58 s, so the per-file cost is float repr and a bundle's files are
-    written in parallel instead (see _write_histories).
+    iteration per write through one ``%b`` line template built once.  The
+    values' text comes from ``_shortrepr.repr_bytes``, a block of
+    iterations at a time, whose bytes equal repr()'s.  On a (500, 30, 30)
+    history, the largest table the toolkit writes, this takes 0.18-0.20 s,
+    of which that text is 0.11 s; a repr() per value took 0.50-0.60 s on
+    the same machine.  A bundle's files are also written in parallel (see
+    _write_histories).
     """
+    from ._shortrepr import repr_bytes
     n_iter, n_moths, d = history.shape
     # "\0" stands for the iteration number, filled in per iteration
-    line = "".join([f"\0,{m},{j},%r\r\n"
-                    for m in range(n_moths) for j in range(1, d + 1)])
+    line = "".join([f"\0,{m},{j},%b\r\n" for m in range(n_moths)
+                    for j in range(1, d + 1)]).encode()
     rows = history.reshape(n_iter, -1)
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,moth,dim,value\r\n")
-        # tolist() per iteration: on a (500, 30, 30) history a whole-array
-        # tolist() adds about 18 MB of peak memory
-        for l, row in enumerate(rows, start=1):
-            fh.write(line.replace("\0", str(l)) % tuple(row.tolist()))
+    block = max(1, _BLOCK_VALUES // max(rows.shape[1], 1))
+    with open(path, "wb") as fh:
+        fh.write(b"iter,moth,dim,value\r\n")
+        for start in range(0, n_iter, block):
+            texts = repr_bytes(rows[start:start + block]).tolist()
+            for l, row in enumerate(texts, start=start + 1):
+                fh.write(line.replace(b"\0", b"%d" % l) % tuple(row))
 
 
 def export_experiment(result: ExperimentResult, out_dir) -> dict:

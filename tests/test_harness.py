@@ -675,7 +675,9 @@ class TestWriteSearchHistory:
         spread_history((12, 11, 10)),  # indices reach two digits
         np.array([0.0, -0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308,
                   1 / 3]).reshape(1, 7, 1),
-    ], ids=["1x1x1", "3x2x5", "12x11x10", "edge-values"])
+        np.array([[np.nan, np.inf], [-np.inf, -0.0], [2.5e-320, -1.5],
+                  [4e-322, 1e22]]).reshape(2, 2, 2),
+    ], ids=["1x1x1", "3x2x5", "12x11x10", "edge-values", "non-finite"])
     def test_bytes_equal_csv_writer_rows(self, tmp_path, history,
                                          reference_history_writer):
         path, ref = tmp_path / "history.csv", tmp_path / "reference.csv"
@@ -769,7 +771,7 @@ class TestPooledHistoryExport:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("shape, cores", [
-        ((9, 30, 30), {0, 1}),    # 32,400 values, just below 2^15
+        ((27, 30, 30), {0, 1}),   # 97,200 values, just below 100,000
         ((40, 30, 30), {0}),
         ((40, 30, 30), None),     # no os.sched_getaffinity
     ], ids=["below-constant", "one-core", "no-affinity"])

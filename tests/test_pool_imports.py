@@ -1,7 +1,8 @@
-"""The process and thread pools load their modules only when one starts.
+"""The process and thread pools load their modules only when one starts,
+and the search-history value kernel only when a history is written.
 
 Each case does its work in a fresh interpreter, which imports ``nlcmfo``
-and ``nlcmfo.cli`` and reports which pool modules it loaded; the pooled
+and ``nlcmfo.cli`` and reports which of those modules it loaded; the pooled
 cases compare its output with a reference made in this process.
 """
 
@@ -19,19 +20,19 @@ import nlcmfo
 from nlcmfo import harness, stochastic
 from nlcmfo.cli import main
 
-POOL_MODULES = ("multiprocessing", "concurrent.futures.process",
-                "concurrent.futures.thread")
+LAZY_MODULES = ("multiprocessing", "concurrent.futures.process",
+                "concurrent.futures.thread", "nlcmfo._shortrepr")
 
 
-def pool_modules_loaded(code, cwd):
+def lazy_modules_loaded(code, cwd):
     """Run ``code`` in a fresh interpreter in ``cwd``; return the
-    POOL_MODULES in its ``sys.modules`` at the end."""
+    LAZY_MODULES in its ``sys.modules`` at the end."""
     script = "\n".join([
         "import json, sys",
         "import nlcmfo, nlcmfo.cli",
         "from nlcmfo.cli import main",
         textwrap.dedent(code),
-        f"print(json.dumps([m for m in {POOL_MODULES!r} "
+        f"print(json.dumps([m for m in {LAZY_MODULES!r} "
         "if m in sys.modules]))",
     ])
     src = str(Path(nlcmfo.__file__).resolve().parents[1])
@@ -64,18 +65,28 @@ def assert_same_bundle(serial, other):
 
 
 def test_serial_commands_load_no_pool_module(tmp_path):
-    loaded = pool_modules_loaded("""
+    loaded = lazy_modules_loaded("""
         grid = ["--algorithms", "mfo", "nlcmfo", "pso", "gwo", "--functions",
-                "F1", "F10", "--dim", "30", "--runs", "2", "--max-iter", "10",
-                "--telemetry", "curves"]
+                "F1", "F10", "--dim", "30", "--runs", "2", "--max-iter", "10"]
         assert main(["bench", *grid, "--out", "grid"]) == 0
         assert main(["tune", "--pop-size", "5", "--max-iter", "2",
                      "--out", "tune"]) == 0
         assert main(["eval", "F1", "1", "2"]) == 0
+    """, tmp_path)
+    assert loaded == []
+    assert (tmp_path / "grid" / "finals.csv").is_file()
+
+
+def test_serial_history_writes_load_only_the_kernel(tmp_path):
+    loaded = lazy_modules_loaded("""
+        assert main(["bench", "--algorithms", "mfo", "--functions", "F1",
+                     "--dim", "30", "--runs", "2", "--max-iter", "10",
+                     "--telemetry", "curves", "--out", "grid"]) == 0
+        assert "nlcmfo._shortrepr" not in sys.modules
         assert main(["diag", "--pop-size", "5", "--max-iter", "5",
                      "--out", "diag"]) == 0
     """, tmp_path)
-    assert loaded == []
+    assert loaded == ["nlcmfo._shortrepr"]
     assert (tmp_path / "grid" / "curves").is_dir()
     assert (tmp_path / "diag" / "search_history.csv").is_file()
 
@@ -87,7 +98,7 @@ class TestPoolsStillStart:
         grid = ["--algorithms", "mfo", "pso", "--functions", "F1", "--dim",
                 "30", "--runs", "2", "--max-iter", "10", "--telemetry",
                 "curves"]
-        loaded = pool_modules_loaded(f"""
+        loaded = lazy_modules_loaded(f"""
             assert main(["bench", *{grid!r}, "--workers", "2",
                          "--out", "pooled"]) == 0
         """, tmp_path)
@@ -100,7 +111,7 @@ class TestPoolsStillStart:
         grid = ["--algorithms", "nlcmfo", "--functions", "F1", "--dim",
                 "1100", "--runs", "1", "--max-iter", "4", "--telemetry",
                 "curves"]
-        loaded = pool_modules_loaded(f"""
+        loaded = lazy_modules_loaded(f"""
             assert main(["bench", *{grid!r}, "--out", "ahead"]) == 0
         """, tmp_path)
         assert loaded == ["concurrent.futures.thread"]
@@ -113,11 +124,11 @@ class TestPoolsStillStart:
     def test_pooled_history_export(self, tmp_path, monkeypatch, capsys):
         if not hasattr(os, "sched_getaffinity"):
             pytest.skip("no os.sched_getaffinity, so no pool")
-        assert 2 * 20 * 30 * 30 >= harness.POOL_MIN_VALUES
+        assert 2 * 60 * 30 * 30 >= harness.POOL_MIN_VALUES
         grid = ["--algorithms", "mfo", "--functions", "F1", "--dim", "30",
-                "--runs", "2", "--max-iter", "20", "--telemetry",
+                "--runs", "2", "--max-iter", "60", "--telemetry",
                 "full-history"]
-        loaded = pool_modules_loaded(f"""
+        loaded = lazy_modules_loaded(f"""
             import os
             os.sched_getaffinity = lambda pid: {{0, 1}}
             assert main(["bench", *{grid!r}, "--out", "pooled"]) == 0
