@@ -7,7 +7,6 @@ harness with CSV export, and a hyperparameter tuner for a small
 gradient-trained classifier.
 """
 
-from .baselines import run_gwo, run_pso
 from .benchmarks import (BenchmarkFunction, CompositeCollisionError,
                          CompositeUnavailableError, UnknownFunctionError,
                          clear_composites, load_composite_pack, lookup,
@@ -39,6 +38,6 @@ __all__ = [
     "export_experiment", "flame_count", "levy_sigma_x",
     "load_composite_pack", "load_experiment_config", "lookup", "make_rng",
     "make_toy_dataset", "metrics", "register_composite", "roc_auc",
-    "roc_points", "run", "run_experiment", "run_gwo", "run_pso", "summarize",
+    "roc_points", "run", "run_experiment", "summarize",
     "train_toy_model", "tune", "__version__",
 ]

@@ -64,9 +64,7 @@ def _exponent_tables():
     """k + _BIAS, h and g per table index, which is the biased exponent,
     plus _EXPONENTS where the spacing below the value is half that above it
     (a power of two above the least normal); g as its upper 63-bit half g1,
-    then the low and high 32-bit limbs of its lower half g0 and of g1.  And
-    the integer fast path's shift per biased exponent, 63 where it never
-    holds."""
+    then the low and high 32-bit limbs of its lower half g0 and of g1."""
     g = [_g(k) for k in range(-324, 293)]
     g1 = np.array([v >> 63 for v in g], dtype=U)
     g0 = np.array([v & ((1 << 63) - 1) for v in g], dtype=U)
@@ -74,15 +72,12 @@ def _exponent_tables():
     q = np.maximum(np.arange(_EXPONENTS), 1) - 1075
     k = np.concatenate([_flog10pow2(q), _flog10three_quarters_pow2(q)])
     h = np.concatenate([q, q]) + _flog2pow10(-k) + 2
-    shift = 1075 - np.arange(_EXPONENTS)
-    fast = np.where((shift > 0) & (shift < 53), shift, 63)
     g1, g0 = g1[k + 324], g0[k + 324]
     return ((k + _BIAS).astype(U), h.astype(U),
-            (g1, g0 & _M32, g0 >> U(32), g1 & _M32, g1 >> U(32)),
-            fast.astype(U))
+            (g1, g0 & _M32, g0 >> U(32), g1 & _M32, g1 >> U(32)))
 
 
-_K, _H, _G, _FAST = _exponent_tables()
+_K, _H, _G = _exponent_tables()
 # 10^1 .. 10^16: a significand of n digits has n - 1 of them at or below it
 _POW10 = np.array([10 ** i for i in range(1, 17)], dtype=U)
 
@@ -193,12 +188,6 @@ def _shortest(bits):
                  np.where(upin, sp10, sp10 + U(10)),
                  s + (~take_s).astype(U))
     e = _K.take(index)
-    # an integer below 2^53 is its own shortest digits
-    shift = _FAST.take(bq)
-    whole = c >> shift
-    integral = (whole << shift) == c
-    f = np.where(integral, whole, f)
-    e = np.where(integral, U(_BIAS), e)
     for p in (16, 8, 4, 2, 1):
         ten = U(10 ** p)
         quotient = f // ten

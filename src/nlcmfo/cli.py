@@ -2,8 +2,8 @@
 
 Subcommands:
     bench   run an algorithm x function experiment grid, export CSV
-    tune    tune the toy classifier's hyperparameters with mfo or nlcmfo,
-            export CSV reports
+    tune    tune the toy classifier's hyperparameters with any of the four
+            optimizers, export CSV reports
     eval    evaluate one benchmark function at a point
     diag    single diagnostic run with full telemetry CSVs
 
@@ -26,11 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks
-from .engine import MOTH_FLAME, EngineConfig, ObjectiveError
-from .harness import (ALGORITHMS, TELEMETRY_LEVELS, ExperimentConfig,
-                      export_experiment, load_experiment_config,
-                      run_experiment, summarize, write_curves,
-                      write_search_history, write_table)
+from .engine import ALGORITHMS, EngineConfig, ObjectiveError
+from .harness import (TELEMETRY_LEVELS, ExperimentConfig, export_experiment,
+                      load_experiment_config, run_experiment, summarize,
+                      write_curves, write_search_history, write_table)
 from .hypertune import (confusion, export_dataset, make_toy_dataset, metrics,
                         roc_auc, roc_points, save_model, train_toy_model,
                         tune)
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     tune_p = sub.add_parser("tune", help="tune the toy classifier")
-    tune_p.add_argument("--algorithm", default="nlcmfo", choices=MOTH_FLAME)
+    tune_p.add_argument("--algorithm", default="nlcmfo", choices=ALGORITHMS)
     tune_p.add_argument("--pop-size", dest="pop_size", type=int, default=30)
     tune_p.add_argument("--max-iter", dest="max_iter", type=int, default=20)
     tune_p.add_argument("--seed", type=int, default=0)

@@ -1,10 +1,11 @@
-"""Moth-flame search engines and the run loop every optimizer shares.
+"""The four swarm optimizers, their registry and the run loop they share.
 
-``drive`` owns the run contract for all four optimizers (these two and the
-PSO and GWO baselines): seeding, every objective evaluation, clipping each
-move into the box, the best-so-far, the telemetry and the ``RunResult``.
-An algorithm only supplies a search generator that yields its start swarm
-and its moves (see ``drive``).  The two moth-flame variants:
+``run`` is the one entry point: it looks ``config.algorithm`` up in
+``ALGORITHMS`` and hands its search generator to ``drive``, which owns the
+run contract: seeding, every objective evaluation, clipping each move into
+the box, the best-so-far, the telemetry and the ``RunResult``.  A search
+only yields its start swarm and its moves (see ``drive``), so a new
+algorithm is a search plus one registry entry.  The four:
 
 * ``mfo``     - the classic logarithmic-spiral moth-flame search.
 * ``nlcmfo``  - the Levy-chaotic variant: spiral time comes from a chaotic
@@ -13,6 +14,8 @@ and its moves (see ``drive``).  The two moth-flame variants:
   flame attractor are perturbed element-wise by a heavy-tailed Levy matrix.
   A stagnation watchdog swaps the active chaotic map (sine <-> chebyshev)
   whenever the flame fitness vector freezes for a window of iterations.
+* ``pso``     - global-best particle swarm with a velocity clamp.
+* ``gwo``     - the grey wolf optimizer: wolves encircle three leaders.
 
 A run costs exactly pop_size * (max_iter + 1) objective evaluations: the
 initial swarm is evaluated once before the first update, then every
@@ -30,18 +33,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .space import SearchSpace
+from .space import SearchSpace, clip_bounds
 from .stochastic import (ChaoticMap, DrawAhead, LevySampler, check_count,
                          make_rng)
 
 # an objective maps an (n, d) swarm to its n values
 Objective = Callable[[np.ndarray], np.ndarray]
-
-# the algorithms ``run`` drives; ``run_pso`` and ``run_gwo`` drive the rest
-MOTH_FLAME = ("mfo", "nlcmfo")
-
-# the smallest pop_size of each algorithm: gwo's moves need three leaders
-_POP_FLOORS = {"mfo": 2, "nlcmfo": 2, "pso": 2, "gwo": 3}
 
 
 class ObjectiveError(RuntimeError):
@@ -251,18 +248,17 @@ class MapScheduler:
         return False
 
 
-def validate_config(config: EngineConfig,
-                    algorithms: tuple = tuple(_POP_FLOORS)) -> None:
+def validate_config(config: EngineConfig) -> None:
     """Raise the error a run with this config would raise, before it starts:
-    an algorithm outside ``algorithms`` (by default all four), pop_size
-    below the algorithm's floor (3 for gwo, 2 for the rest), max_iter < 1
-    or seed < 0 (each an integer)."""
-    if config.algorithm not in algorithms:
+    an algorithm outside ``ALGORITHMS``, pop_size below the algorithm's
+    floor (3 for gwo, 2 for the rest), max_iter < 1 or seed < 0 (each an
+    integer)."""
+    # a tuple compares names, so a name that cannot be hashed is refused too
+    names = tuple(ALGORITHMS)
+    if config.algorithm not in names:
         raise ValueError(
-            f"unsupported algorithm {config.algorithm!r}; choose one of "
-            f"{algorithms}"
-        )
-    for name, floor in (("pop_size", _POP_FLOORS[config.algorithm]),
+            f"unsupported algorithm {config.algorithm!r}; choose one of {names}")
+    for name, floor in (("pop_size", ALGORITHMS[config.algorithm][1]),
                         ("max_iter", 1), ("seed", 0)):
         check_count(name, getattr(config, name), floor)
 
@@ -402,7 +398,113 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
                 scheduler.observe(flame_fit, prev_fit)
 
 
+def _pso(config: EngineConfig, space: SearchSpace, rng):
+    """PSO search for ``drive``: global-best particle swarm.
+
+    Every particle is pulled toward its own best and the one swarm-wide
+    best, with inertia 0.5 and c1 = c2 = 2; velocities are clamped to
+    0.2 * (upper - lower) per dimension.
+    """
+    n, dim = config.pop_size, space.dim
+    pos, fit = yield space.sample(n, rng)
+    vel = np.zeros((n, dim))
+    vmax = 0.2 * (space.upper - space.lower)
+    pbest = pos.copy()
+    pbest_fit = fit.copy()
+    g = pbest_fit.argmin()
+    gbest = pbest[g].copy()
+    gbest_fit = float(pbest_fit[g])
+
+    # every step works in these per-run buffers, made here: fresh (n, d)
+    # temporaries made glibc trim the heap and fault the pages back in each
+    # iteration (25,745 minor faults per F1 d=1000 run, 0-438 with the
+    # buffers).  At d=1000 the draws alternate between two blocks, one
+    # drawn ahead on a helper thread; the second lifts the faults to
+    # 496-555.  The yielded move ``pos + vel`` stays a fresh array, and no
+    # buffer aliases pbest or gbest
+    draws = DrawAhead(rng.random, (2, n, dim), config.max_iter)
+    tmp = np.empty((n, dim))
+    # float bounds where 0.2 * (upper - lower) is one nonzero value, as
+    # SearchSpace clips: 11 against 42 ms per 500 clamps at (30, 1000)
+    vbounds = clip_bounds(-vmax, vmax)
+    with draws:
+        for _ in range(config.max_iter):
+            r1, r2 = draws.next()
+            # vel = 0.5 * vel + 2 * r1 * (pbest - pos) + 2 * r2 * (gbest - pos)
+            np.multiply(vel, 0.5, out=vel)
+            np.multiply(r1, 2.0, out=r1)
+            np.subtract(pbest, pos, out=tmp)
+            np.multiply(r1, tmp, out=r1)
+            np.add(vel, r1, out=vel)
+            np.multiply(r2, 2.0, out=r2)
+            np.subtract(gbest, pos, out=tmp)
+            np.multiply(r2, tmp, out=r2)
+            np.add(vel, r2, out=vel)
+            # the ndarray method np.clip dispatches to, without its wrapper
+            vel.clip(*vbounds, out=vel)
+            pos, fit = yield pos + vel
+
+            improved = fit < pbest_fit
+            pbest[improved] = pos[improved]
+            pbest_fit[improved] = fit[improved]
+            g = pbest_fit.argmin()
+            if pbest_fit[g] < gbest_fit:
+                gbest = pbest[g].copy()
+                gbest_fit = float(pbest_fit[g])
+
+
+def _gwo(config: EngineConfig, space: SearchSpace, rng):
+    """GWO search for ``drive``: each wolf averages three encircling moves
+    around the alpha, beta and delta, the three best-so-far leaders (so
+    pop_size >= 3), while the control parameter a falls linearly from 2 to 0.
+    """
+    n, big_t, dim = config.pop_size, config.max_iter, space.dim
+    pos, fit = yield space.sample(n, rng)
+    order = fit.argsort(kind="stable")[:3]
+    leaders = pos[order].copy()
+    leader_fit = fit[order].copy()
+
+    # one draw block and one sum buffer per run, made here, for the same
+    # reason as in _pso (fresh temporaries cost glibc heap trims at
+    # d=1000).  At d=1000 the draws alternate between two blocks, one
+    # drawn ahead on a helper thread, and the faults per run rise from
+    # 0-560 to 705-914.  The yielded move ``moved / 3.0`` stays a fresh
+    # array, and no buffer aliases leaders
+    draws = DrawAhead(rng.random, (3, 2, n, dim), big_t)
+    moved = np.empty((n, dim))
+    with draws:
+        for l in range(1, big_t + 1):
+            a = 2.0 - 2.0 * (l - 1) / big_t
+            # PCG64 fills C order: the same values as r1, r2 drawn per leader
+            block = draws.next()
+            moved.fill(0.0)  # each sum starts at +0.0: 0.0 + -0.0 gives 0.0
+            for leader, (r1, r2) in zip(leaders, block):
+                # moved += leader - (2a * r1 - a) * |2 * r2 * leader - pos|
+                np.multiply(r1, 2.0 * a, out=r1)
+                np.subtract(r1, a, out=r1)
+                np.multiply(r2, 2.0, out=r2)
+                np.multiply(r2, leader, out=r2)
+                np.subtract(r2, pos, out=r2)
+                np.abs(r2, out=r2)
+                np.multiply(r1, r2, out=r1)
+                np.subtract(leader, r1, out=r1)
+                np.add(moved, r1, out=moved)
+            pos, fit = yield moved / 3.0
+
+            # fold the new wolves into the alpha/beta/delta hierarchy: a
+            # stable top-3 with the leaders listed first, so a tie never
+            # unseats one
+            leaders, leader_fit = update_flames(leaders, leader_fit, pos,
+                                                fit, 3)
+
+
+# The one algorithm registry: name -> (search for ``drive``, pop_size floor)
+ALGORITHMS = {"mfo": (_moth_flame, 2), "nlcmfo": (_moth_flame, 2),
+              "pso": (_pso, 2), "gwo": (_gwo, 3)}
+
+
 def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
-    """Execute one seeded mfo or nlcmfo run; see the module docstring."""
-    validate_config(config, MOTH_FLAME)
-    return drive(config, space, objective, _moth_flame)
+    """Execute one seeded run of ``config.algorithm``, any of the four; see
+    the module docstring."""
+    validate_config(config)
+    return drive(config, space, objective, ALGORITHMS[config.algorithm][0])

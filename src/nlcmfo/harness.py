@@ -29,13 +29,15 @@ import numpy as np
 
 from . import benchmarks
 from .baselines import run_gwo, run_pso
-from .engine import EngineConfig, ObjectiveError, run, validate_config
+from .engine import (ALGORITHMS, EngineConfig, ObjectiveError, run,
+                     validate_config)
 from .stochastic import check_count
 
-# The one algorithm registry: name -> runner name.  A runner is looked up
-# in this module by name when a run starts, so a wrapper installed on
-# harness.run / run_pso / run_gwo sees every run.
-ALGORITHMS = {"mfo": "run", "nlcmfo": "run", "pso": "run_pso", "gwo": "run_gwo"}
+# pso and gwo runs go through run_pso and run_gwo, engine.run bound in
+# nlcmfo.baselines, so perfbench's tracer times each baseline apart until
+# ROADMAP item 18.  A runner is looked up here by name when a run starts, so
+# a wrapper installed on harness.run / run_pso / run_gwo sees every run.
+_RUNNERS = {"pso": "run_pso", "gwo": "run_gwo"}
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
 
 # Pools fork where ``os`` has ``sched_getaffinity`` (Linux): a worker that
@@ -226,7 +228,8 @@ def _execute_task(task) -> RunRecord:
         func = benchmarks.lookup(fid)
         space = func.space(dim)
         objective = func.objective(config.seed)
-        result = globals()[ALGORITHMS[algorithm]](config, space, objective)
+        result = globals()[_RUNNERS.get(algorithm, "run")](config, space,
+                                                            objective)
     except Exception as exc:  # a failed run is recorded; the grid goes on
         return _aborted(task, exc)
     keep_curves = telemetry in ("curves", "full-history")

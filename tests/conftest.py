@@ -109,9 +109,9 @@ def reference_fit():
 
 @pytest.fixture
 def reference_runs():
-    """The three separate run loops (``engine.run`` for mfo and nlcmfo,
-    ``run_pso``, ``run_gwo``) as they stood before the shared loop, kept as
-    the byte reference for every runner.
+    """The three separate run loops (mfo and nlcmfo, pso, gwo) as they
+    stood before the shared loop and the one entry point, kept as the byte
+    reference for ``engine.run`` with each algorithm.
 
     Maps an algorithm name to ``loop(config, space, objective)``, which
     returns a ``RunResult`` (config validation left out).  Only the loops

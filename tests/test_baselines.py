@@ -5,9 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from nlcmfo.baselines import _gwo, _pso, run_gwo, run_pso
-from nlcmfo.engine import (EngineConfig, ObjectiveError, evaluate_swarm, run,
-                           update_flames)
+from nlcmfo.engine import (EngineConfig, ObjectiveError, _gwo, _pso,
+                           evaluate_swarm, run, update_flames)
 from nlcmfo.space import SearchSpace, clip_bounds
 from nlcmfo.stochastic import make_rng
 
@@ -36,11 +35,10 @@ def test_config_defaults():
     assert (gwo.pop_size, gwo.max_iter, gwo.seed) == (30, 500, 0)
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
-                                        (run_gwo, _gwo_config)])
-def test_telemetry_contract(runner, cfg):
+@pytest.mark.parametrize("cfg", [_pso_config, _gwo_config])
+def test_telemetry_contract(cfg):
     n, big_t = 10, 30
-    result = runner(cfg(pop_size=n, max_iter=big_t, seed=3), _space(3), sphere)
+    result = run(cfg(pop_size=n, max_iter=big_t, seed=3), _space(3), sphere)
     assert result.evaluations == n * (big_t + 1)
     assert result.convergence.shape == (big_t,)
     assert result.mean_fitness.shape == (big_t,)
@@ -51,12 +49,11 @@ def test_telemetry_contract(runner, cfg):
     assert _space(3).contains(result.best_position[None, :])
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
-                                        (run_gwo, _gwo_config)])
-def test_bitwise_replay(runner, cfg):
+@pytest.mark.parametrize("cfg", [_pso_config, _gwo_config])
+def test_bitwise_replay(cfg):
     config = cfg(pop_size=8, max_iter=25, seed=7, record_history=True)
-    a = runner(config, _space(), sphere)
-    b = runner(config, _space(), sphere)
+    a = run(config, _space(), sphere)
+    b = run(config, _space(), sphere)
     assert a.best_fitness == b.best_fitness
     assert np.array_equal(a.convergence, b.convergence)
     assert np.array_equal(a.history, b.history)
@@ -65,8 +62,8 @@ def test_bitwise_replay(runner, cfg):
 def test_pso_velocity_clamp_bounds_step_size():
     # a box wide enough that the clamp, not the walls, limits every step
     space = _space(2, 50.0)
-    result = run_pso(_pso_config(pop_size=8, max_iter=20, seed=1,
-                                 record_history=True), space, sphere)
+    result = run(_pso_config(pop_size=8, max_iter=20, seed=1,
+                             record_history=True), space, sphere)
     vmax = 0.2 * (space.upper - space.lower)   # 20 per dimension
     steps = np.abs(np.diff(result.history, axis=0))
     assert steps.max() <= vmax.max() + 1e-12
@@ -108,7 +105,7 @@ def test_pso_matches_reference_loop_on_every_clamp_box(reference_runs, lower,
     config = _pso_config(pop_size=7, max_iter=12, seed=3,
                          record_history=True)
     space = SearchSpace(lower, upper)
-    got = run_pso(config, space, sphere)
+    got = run(config, space, sphere)
     want = reference_runs["pso"](config, space, sphere)
     assert got.history.tobytes() == want.history.tobytes()
     assert got.convergence.tobytes() == want.convergence.tobytes()
@@ -137,24 +134,22 @@ def test_yielded_moves_are_fresh_and_never_rewritten(search, cfg):
 
 def test_gwo_requires_three_leaders():
     with pytest.raises(ValueError):
-        run_gwo(_gwo_config(pop_size=2, max_iter=5), _space(), sphere)
+        run(_gwo_config(pop_size=2, max_iter=5), _space(), sphere)
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
-                                        (run_gwo, _gwo_config)])
-def test_bad_iteration_count_rejected(runner, cfg):
+@pytest.mark.parametrize("cfg", [_pso_config, _gwo_config])
+def test_bad_iteration_count_rejected(cfg):
     with pytest.raises(ValueError):
-        runner(cfg(pop_size=5, max_iter=0), _space(), sphere)
+        run(cfg(pop_size=5, max_iter=0), _space(), sphere)
 
 
-@pytest.mark.parametrize("runner,cfg", [(run_pso, _pso_config),
-                                        (run_gwo, _gwo_config)])
-def test_objective_errors_propagate(runner, cfg):
+@pytest.mark.parametrize("cfg", [_pso_config, _gwo_config])
+def test_objective_errors_propagate(cfg):
     def bad(xs):
         return np.full(xs.shape[0], np.nan)
 
     with pytest.raises(ObjectiveError):
-        runner(cfg(pop_size=5, max_iter=5, seed=0), _space(), bad)
+        run(cfg(pop_size=5, max_iter=5, seed=0), _space(), bad)
 
 
 def _fold_wolf_by_wolf(leaders, leader_fit, pos, fit):
@@ -194,17 +189,12 @@ def test_reduced_scale_ordering_on_sphere():
     space = SearchSpace.cube(10, -100.0, 100.0)
     seeds = range(3)
 
-    def mean_best(runner, cfg):
+    def mean_best(algorithm):
         return float(np.mean([
-            runner(cfg(s), space, sphere).best_fitness for s in seeds]))
+            run(EngineConfig(algorithm, pop_size=15, max_iter=80, seed=s),
+                space, sphere).best_fitness for s in seeds]))
 
-    pso = mean_best(run_pso, lambda s: _pso_config(pop_size=15, max_iter=80,
-                                                   seed=s))
-    gwo = mean_best(run_gwo, lambda s: _gwo_config(pop_size=15, max_iter=80,
-                                                   seed=s))
-    chaotic = mean_best(run, lambda s: EngineConfig(algorithm="nlcmfo",
-                                                    pop_size=15, max_iter=80,
-                                                    seed=s))
+    pso, gwo, chaotic = (mean_best(a) for a in ("pso", "gwo", "nlcmfo"))
     initial_scale = 10 * 100.0 ** 2   # typical random point in the box
     assert pso < initial_scale / 100
     assert gwo < 1e-2

@@ -423,12 +423,28 @@ class TestTune:
         assert np.array_equal(X_train, reference.X_train)
         assert np.array_equal(y_test, reference.y_test)
 
-    def test_non_engine_algorithm_is_refused(self, tmp_path, capsys):
+    def test_unknown_algorithm_is_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["tune", "--algorithm", "pso", "--out", str(tmp_path / "t")])
+            main(["tune", "--algorithm", "simplex", "--out",
+                  str(tmp_path / "t")])
         assert exc.value.code == 1
-        assert "invalid choice: 'pso'" in capsys.readouterr().err
+        assert "invalid choice: 'simplex'" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
+
+    def test_gwo_below_its_pop_size_floor_fails_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(hypertune, "train_toy_models",
+                            lambda hps, *args, **kwargs: trained.extend(hps))
+        out = tmp_path / "t"
+        rc = main(["tune", "--algorithm", "gwo", "--pop-size", "2",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: pop_size must be >= 3\n"
+        assert captured.out == ""
+        assert trained == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("separation", ["nan", "inf"])
     def test_non_finite_separation_fails_before_training(

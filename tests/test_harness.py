@@ -238,6 +238,28 @@ class TestRunExperiment:
             assert math.isfinite(rec.best_fitness)
             assert rec.runtime_s >= 0.0
 
+    def test_serial_grid_runs_baselines_through_their_own_names(
+            self, monkeypatch):
+        # perfbench's tracer times pso and gwo runs apart from mfo and
+        # nlcmfo runs by wrapping these three names of the harness
+        calls = []
+        for name in ("run", "run_pso", "run_gwo"):
+            def counted(config, space, objective, name=name,
+                        runner=getattr(harness, name)):
+                calls.append((name, config.algorithm))
+                return runner(config, space, objective)
+            monkeypatch.setattr(harness, name, counted)
+        config = tiny_config(algorithms=("mfo", "nlcmfo", "pso", "gwo"),
+                             functions=("F1",), dim=2, runs=2)
+        result = run_experiment(config)
+        assert not any(rec.aborted for rec in result.records)
+        assert calls == [(name, algorithm)
+                         for name, algorithm in (("run", "mfo"),
+                                                 ("run", "nlcmfo"),
+                                                 ("run_pso", "pso"),
+                                                 ("run_gwo", "gwo"))
+                         for _ in range(2)]
+
     def test_dim_override_applies_to_scalable_functions_only(self):
         config = tiny_config(functions=("F1", "F16"), dim=7, runs=1)
         result = run_experiment(config)

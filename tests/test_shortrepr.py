@@ -53,7 +53,13 @@ def test_both_sides_of_the_exponent_form_switches():
 
 def test_integers_around_two_to_the_53():
     ints = np.arange(2 ** 53 - 2000, 2 ** 53 + 2000, dtype=np.int64)
-    assert_matches_repr(np.concatenate([ints, -ints]).astype(np.float64))
+    below = np.random.default_rng(0).integers(1, 2 ** 53, 20_000)
+    # m 10^e: integral values whose shortest digits end in zeros, on both
+    # sides of 2^53
+    scaled = (np.arange(1, 1000)[:, None] * 10.0 ** np.arange(23)).ravel()
+    values = np.concatenate([ints, below]).astype(np.float64)
+    values = np.concatenate([values, scaled])
+    assert_matches_repr(np.concatenate([values, -values]))
 
 
 def test_short_decimals():
