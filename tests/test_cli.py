@@ -423,6 +423,15 @@ class TestTune:
         assert np.array_equal(X_train, reference.X_train)
         assert np.array_equal(y_test, reference.y_test)
 
+    @pytest.mark.parametrize("algorithm", ["mfo", "nlcmfo", "pso", "gwo"])
+    def test_every_algorithm_tunes(self, algorithm, tmp_path, capsys):
+        out = tmp_path / algorithm
+        rc = main(TUNE_ARGS + ["--algorithm", algorithm, "--out", str(out)])
+        assert rc == 0
+        assert "best L_D=" in capsys.readouterr().out
+        # 4 members over 3 iterations cost 4 * (3 + 1) trainings each way
+        assert read_csv(out / "hyperparams.csv")[-1] == ["trainings", "16"]
+
     def test_unknown_algorithm_is_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tune", "--algorithm", "simplex", "--out",

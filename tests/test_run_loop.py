@@ -438,8 +438,31 @@ def test_negative_seed_rejected_before_the_run(algorithm):
     assert calls == []
 
 
-@pytest.mark.parametrize("algorithm", ["simplex", ["pso"]],
-                         ids=["simplex", "unhashable"])
+@pytest.mark.parametrize("algorithm,floor", [("mfo", 2), ("nlcmfo", 2),
+                                             ("pso", 2), ("gwo", 3)])
+def test_each_algorithm_runs_at_its_pop_size_floor_and_not_below(algorithm,
+                                                                  floor):
+    # the registry's floor is refused one below, before the objective sees a
+    # point, and a swarm of exactly the floor runs to the end
+    calls = []
+
+    def objective(xs):
+        calls.append(xs)
+        return _PER_ROW["per-row"](xs)
+
+    space, _ = _problem("per-row", 0)
+    with pytest.raises(ValueError, match=f"pop_size must be >= {floor}"):
+        run(EngineConfig(algorithm, pop_size=floor - 1, max_iter=3), space,
+            objective)
+    assert calls == []
+    result = run(EngineConfig(algorithm, pop_size=floor, max_iter=3), space,
+                 objective)
+    assert result.evaluations == floor * (3 + 1)
+    assert math.isfinite(result.best_fitness)
+
+
+@pytest.mark.parametrize("algorithm", ["simplex", ["pso"], "MFO", ""],
+                         ids=["simplex", "unhashable", "upper-case", "empty"])
 def test_runners_refuse_other_algorithms_before_the_run(algorithm):
     # a name outside the registry is refused by the validator, before the
     # objective sees a point
