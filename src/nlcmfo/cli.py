@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 configuration error (bad arguments, unknown
 function or algorithm, unreadable config, an --out that cannot be a
 directory, a composite whose box is empty or degenerate, a tune dataset
 whose test split holds one class) detected before any runs, 2 runtime
-failure (a run aborted mid-experiment, or tune's best model diverged in
-training).
+failure (a run aborted mid-experiment, tune's best model diverged in
+training, or a bundle file could not be written after the runs).
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
             benchmarks.CompositeUnavailableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ObjectiveError as exc:
+    except (ObjectiveError, OSError) as exc:  # OSError: an unwritable bundle
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

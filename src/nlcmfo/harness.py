@@ -29,15 +29,9 @@ import numpy as np
 
 from . import benchmarks
 from .baselines import run_gwo, run_pso
-from .engine import (ALGORITHMS, EngineConfig, ObjectiveError, run,
-                     validate_config)
+from .engine import EngineConfig, ObjectiveError, run, validate_config
 from .stochastic import check_count
 
-# pso and gwo runs go through run_pso and run_gwo, engine.run bound in
-# nlcmfo.baselines, so perfbench's tracer times each baseline apart until
-# ROADMAP item 18.  A runner is looked up here by name when a run starts, so
-# a wrapper installed on harness.run / run_pso / run_gwo sees every run.
-_RUNNERS = {"pso": "run_pso", "gwo": "run_gwo"}
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
 
 # Pools fork where ``os`` has ``sched_getaffinity`` (Linux): a worker that
@@ -133,9 +127,11 @@ def load_experiment_config(path) -> ExperimentConfig:
 def _validate(config: ExperimentConfig) -> list:
     """Check the whole grid before any run; return its run tasks.
 
-    A task is (algorithm, fid, dim, run_index, config, telemetry,
-    composite_pack), in algorithm -> function -> run order; its config
-    carries the run's seed, base_seed + run_index.
+    A task is (fid, space, run_index, config, telemetry, composite_pack),
+    in algorithm -> function -> run order.  space is the function's box at
+    its cell's dimension, built once here and shared by every run of the
+    function; config is the algorithm's validated EngineConfig with the
+    run's seed, base_seed + run_index.
     """
     # JSON gives any type; a wrong one must not surface as a TypeError later
     for name in ("algorithms", "functions"):
@@ -155,11 +151,6 @@ def _validate(config: ExperimentConfig) -> list:
             f"composite_pack must be a directory, got {config.composite_pack!r}")
     if not config.algorithms:
         raise ConfigError("no algorithms selected")
-    for algorithm in config.algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}"
-            )
     if not config.functions:
         raise ConfigError("no functions selected")
     try:
@@ -171,20 +162,20 @@ def _validate(config: ExperimentConfig) -> list:
         raise ConfigError(str(exc)) from exc
     if config.composite_pack is not None:
         _ensure_pack(config.composite_pack)
-    cells = []
+    boxes = []
     for fid in config.functions:
         func = benchmarks.lookup(fid)  # raises on unknown / unavailable ids
         dim = func.dim if config.dim is None or not func.scalable else config.dim
         try:  # a pack's box may be empty or degenerate
-            func.space(dim)
+            boxes.append((func.fid, func.space(dim)))
         except ValueError as exc:
             raise ConfigError(f"{func.fid}: {exc}") from exc
-        cells.append((func.fid, dim))
     if config.telemetry not in TELEMETRY_LEVELS:
         raise ConfigError(
             f"telemetry must be one of {TELEMETRY_LEVELS}, got {config.telemetry!r}"
         )
-    # the engine's validator owns the pop_size, max_iter and seed checks
+    # the engine's validator owns the algorithm name and the pop_size,
+    # max_iter and seed checks
     tasks = []
     for algorithm in config.algorithms:
         engine_config = EngineConfig(
@@ -195,10 +186,10 @@ def _validate(config: ExperimentConfig) -> list:
             validate_config(engine_config)
         except (TypeError, ValueError) as exc:  # TypeError: e.g. 30.0 from JSON
             raise ConfigError(f"{algorithm}: {exc}") from exc
-        tasks += [(algorithm, fid, dim, r,
+        tasks += [(fid, space, r,
                    replace(engine_config, seed=config.base_seed + r),
                    config.telemetry, config.composite_pack)
-                  for fid, dim in cells for r in range(config.runs)]
+                  for fid, space in boxes for r in range(config.runs)]
     return tasks
 
 
@@ -211,30 +202,32 @@ def _ensure_pack(directory) -> None:
 
 
 def _aborted(task, exc: Exception) -> RunRecord:
-    algorithm, fid, dim, run_index, config = task[:5]
+    fid, space, run_index, config = task[:4]
     error = (str(exc) if isinstance(exc, ObjectiveError)
              else f"{type(exc).__name__}: {exc}")
-    return RunRecord(algorithm, fid, dim, run_index, config.seed,
+    return RunRecord(config.algorithm, fid, space.dim, run_index, config.seed,
                      float("nan"), None, 0, 0.0, aborted=True, error=error)
 
 
 def _execute_task(task) -> RunRecord:
-    algorithm, fid, dim, run_index, config, telemetry, pack_dir = task
+    """Run one task of ``_validate`` on its own box and config."""
+    fid, space, run_index, config, telemetry, pack_dir = task
     try:
         # a worker that does not fork lacks the parent's registered
         # composites: their lookup fails here and aborts only their runs
         if pack_dir is not None:
             _ensure_pack(pack_dir)
-        func = benchmarks.lookup(fid)
-        space = func.space(dim)
-        objective = func.objective(config.seed)
-        result = globals()[_RUNNERS.get(algorithm, "run")](config, space,
-                                                            objective)
+        objective = benchmarks.lookup(fid).objective(config.seed)
+        # pso and gwo run through run_pso and run_gwo, engine.run under the
+        # names perfbench's tracer times them by (ROADMAP item 18), read as
+        # the run starts so a wrapper on harness.run/run_pso/run_gwo sees it
+        runner = {"pso": run_pso, "gwo": run_gwo}.get(config.algorithm, run)
+        result = runner(config, space, objective)
     except Exception as exc:  # a failed run is recorded; the grid goes on
         return _aborted(task, exc)
     keep_curves = telemetry in ("curves", "full-history")
     return RunRecord(
-        algorithm, fid, dim, run_index, config.seed,
+        config.algorithm, fid, space.dim, run_index, config.seed,
         result.best_fitness, result.best_position,
         result.evaluations, result.wall_time,
         convergence=result.convergence if keep_curves else None,
@@ -287,6 +280,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # aggregation
 # ---------------------------------------------------------------------------
 
+def _cells(records) -> dict:
+    """``records`` grouped by (algorithm, function, dim) cell, in first-seen
+    cell order."""
+    cells: dict = {}
+    for rec in records:
+        cells.setdefault((rec.algorithm, rec.function, rec.dim), []).append(rec)
+    return cells
+
+
 def summarize(records) -> list:
     """One SummaryRow per grid cell, in first-seen cell order.
 
@@ -295,11 +297,8 @@ def summarize(records) -> list:
     fitness, likewise for runtime, and best is their lowest best fitness; a
     cell with one finished run reports std 0, and one with none reports NaN.
     """
-    cells: dict = {}
-    for rec in records:
-        cells.setdefault((rec.algorithm, rec.function, rec.dim), []).append(rec)
     rows = []
-    for (algorithm, fid, dim), group in cells.items():
+    for (algorithm, fid, dim), group in _cells(records).items():
         finished = [r for r in group if not r.aborted]
         aborted = len(group) - len(finished)
         if not finished:
@@ -374,12 +373,8 @@ def export_curves(records, out_dir) -> list:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells: dict = {}
-    for rec in records:
-        if rec.convergence is None:
-            continue
-        cells.setdefault((rec.algorithm, rec.function, rec.dim), []).append(rec)
     written, histories = [], []
+    cells = _cells(r for r in records if r.convergence is not None)
     for (algorithm, fid, dim), group in cells.items():
         group = sorted(group, key=lambda r: r.run_index)
         stem = f"{algorithm}_{fid}_d{dim}"

@@ -645,6 +645,28 @@ class TestUsageErrors:
         assert ran == []
         assert taken.read_text() == "keep"
 
+    @pytest.mark.parametrize("command, args, name, make", [
+        ("bench", ["--functions", "F1", "--telemetry", "curves"], "curves",
+         "touch"),
+        ("bench", ["--functions", "F1"], "stats.csv", "mkdir"),
+        ("diag", [], "search_history.csv", "mkdir"),
+        ("tune", ["--samples", "60"], "model.txt", "mkdir"),
+    ], ids=["bench-curves-file", "bench-stats-dir", "diag", "tune"])
+    def test_unwritable_bundle_exits_2_naming_the_path(
+            self, command, args, name, make, tmp_path, capsys):
+        # the runs have happened, so this is a runtime failure, not exit 1
+        out = tmp_path / "out"
+        out.mkdir()
+        getattr(out / name, make)()
+        extra = ["--runs", "1"] if command == "bench" else []
+        rc = main([command, *args, *extra, "--pop-size", "4", "--max-iter",
+                   "2", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(out / name) in err
+        assert "Traceback" not in err
+
     def test_missing_subcommand_exits_with_config_error_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -15,12 +15,14 @@ import pytest
 
 from nlcmfo import harness
 from nlcmfo.benchmarks import (
+    BenchmarkFunction,
     clear_composites,
     CompositeUnavailableError,
     lookup,
     register_composite,
     UnknownFunctionError,
 )
+from nlcmfo.engine import ALGORITHMS
 from nlcmfo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -103,10 +105,19 @@ class TestSummarizeCell:
 # ---------------------------------------------------------------------------
 
 class TestConfigValidation:
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ConfigError):
-            run_experiment(tiny_config(algorithms=("simplex",),
-                                       functions=("F1",)))
+    def test_unknown_algorithm_rejected(self, monkeypatch):
+        # the engine's validator refuses the name, also after a valid one,
+        # before any run of the grid
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        for algorithms in (("simplex",), ("mfo", "simplex")):
+            with pytest.raises(ConfigError) as exc:
+                run_experiment(tiny_config(algorithms=algorithms,
+                                           functions=("F1",)))
+            assert str(exc.value) == (
+                f"simplex: unsupported algorithm 'simplex'; choose one of "
+                f"{tuple(ALGORITHMS)}")
+        assert ran == []
 
     def test_unknown_function_rejected(self):
         with pytest.raises(UnknownFunctionError):
@@ -259,6 +270,22 @@ class TestRunExperiment:
                                                  ("run_pso", "pso"),
                                                  ("run_gwo", "gwo"))
                          for _ in range(2)]
+
+    def test_each_box_is_built_once_per_function(self, monkeypatch):
+        # every run of a function, whatever its algorithm, shares the box
+        # the grid's validation built
+        built = []
+        space = BenchmarkFunction.space
+
+        def counted(func, dim=None):
+            built.append(func.fid)
+            return space(func, dim)
+        monkeypatch.setattr(BenchmarkFunction, "space", counted)
+        result = run_experiment(tiny_config(algorithms=("mfo", "pso"),
+                                            functions=("F1", "F16"), dim=3))
+        assert len(result.records) == 12
+        assert not any(rec.aborted for rec in result.records)
+        assert built == ["F1", "F16"]
 
     def test_dim_override_applies_to_scalable_functions_only(self):
         config = tiny_config(functions=("F1", "F16"), dim=7, runs=1)
