@@ -83,7 +83,7 @@ def _cmd_bench(args) -> int:
     else:
         config = ExperimentConfig()
     if args.algorithms:
-        config.algorithms = tuple(a.lower() for a in args.algorithms)
+        config.algorithms = tuple(args.algorithms)
     if args.functions:
         config.functions = _expand_functions(args.functions)
     for name in ("dim", "runs", "pop_size", "max_iter", "telemetry",
@@ -95,17 +95,18 @@ def _cmd_bench(args) -> int:
         config.base_seed = args.seed
 
     result = run_experiment(config)
-    export_experiment(result, out_dir)
+    # shown before the bundle is written, so a failed write loses none
     for row in summarize(result.records):
         print(f"{row.algorithm:7s} {row.function:4s} d={row.dim:<5d} "
               f"ave={row.ave:.6g} std={row.std:.6g} best={row.best:.6g}")
+    for rec in result.records:
+        if rec.aborted:
+            print(f"error: {rec.algorithm} {rec.function} d={rec.dim} "
+                  f"run {rec.run_index} seed {rec.seed}: {rec.error}",
+                  file=sys.stderr)
+    export_experiment(result, out_dir)
     print(f"wrote {out_dir / 'stats.csv'}")
     if result.aborted:
-        for rec in result.records:
-            if rec.aborted:
-                print(f"error: {rec.algorithm} {rec.function} d={rec.dim} "
-                      f"run {rec.run_index} seed {rec.seed}: {rec.error}",
-                      file=sys.stderr)
         print(f"error: {result.aborted} run(s) aborted; see finals.csv",
               file=sys.stderr)
         return 2
@@ -132,30 +133,9 @@ def _cmd_tune(args) -> int:
     points = roc_points(scores, data.y_test)
     auc = roc_auc(points)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     hp = outcome.best_hyperparams
-    write_table(out_dir / "hyperparams.csv", ["name", "value"], [
-        *([key, repr(value)] for key, value in asdict(hp).items()),
-        ["L_D", repr(outcome.best_L_D)], ["trainings", outcome.trainings]])
-    write_table(out_dir / "confusion.csv", ["tp", "fn", "fp", "tn"],
-                [[cm.tp, cm.fn, cm.fp, cm.tn]])
-    write_table(out_dir / "metrics.csv", ["metric", "value", "percent"],
-                [[key, repr(value), f"{100.0 * value:.2f}"]
-                 for key, value in [*asdict(report).items(), ("auc", auc)]])
-    write_table(out_dir / "roc.csv", ["fpr", "tpr"],
-                [[repr(float(fpr)), repr(float(tpr))] for fpr, tpr in points])
     names = list(asdict(hp))
     lower, upper = outcome.bound_hits.tolist()
-    write_table(out_dir / "tune_diag.csv", ["name", "value"], [
-        ["distinct_candidates", outcome.distinct_candidates],
-        ["last_improvement", outcome.last_improvement],
-        *([f"{name}_at_{side}", count]
-          for side, hits in (("lower", lower), ("upper", upper))
-          for name, count in zip(names, hits))])
-    save_model(model, out_dir / "model.txt")
-    if args.export_data:
-        export_dataset(data, out_dir / "dataset.csv")
-
     print(f"best L_D={outcome.best_L_D:.6g} after {outcome.trainings} "
           f"evaluations ({outcome.distinct_candidates} trainings)")
     print(f"momentum={hp.momentum:.6g} learning_rate={hp.learning_rate:.6g} "
@@ -167,6 +147,28 @@ def _cmd_tune(args) -> int:
     print(f"{outcome.distinct_candidates} distinct candidates; last "
           f"improvement at iteration {outcome.last_improvement}; "
           f"evaluations at lower/upper bound: {hits}")
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_table(out_dir / "hyperparams.csv", ["name", "value"], [
+        *([key, repr(value)] for key, value in asdict(hp).items()),
+        ["L_D", repr(outcome.best_L_D)], ["trainings", outcome.trainings]])
+    write_table(out_dir / "confusion.csv", ["tp", "fn", "fp", "tn"],
+                [[cm.tp, cm.fn, cm.fp, cm.tn]])
+    write_table(out_dir / "metrics.csv", ["metric", "value", "percent"],
+                [[key, repr(value), f"{100.0 * value:.2f}"]
+                 for key, value in [*asdict(report).items(), ("auc", auc)]])
+    write_table(out_dir / "roc.csv", ["fpr", "tpr"],
+                [[repr(float(fpr)), repr(float(tpr))] for fpr, tpr in points])
+    write_table(out_dir / "tune_diag.csv", ["name", "value"], [
+        ["distinct_candidates", outcome.distinct_candidates],
+        ["last_improvement", outcome.last_improvement],
+        *([f"{name}_at_{side}", count]
+          for side, hits in (("lower", lower), ("upper", upper))
+          for name, count in zip(names, hits))])
+    save_model(model, out_dir / "model.txt")
+    if args.export_data:
+        export_dataset(data, out_dir / "dataset.csv")
+
     print(f"wrote {out_dir / 'hyperparams.csv'}")
     return 0
 
@@ -186,6 +188,7 @@ def _cmd_diag(args) -> int:
         print(f"error: {rec.error}", file=sys.stderr)
         return 2
 
+    print(f"best={rec.best_fitness:.6g} evaluations={rec.evaluations}")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, header, curve in (
             ("convergence", "best_so_far", rec.convergence),
@@ -193,7 +196,6 @@ def _cmd_diag(args) -> int:
             ("trajectory", "first_variable", rec.trajectory)):
         write_curves(out_dir / f"{name}.csv", [header], [curve])
     write_search_history(rec.history, out_dir / "search_history.csv")
-    print(f"best={rec.best_fitness:.6g} evaluations={rec.evaluations}")
     print(f"wrote telemetry to {out_dir}")
     return 0
 

@@ -1,17 +1,18 @@
 """The four swarm optimizers, their registry and the run loop they share.
 
-``run`` is the one entry point: it looks ``config.algorithm`` up in
-``ALGORITHMS`` and hands its search generator to ``drive``, which owns the
-run contract: seeding, every objective evaluation, clipping each move into
-the box, the best-so-far, the telemetry and the ``RunResult``.  A search
-only yields its start swarm and its moves (see ``drive``), so a new
+``run`` is the one entry point: ``ALGORITHMS`` maps each name to its own
+search generator, and ``run`` hands the named one to ``drive``, which owns
+the run contract: seeding, every objective evaluation, clipping each move
+into the box, the best-so-far, the telemetry and the ``RunResult``.  A
+search only yields its start swarm and its moves (see ``drive``), so a new
 algorithm is a search plus one registry entry.  The four:
 
 * ``mfo``     - the classic logarithmic-spiral moth-flame search.
-* ``nlcmfo``  - the Levy-chaotic variant: spiral time comes from a chaotic
-  map instead of a uniform draw, the spiral is damped by a nonlinear weight
-  that decays from 4 to ~0 over the run, and both the spiral term and the
-  flame attractor are perturbed element-wise by a heavy-tailed Levy matrix.
+* ``nlcmfo``  - the Levy-chaotic variant: mfo's flame archive, but spiral
+  time comes from a chaotic map instead of a uniform draw, the spiral is
+  damped by a nonlinear weight that decays from 4 to ~0 over the run, and
+  both the spiral term and the flame attractor are perturbed element-wise
+  by a heavy-tailed Levy matrix.
   A stagnation watchdog swaps the active chaotic map (sine <-> chebyshev)
   whenever the flame fitness vector freezes for a window of iterations.
 * ``pso``     - global-best particle swarm with a velocity clamp.
@@ -24,7 +25,6 @@ iteration moves and re-evaluates the whole swarm.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import time
@@ -323,28 +323,47 @@ def drive(config, space: SearchSpace, objective: Objective, search) -> RunResult
     )
 
 
-def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
-    """mfo / nlcmfo search for ``drive``: spiral moves around ranked flames.
+def _mfo(config: EngineConfig, space: SearchSpace, rng):
+    """mfo search for ``drive``: log-spiral moves (shape b = 1) around the
+    ranked flames, with uniform spiral times."""
+    n, big_t = config.pop_size, config.max_iter
+    moths, fitness = yield space.sample(n, rng)
+    order = fitness.argsort(kind="stable")
+    flame_pos, flame_fit = moths[order].copy(), fitness[order].copy()
+    moth_idx = np.arange(n)
+    for l in range(1, big_t + 1):
+        k = flame_count(n, l, big_t)
+        a = convergence_constant(l, big_t)
+        # moth i follows flame i while it survives, else the worst survivor
+        idx = np.minimum(moth_idx, k - 1)
+        # a fresh pairing: a per-run buffer or a take here lifted the
+        # faults per F1 d=1000 run from about 400 to 9,000-22,000
+        paired = flame_pos[idx]
+        t = t_mfo(a, rng, size=n)
+        moths = spiral_step_mfo(moths, paired, t[:, None])
+        # the move rebinds ``moths`` before it is yielded, which frees the
+        # previous swarm as early as a plain loop would; yielding the
+        # spiral expression directly changed glibc's heap trimming at
+        # d=1000 enough to cost 65x the page faults and ~1.5x the time
+        moths, fitness = yield moths
+        flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths,
+                                             fitness, n)
 
-    Fixed constants: spiral shape b = 1; for nlcmfo, Levy alpha 1.5 and
-    ``MapScheduler``'s maps and window.
-    """
+
+def _nlcmfo(config: EngineConfig, space: SearchSpace, rng):
+    """nlcmfo search for ``drive``: mfo's flame archive with chaotic spiral
+    times, the nonlinear weight and a Levy matrix (alpha 1.5) on both
+    spiral terms; ``MapScheduler`` fixes the maps and their window."""
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
-    chaotic = config.algorithm == "nlcmfo"
-
-    # nlcmfo's move runs in per-run buffers (the pairing, the Levy draws
-    # and the two spiral terms): fresh (n, d) temporaries made glibc trim
-    # the heap and fault the pages back in (about 36,700 minor faults per
-    # F1 d=1000 run, 440-500 with the buffers).  Where they are made moves
+    # the move runs in per-run buffers (the pairing, the Levy draws and
+    # the two spiral terms): fresh (n, d) temporaries made glibc trim the
+    # heap and fault the pages back in (about 36,700 minor faults per F1
+    # d=1000 run, 440-500 with the buffers).  Where they are made moves
     # the trimming too: all three before the first swarm cost a grid's
     # later pso and gwo runs 440 and 180 faults each, against none with
-    # draws and work made after the flame archive.  mfo keeps its fresh
-    # pairing: a buffer or a take there lifted its faults from about 400
-    # to 9,000-22,000 per run
-    if chaotic:
-        sampler = LevySampler()
-        scheduler = MapScheduler()
-        paired = np.empty((n, dim))
+    # draws and work made after the flame archive
+    sampler, scheduler = LevySampler(), MapScheduler()
+    paired = np.empty((n, dim))
 
     moths, fitness = yield space.sample(n, rng)
     order = fitness.argsort(kind="stable")
@@ -356,46 +375,31 @@ def _moth_flame(config: EngineConfig, space: SearchSpace, rng):
     # helper draws the fill and its exact-zero redraws; the transform runs
     # here while the next block is drawn (on the helper as well, it slowed
     # the run: the helper is already the busier thread)
-    if chaotic:
-        draws = DrawAhead(functools.partial(sampler.draw, rng), (2, n, dim),
-                          big_t)
-        work = np.empty((2, n, dim))
-    else:
-        draws = contextlib.nullcontext()
-
+    draws = DrawAhead(functools.partial(sampler.draw, rng), (2, n, dim),
+                      big_t)
+    work = np.empty((2, n, dim))
     moth_idx = np.arange(n)
     with draws:
         for l in range(1, big_t + 1):
             k = flame_count(n, l, big_t)
             a = convergence_constant(l, big_t)
             # moth i follows flame i while it survives, else the worst
-            # survivor
+            # survivor; the indices are in range, and mode="clip" keeps
+            # take from buffering its output as mode="raise" does
             idx = np.minimum(moth_idx, k - 1)
-            if chaotic:
-                # the indices are in range, and mode="clip" keeps take from
-                # buffering its output as the default mode="raise" does
-                flame_pos.take(idx, axis=0, out=paired, mode="clip")
-                w = nonlinear_weight(l, big_t)
-                cm = scheduler.active.steps(n)
-                t = t_nlcmfo(a, cm)
-                levy = sampler.matrix(n, dim, draws.next())
-                moths = spiral_step_nlcmfo(moths, paired, t[:, None], w,
-                                           levy, out=work)
-            else:
-                paired = flame_pos[idx]
-                t = t_mfo(a, rng, size=n)
-                moths = spiral_step_mfo(moths, paired, t[:, None])
-            # the move rebinds ``moths`` before it is yielded, which frees
-            # the previous swarm as early as a plain loop would; yielding
-            # the spiral expression directly changed glibc's heap trimming
-            # at d=1000 enough to cost mfo 65x the page faults and ~1.5x
-            # the time
+            flame_pos.take(idx, axis=0, out=paired, mode="clip")
+            w = nonlinear_weight(l, big_t)
+            cm = scheduler.active.steps(n)
+            t = t_nlcmfo(a, cm)
+            levy = sampler.matrix(n, dim, draws.next())
+            # bound to ``moths`` before the yield, as in _mfo
+            moths = spiral_step_nlcmfo(moths, paired, t[:, None], w, levy,
+                                       out=work)
             moths, fitness = yield moths
             prev_fit = flame_fit
             flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths,
                                                  fitness, n)
-            if chaotic:
-                scheduler.observe(flame_fit, prev_fit)
+            scheduler.observe(flame_fit, prev_fit)
 
 
 def _pso(config: EngineConfig, space: SearchSpace, rng):
@@ -499,7 +503,7 @@ def _gwo(config: EngineConfig, space: SearchSpace, rng):
 
 
 # The one algorithm registry: name -> (search for ``drive``, pop_size floor)
-ALGORITHMS = {"mfo": (_moth_flame, 2), "nlcmfo": (_moth_flame, 2),
+ALGORITHMS = {"mfo": (_mfo, 2), "nlcmfo": (_nlcmfo, 2),
               "pso": (_pso, 2), "gwo": (_gwo, 3)}
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ class TestBench:
                    "--out", str(tmp_path / "r")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_upper_case_algorithm_is_refused_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        # bench names algorithms as diag, tune and a config file do: only
+        # the registry's own spelling runs
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        out = tmp_path / "r"
+        rc = main(["bench", "--algorithms", "MFO", "--functions", "F1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: MFO: unsupported algorithm 'MFO'; choose one of "
+            "('mfo', 'nlcmfo', 'pso', 'gwo')\n")
+        assert ran == []
+        assert not out.exists()
 
     def test_aborted_run_returns_runtime_error_code(self, tmp_path, capsys,
                                                     composite_sandbox):
@@ -645,16 +662,25 @@ class TestUsageErrors:
         assert ran == []
         assert taken.read_text() == "keep"
 
-    @pytest.mark.parametrize("command, args, name, make", [
+    @pytest.mark.parametrize("command, args, name, make, shown", [
         ("bench", ["--functions", "F1", "--telemetry", "curves"], "curves",
-         "touch"),
-        ("bench", ["--functions", "F1"], "stats.csv", "mkdir"),
-        ("diag", [], "search_history.csv", "mkdir"),
-        ("tune", ["--samples", "60"], "model.txt", "mkdir"),
+         "touch", [r"nlcmfo +F1 +d=30 +ave=\S+ std=\S+ best=\S+"]),
+        ("bench", ["--functions", "F1"], "stats.csv", "mkdir",
+         [r"nlcmfo +F1 +d=30 +ave=\S+ std=\S+ best=\S+"]),
+        ("diag", [], "search_history.csv", "mkdir",
+         [r"best=\S+ evaluations=12"]),
+        ("tune", ["--samples", "60"], "model.txt", "mkdir",
+         [r"best L_D=\S+ after 12 evaluations \(\d+ trainings\)",
+          r"momentum=\S+ learning_rate=\S+ epochs=\d+ l2=\S+",
+          r"test accuracy=\S+% f1=\S+% auc=\S+%",
+          r"\d+ distinct candidates; last improvement at iteration \d+; "
+          r"evaluations at lower/upper bound: .*"]),
     ], ids=["bench-curves-file", "bench-stats-dir", "diag", "tune"])
     def test_unwritable_bundle_exits_2_naming_the_path(
-            self, command, args, name, make, tmp_path, capsys):
-        # the runs have happened, so this is a runtime failure, not exit 1
+            self, command, args, name, make, shown, tmp_path, capsys):
+        # the runs have happened, so this is a runtime failure, not exit 1;
+        # their results are shown before the bundle is written, and no
+        # "wrote" line follows
         out = tmp_path / "out"
         out.mkdir()
         getattr(out / name, make)()
@@ -662,10 +688,15 @@ class TestUsageErrors:
         rc = main([command, *args, *extra, "--pop-size", "4", "--max-iter",
                    "2", "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert str(out / name) in err
         assert "Traceback" not in err
+        lines = captured.out.splitlines()
+        assert len(lines) == len(shown)
+        for line, pattern in zip(lines, shown):
+            assert re.fullmatch(pattern, line), line
 
     def test_missing_subcommand_exits_with_config_error_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcmfo import hypertune, stochastic
+from nlcmfo import engine, hypertune, stochastic
 from nlcmfo.benchmarks import (clear_composites, load_composite_pack, lookup,
                                register_composite)
-from nlcmfo.engine import (EngineConfig, ObjectiveError, _gwo, _moth_flame,
+from nlcmfo.engine import (EngineConfig, ObjectiveError, _gwo, _mfo, _nlcmfo,
                            _pso, drive, run)
 from nlcmfo.harness import ExperimentConfig, run_experiment
 from nlcmfo.space import SearchSpace
@@ -98,6 +98,23 @@ def test_unit_cube_case_reaches_exact_zeros(algorithm):
     assert (result.history == 0.0).any()
 
 
+@pytest.mark.parametrize("search, algorithm, other",
+                         [(_mfo, "mfo", "nlcmfo"), (_nlcmfo, "nlcmfo", "mfo")],
+                         ids=["mfo", "nlcmfo"])
+def test_searches_never_read_the_algorithm_name(search, algorithm, other):
+    # each registry name has its own search: driven under the other name's
+    # config, a search still gives its own algorithm's bytes
+    space, objective = _problem("F7", 0)
+    got = drive(EngineConfig(other, pop_size=7, max_iter=12, seed=3,
+                             record_history=True), space, objective, search)
+    space, objective = _problem("F7", 0)
+    want = run(EngineConfig(algorithm, pop_size=7, max_iter=12, seed=3,
+                            record_history=True), space, objective)
+    assert _result_bytes(got) == _result_bytes(want)
+    searches = [entry[0] for entry in engine.ALGORITHMS.values()]
+    assert len(set(searches)) == len(searches) == 4
+
+
 @pytest.mark.parametrize("algorithm", ["pso", "gwo"])
 def test_baseline_runners_match_reference_loops_at_d200(reference_runs,
                                                         algorithm):
@@ -114,7 +131,7 @@ def test_baseline_runners_match_reference_loops_at_d200(reference_runs,
 # draw blocks of AHEAD_MIN_VALUES or more values, filled one iteration ahead
 # ---------------------------------------------------------------------------
 
-DRAWN_AHEAD = {"nlcmfo": _moth_flame, "pso": _pso, "gwo": _gwo}
+DRAWN_AHEAD = {"nlcmfo": _nlcmfo, "pso": _pso, "gwo": _gwo}
 
 
 def _block_dims(algorithm, n):
@@ -270,8 +287,7 @@ def test_nlcmfo_starts_the_next_fill_before_the_current_transform(
     config = EngineConfig("nlcmfo", pop_size=n, max_iter=big_t, seed=4)
     func = lookup("F1")
     got = drive(config, func.space(1100), func.objective(),
-                lambda c, s, rng: _moth_flame(c, s,
-                                              _SignalledRng(rng, started)))
+                lambda c, s, rng: _nlcmfo(c, s, _SignalledRng(rng, started)))
     assert waited == [True] * big_t
     want = reference_runs["nlcmfo"](config, func.space(1100),
                                     func.objective())
