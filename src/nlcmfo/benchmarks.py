@@ -314,7 +314,10 @@ class BenchmarkFunction:
             i = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"point coordinate {i} is {float(x[i])!r}, "
                              "not finite")
-        value = np.asarray(self.objective(seed)(x[None, :]), dtype=np.float64)
+        # an overflow is the value (inf), not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.asarray(self.objective(seed)(x[None, :]),
+                               dtype=np.float64)
         if value.shape != (1,):
             raise ValueError(f"objective returned shape {value.shape}, expected (1,)")
         return float(value[0])

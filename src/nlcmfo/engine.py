@@ -21,6 +21,9 @@ algorithm is a search plus one registry entry.  The four:
 A run costs exactly pop_size * (max_iter + 1) objective evaluations: the
 initial swarm is evaluated once before the first update, then every
 iteration moves and re-evaluates the whole swarm.
+
+``run_nlcmfo_lockstep`` runs several nlcmfo runs together, each with the
+result ``run`` gives it; a serial grid uses it for its small-d nlcmfo runs.
 """
 
 from __future__ import annotations
@@ -400,6 +403,108 @@ def _nlcmfo(config: EngineConfig, space: SearchSpace, rng):
             flame_pos, flame_fit = update_flames(flame_pos, flame_fit, moths,
                                                  fitness, n)
             scheduler.observe(flame_fit, prev_fit)
+
+
+def run_nlcmfo_lockstep(configs, spaces, objectives) -> list:
+    """Run several seeded nlcmfo runs together; one RunResult per run.
+
+    Run r is ``configs[r]`` on ``spaces[r]`` with ``objectives[r]``, and
+    its result equals ``run``'s bitwise in every field but ``wall_time``.
+    The configs differ only in their seed, and the boxes share one
+    dimension.  Each run keeps its own rng, map scheduler, Levy draws
+    (inline, as ``DrawAhead`` draws a small block), box and objective
+    calls (``evaluate_swarm`` on its own (n, d) rows); the pairing, Levy
+    transform, spiral move, clip, best-so-far, curves and flame merge run
+    once over (R, n, d) stacks.  A run's ``wall_time`` is its own
+    evaluation time plus an equal share of the rest, so the runs sum to
+    the call's wall time.
+    """
+    start = time.perf_counter()
+    config, runs = configs[0], len(configs)
+    n, big_t, dim = config.pop_size, config.max_iter, spaces[0].dim
+    rngs = [make_rng(c.seed) for c in configs]
+    sampler, schedulers = LevySampler(), [MapScheduler() for _ in configs]
+    eval_s = [0.0] * runs
+
+    def evaluate(moths, fitness):
+        for r, objective in enumerate(objectives):
+            began = time.perf_counter()
+            fitness[r] = evaluate_swarm(objective, moths[r])
+            eval_s[r] += time.perf_counter() - began
+
+    moths = np.stack([s.sample(n, rng) for s, rng in zip(spaces, rngs)])
+    fitness = np.empty((runs, n))
+    evaluate(moths, fitness)
+    every = np.arange(runs)
+    j = fitness.argmin(axis=1)
+    best_position, best_fitness = moths[every, j], fitness[every, j]
+    order = fitness.argsort(axis=1, kind="stable")
+    flame_pos = np.take_along_axis(moths, order[:, :, None], axis=1)
+    flame_fit = np.take_along_axis(fitness, order, axis=1)
+    # run r's merged rows start at row 2 n r of the flattened merge
+    offsets = every[:, None] * (2 * n)
+
+    # the array-bound clip loop gives each box's own clip bytes, a cube's
+    # scalar bounds included
+    lower = np.stack([s.lower for s in spaces])[:, None, :]
+    upper = np.stack([s.upper for s in spaces])[:, None, :]
+    # each run fills its own (2, n, d) slice as DrawAhead would; the
+    # transform sees the (2, R, n, d) view
+    block = np.empty((runs, 2, n, dim))
+    levy_block = block.transpose(1, 0, 2, 3)
+    work = np.empty((2, runs, n, dim))
+    paired = np.empty((runs, n, dim))
+    cm = np.empty((runs, n))
+    convergence = np.empty((runs, big_t))
+    mean_fitness = np.empty((runs, big_t))
+    trajectory = np.empty((runs, big_t))
+    history = (np.empty((runs, big_t, n, dim)) if config.record_history
+               else None)
+    moth_idx = np.arange(n)
+    for l in range(1, big_t + 1):
+        k = flame_count(n, l, big_t)
+        a = convergence_constant(l, big_t)
+        idx = np.minimum(moth_idx, k - 1)
+        flame_pos.take(idx, axis=1, out=paired, mode="clip")
+        w = nonlinear_weight(l, big_t)
+        for r, scheduler in enumerate(schedulers):
+            cm[r] = scheduler.active.steps(n)
+            sampler.draw(rngs[r], out=block[r])
+        t = t_nlcmfo(a, cm)
+        levy = sampler.matrix(runs * n, dim, levy_block)
+        moths = spiral_step_nlcmfo(moths, paired, t[:, :, None], w, levy,
+                                   out=work).clip(lower, upper)
+        evaluate(moths, fitness)
+
+        i = l - 1
+        j = fitness.argmin(axis=1)
+        low = fitness[every, j]
+        better = low < best_fitness
+        best_position[better] = moths[every[better], j[better]]
+        best_fitness = np.where(better, low, best_fitness)
+        convergence[:, i] = best_fitness
+        mean_fitness[:, i] = np.add.reduce(fitness, axis=1) / n
+        trajectory[:, i] = moths[:, 0, 0]
+        if history is not None:
+            history[:, i] = moths
+
+        prev_fit = flame_fit
+        merged = np.concatenate([flame_fit, fitness], axis=1)
+        picks = merged.argsort(axis=1, kind="stable")[:, :n] + offsets
+        flame_pos = np.concatenate([flame_pos, moths], axis=1).reshape(
+            -1, dim).take(picks, axis=0)
+        flame_fit = merged.take(picks)
+        for r, scheduler in enumerate(schedulers):
+            scheduler.observe(flame_fit[r], prev_fit[r])
+
+    share = (time.perf_counter() - start - sum(eval_s)) / runs
+    return [RunResult(
+        best_position=best_position[r], best_fitness=float(best_fitness[r]),
+        convergence=convergence[r], mean_fitness=mean_fitness[r],
+        trajectory=trajectory[r], evaluations=n * (big_t + 1),
+        wall_time=eval_s[r] + share,
+        history=None if history is None else history[r])
+        for r in range(runs)]
 
 
 def _pso(config: EngineConfig, space: SearchSpace, rng):

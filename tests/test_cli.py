@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestEval:
         rc = main(["eval", "F18", "0", "-1"])
         assert rc == 0
         assert float(capsys.readouterr().out) == pytest.approx(3.0, abs=1e-9)
+
+    def test_an_overflow_prints_inf_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", "F1", "1e308", "1e308"])
+        assert rc == 0
+        assert capsys.readouterr() == ("inf\n", "")
 
     def test_fixed_dimension_arity_mismatch_fails(self, capsys):
         rc = main(["eval", "F16", "1", "2", "3"])
@@ -314,6 +322,22 @@ class TestBench:
         err = capsys.readouterr().err
         assert err == "error: algorithms lists 'mfo' more than once\n"
         assert not (out / "finals.csv").exists()
+
+    def test_algorithm_names_in_another_case_are_refused_by_name(
+            self, tmp_path, capsys):
+        # algorithm names match exactly, so MFO is no repeat of mfo: it is
+        # an unknown algorithm, from the flag and from a config alike
+        config = tmp_path / "exp.json"
+        config.write_text('{"algorithms": ["mfo", "MFO"], "runs": 1}')
+        out = tmp_path / "results"
+        for argv in (["--algorithms", "mfo", "MFO", "--functions", "F1",
+                      "--runs", "1", "--max-iter", "2", "--pop-size", "3"],
+                     ["--config", str(config)]):
+            assert main(["bench", *argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: MFO: unsupported algorithm 'MFO'; choose one of "
+                "('mfo', 'nlcmfo', 'pso', 'gwo')\n")
+            assert not (out / "finals.csv").exists()
 
     def test_repeated_config_function_fails_before_running(self, tmp_path,
                                                            capsys):

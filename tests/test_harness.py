@@ -164,6 +164,18 @@ class TestConfigValidation:
             run_experiment(tiny_config(**grid))
         assert ran == []
 
+    def test_algorithm_names_are_compared_exactly(self, monkeypatch):
+        # only function ids are matched in any letter case: MFO is refused
+        # as an algorithm, not as a repeat of mfo
+        ran = []
+        monkeypatch.setattr(harness, "_execute_task", ran.append)
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(tiny_config(algorithms=("mfo", "MFO")))
+        assert str(exc.value) == (
+            "MFO: unsupported algorithm 'MFO'; choose one of "
+            f"{tuple(ALGORITHMS)}")
+        assert ran == []
+
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(functions=("F1",), workers=0))
