@@ -5,7 +5,7 @@ search generator, and ``run`` hands the named one to ``drive``, which owns
 the run contract: seeding, every objective evaluation, clipping each move
 into the box, the best-so-far, the telemetry and the ``RunResult``.  A
 search only yields its start swarm and its moves (see ``drive``), so a new
-algorithm is a search plus one registry entry.  The four:
+algorithm is a search, its stacked twin and one registry entry.  The four:
 
 * ``mfo``     - the classic logarithmic-spiral moth-flame search.
 * ``nlcmfo``  - the Levy-chaotic variant: mfo's flame archive, but spiral
@@ -22,8 +22,10 @@ A run costs exactly pop_size * (max_iter + 1) objective evaluations: the
 initial swarm is evaluated once before the first update, then every
 iteration moves and re-evaluates the whole swarm.
 
-``run_nlcmfo_lockstep`` runs several nlcmfo runs together, each with the
-result ``run`` gives it; a serial grid uses it for its small-d nlcmfo runs.
+``drive_lockstep`` runs several runs of one algorithm together, each with
+the result ``run`` gives it, through the algorithm's stacked search (its
+registry entry's ``stack``); a serial grid uses it for the small-d runs
+of all four algorithms, each under its own measured chunk bound.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -261,7 +263,7 @@ def validate_config(config: EngineConfig) -> None:
     if config.algorithm not in names:
         raise ValueError(
             f"unsupported algorithm {config.algorithm!r}; choose one of {names}")
-    for name, floor in (("pop_size", ALGORITHMS[config.algorithm][1]),
+    for name, floor in (("pop_size", ALGORITHMS[config.algorithm].floor),
                         ("max_iter", 1), ("seed", 0)):
         check_count(name, getattr(config, name), floor)
 
@@ -405,108 +407,6 @@ def _nlcmfo(config: EngineConfig, space: SearchSpace, rng):
             scheduler.observe(flame_fit, prev_fit)
 
 
-def run_nlcmfo_lockstep(configs, spaces, objectives) -> list:
-    """Run several seeded nlcmfo runs together; one RunResult per run.
-
-    Run r is ``configs[r]`` on ``spaces[r]`` with ``objectives[r]``, and
-    its result equals ``run``'s bitwise in every field but ``wall_time``.
-    The configs differ only in their seed, and the boxes share one
-    dimension.  Each run keeps its own rng, map scheduler, Levy draws
-    (inline, as ``DrawAhead`` draws a small block), box and objective
-    calls (``evaluate_swarm`` on its own (n, d) rows); the pairing, Levy
-    transform, spiral move, clip, best-so-far, curves and flame merge run
-    once over (R, n, d) stacks.  A run's ``wall_time`` is its own
-    evaluation time plus an equal share of the rest, so the runs sum to
-    the call's wall time.
-    """
-    start = time.perf_counter()
-    config, runs = configs[0], len(configs)
-    n, big_t, dim = config.pop_size, config.max_iter, spaces[0].dim
-    rngs = [make_rng(c.seed) for c in configs]
-    sampler, schedulers = LevySampler(), [MapScheduler() for _ in configs]
-    eval_s = [0.0] * runs
-
-    def evaluate(moths, fitness):
-        for r, objective in enumerate(objectives):
-            began = time.perf_counter()
-            fitness[r] = evaluate_swarm(objective, moths[r])
-            eval_s[r] += time.perf_counter() - began
-
-    moths = np.stack([s.sample(n, rng) for s, rng in zip(spaces, rngs)])
-    fitness = np.empty((runs, n))
-    evaluate(moths, fitness)
-    every = np.arange(runs)
-    j = fitness.argmin(axis=1)
-    best_position, best_fitness = moths[every, j], fitness[every, j]
-    order = fitness.argsort(axis=1, kind="stable")
-    flame_pos = np.take_along_axis(moths, order[:, :, None], axis=1)
-    flame_fit = np.take_along_axis(fitness, order, axis=1)
-    # run r's merged rows start at row 2 n r of the flattened merge
-    offsets = every[:, None] * (2 * n)
-
-    # the array-bound clip loop gives each box's own clip bytes, a cube's
-    # scalar bounds included
-    lower = np.stack([s.lower for s in spaces])[:, None, :]
-    upper = np.stack([s.upper for s in spaces])[:, None, :]
-    # each run fills its own (2, n, d) slice as DrawAhead would; the
-    # transform sees the (2, R, n, d) view
-    block = np.empty((runs, 2, n, dim))
-    levy_block = block.transpose(1, 0, 2, 3)
-    work = np.empty((2, runs, n, dim))
-    paired = np.empty((runs, n, dim))
-    cm = np.empty((runs, n))
-    convergence = np.empty((runs, big_t))
-    mean_fitness = np.empty((runs, big_t))
-    trajectory = np.empty((runs, big_t))
-    history = (np.empty((runs, big_t, n, dim)) if config.record_history
-               else None)
-    moth_idx = np.arange(n)
-    for l in range(1, big_t + 1):
-        k = flame_count(n, l, big_t)
-        a = convergence_constant(l, big_t)
-        idx = np.minimum(moth_idx, k - 1)
-        flame_pos.take(idx, axis=1, out=paired, mode="clip")
-        w = nonlinear_weight(l, big_t)
-        for r, scheduler in enumerate(schedulers):
-            cm[r] = scheduler.active.steps(n)
-            sampler.draw(rngs[r], out=block[r])
-        t = t_nlcmfo(a, cm)
-        levy = sampler.matrix(runs * n, dim, levy_block)
-        moths = spiral_step_nlcmfo(moths, paired, t[:, :, None], w, levy,
-                                   out=work).clip(lower, upper)
-        evaluate(moths, fitness)
-
-        i = l - 1
-        j = fitness.argmin(axis=1)
-        low = fitness[every, j]
-        better = low < best_fitness
-        best_position[better] = moths[every[better], j[better]]
-        best_fitness = np.where(better, low, best_fitness)
-        convergence[:, i] = best_fitness
-        mean_fitness[:, i] = np.add.reduce(fitness, axis=1) / n
-        trajectory[:, i] = moths[:, 0, 0]
-        if history is not None:
-            history[:, i] = moths
-
-        prev_fit = flame_fit
-        merged = np.concatenate([flame_fit, fitness], axis=1)
-        picks = merged.argsort(axis=1, kind="stable")[:, :n] + offsets
-        flame_pos = np.concatenate([flame_pos, moths], axis=1).reshape(
-            -1, dim).take(picks, axis=0)
-        flame_fit = merged.take(picks)
-        for r, scheduler in enumerate(schedulers):
-            scheduler.observe(flame_fit[r], prev_fit[r])
-
-    share = (time.perf_counter() - start - sum(eval_s)) / runs
-    return [RunResult(
-        best_position=best_position[r], best_fitness=float(best_fitness[r]),
-        convergence=convergence[r], mean_fitness=mean_fitness[r],
-        trajectory=trajectory[r], evaluations=n * (big_t + 1),
-        wall_time=eval_s[r] + share,
-        history=None if history is None else history[r])
-        for r in range(runs)]
-
-
 def _pso(config: EngineConfig, space: SearchSpace, rng):
     """PSO search for ``drive``: global-best particle swarm.
 
@@ -607,13 +507,286 @@ def _gwo(config: EngineConfig, space: SearchSpace, rng):
                                                 fit, 3)
 
 
-# The one algorithm registry: name -> (search for ``drive``, pop_size floor)
-ALGORITHMS = {"mfo": (_mfo, 2), "nlcmfo": (_nlcmfo, 2),
-              "pso": (_pso, 2), "gwo": (_gwo, 3)}
+# ---------------------------------------------------------------------------
+# lockstep: several runs of one algorithm over (R, n, d) stacks
+# ---------------------------------------------------------------------------
+
+def drive_lockstep(configs, spaces, objectives, search) -> list:
+    """Run several seeded runs of one stacked ``search`` together; one
+    RunResult per run.
+
+    Run r is ``configs[r]`` on ``spaces[r]`` with ``objectives[r]``, and
+    its result equals ``drive``'s with the algorithm's per-run search
+    bitwise in every field but ``wall_time``.  The configs differ only in
+    their seed, and the boxes share one dimension.  ``search(config,
+    spaces, rngs)`` is ``drive``'s search over (R, n, d) stacks, with one
+    rng per run (``make_rng`` of its seed) and ``configs[0]`` for the
+    shared fields.  Each run's objective is called through
+    ``evaluate_swarm`` on its own (n, d) rows; the clip (each box's
+    bounds repeated over its rows), best-so-far and curves run once over
+    the stack.  A run's ``wall_time`` is its own evaluation time plus an
+    equal share of the rest, so the runs sum to the call's wall time.
+    """
+    start = time.perf_counter()
+    config, runs = configs[0], len(configs)
+    n, big_t, dim = config.pop_size, config.max_iter, spaces[0].dim
+    eval_s = [0.0] * runs
+
+    def evaluate(positions):
+        fitness = np.empty((runs, n))
+        for r, objective in enumerate(objectives):
+            began = time.perf_counter()
+            fitness[r] = evaluate_swarm(objective, positions[r])
+            eval_s[r] += time.perf_counter() - began
+        return fitness
+
+    steps = search(config, spaces, [make_rng(c.seed) for c in configs])
+    try:
+        pos = next(steps)
+        fit = evaluate(pos)
+        best_position = np.empty((runs, dim))
+        best_fitness = np.full(runs, np.inf)
+        _keep_best(best_position, best_fitness, pos, fit)
+
+        # the array-bound clip loop gives each box's own clip bytes, a
+        # cube's scalar bounds included.  Bounds of the stack's full shape
+        # ran chunks of mfo, nlcmfo and gwo 3-6% faster than (R, 1, d)
+        # ones, whose inner loops are only d long
+        lower = _over_rows([s.lower for s in spaces], n)
+        upper = _over_rows([s.upper for s in spaces], n)
+        convergence = np.empty((runs, big_t))
+        mean_fitness = np.empty((runs, big_t))
+        trajectory = np.empty((runs, big_t))
+        history = (np.empty((runs, big_t, n, dim)) if config.record_history
+                   else None)
+
+        for i in range(big_t):
+            pos = steps.send((pos, fit)).clip(lower, upper)
+            fit = evaluate(pos)
+            _keep_best(best_position, best_fitness, pos, fit)
+            convergence[:, i] = best_fitness
+            mean_fitness[:, i] = np.add.reduce(fit, axis=1) / n
+            trajectory[:, i] = pos[:, 0, 0]
+            if history is not None:
+                history[:, i] = pos
+    finally:
+        steps.close()
+
+    share = (time.perf_counter() - start - sum(eval_s)) / runs
+    return [RunResult(
+        best_position=best_position[r], best_fitness=float(best_fitness[r]),
+        convergence=convergence[r], mean_fitness=mean_fitness[r],
+        trajectory=trajectory[r], evaluations=n * (big_t + 1),
+        wall_time=eval_s[r] + share,
+        history=None if history is None else history[r])
+        for r in range(runs)]
+
+
+def _keep_best(best_pos, best_fit, pos, fit) -> None:
+    """Give each run's best, an (R, d) row and an (R,) value updated in
+    place, the first row of its lowest value in (R, m) ``fit`` where that
+    is strictly lower, as ``drive`` keeps its best-so-far."""
+    low = fit.min(axis=1)
+    better = low < best_fit
+    # an iteration that improves no run skips the indexing
+    if better.any():
+        r = better.nonzero()[0]
+        best_pos[r] = pos[r, fit[r].argmin(axis=1)]
+        best_fit[r] = low[r]
+
+
+def _sample_stack(spaces, n: int, rngs) -> np.ndarray:
+    """Each run's start swarm, drawn from its own rng, as an (R, n, d)
+    stack."""
+    return np.stack([s.sample(n, rng) for s, rng in zip(spaces, rngs)])
+
+
+def _over_rows(rows, n: int) -> np.ndarray:
+    """Each run's (d,) row repeated over its n swarm rows, (R, n, d)."""
+    return np.repeat(np.stack(rows)[:, None, :], n, axis=1)
+
+
+def _best_rows(positions, fitness, keep: int):
+    """``update_flames`` over a stack: each run's ``keep`` lowest rows of
+    (R, m, d) ``positions`` by a stable sort of its (R, m) ``fitness``,
+    as ((R, keep, d), (R, keep)) arrays."""
+    runs, m, dim = positions.shape
+    picks = (fitness.argsort(axis=1, kind="stable")[:, :keep]
+             + np.arange(runs)[:, None] * m)
+    return positions.reshape(-1, dim).take(picks, axis=0), fitness.take(picks)
+
+
+def _merge(archive, archive_fit, pos, fit, keep: int):
+    """Each run's archive merged with its swarm, archive rows first, as in
+    ``update_flames``."""
+    return _best_rows(np.concatenate([archive, pos], axis=1),
+                      np.concatenate([archive_fit, fit], axis=1), keep)
+
+
+def _mfo_stack(config: EngineConfig, spaces, rngs):
+    """``_mfo`` over a stack: per-run spiral times, one spiral move."""
+    n, big_t = config.pop_size, config.max_iter
+    moths, fitness = yield _sample_stack(spaces, n, rngs)
+    flame_pos, flame_fit = _best_rows(moths, fitness, n)
+    t = np.empty((len(rngs), n))
+    moth_idx = np.arange(n)
+    for l in range(1, big_t + 1):
+        k = flame_count(n, l, big_t)
+        a = convergence_constant(l, big_t)
+        paired = flame_pos[:, np.minimum(moth_idx, k - 1)]
+        for r, rng in enumerate(rngs):
+            t[r] = t_mfo(a, rng, size=n)
+        moths, fitness = yield spiral_step_mfo(moths, paired, t[:, :, None])
+        flame_pos, flame_fit = _merge(flame_pos, flame_fit, moths, fitness,
+                                      n)
+
+
+def _nlcmfo_stack(config: EngineConfig, spaces, rngs):
+    """``_nlcmfo`` over a stack: each run keeps its own map scheduler and
+    Levy fill (drawn inline, into its own (2, n, d) slice); the transform
+    and spiral move run once."""
+    n, big_t, dim, runs = (config.pop_size, config.max_iter, spaces[0].dim,
+                           len(rngs))
+    sampler, schedulers = LevySampler(), [MapScheduler() for _ in rngs]
+    moths, fitness = yield _sample_stack(spaces, n, rngs)
+    flame_pos, flame_fit = _best_rows(moths, fitness, n)
+    # each run fills its own (2, n, d) slice of ``block``, as DrawAhead
+    # would; the transform runs on a copy with the x and y halves
+    # contiguous across runs, as on strided views it ran 10% slower
+    block = np.empty((runs, 2, n, dim))
+    levy_block = np.empty((2, runs, n, dim))
+    work = np.empty((2, runs, n, dim))
+    paired = np.empty((runs, n, dim))
+    cm = np.empty((runs, n))
+    moth_idx = np.arange(n)
+    for l in range(1, big_t + 1):
+        k = flame_count(n, l, big_t)
+        a = convergence_constant(l, big_t)
+        idx = np.minimum(moth_idx, k - 1)
+        flame_pos.take(idx, axis=1, out=paired, mode="clip")
+        w = nonlinear_weight(l, big_t)
+        for r, scheduler in enumerate(schedulers):
+            cm[r] = scheduler.active.steps(n)
+            sampler.draw(rngs[r], out=block[r])
+        np.copyto(levy_block, block.transpose(1, 0, 2, 3))
+        t = t_nlcmfo(a, cm)
+        levy = sampler.matrix(runs * n, dim, levy_block)
+        moths, fitness = yield spiral_step_nlcmfo(moths, paired, t[:, :, None],
+                                                  w, levy, out=work)
+        prev_fit = flame_fit
+        flame_pos, flame_fit = _merge(flame_pos, flame_fit, moths, fitness,
+                                      n)
+        for r, scheduler in enumerate(schedulers):
+            scheduler.observe(flame_fit[r], prev_fit[r])
+
+
+def _pso_stack(config: EngineConfig, spaces, rngs):
+    """``_pso`` over a stack: each run fills its own (2, n, d) draw block;
+    the velocity update and clamp (each run's bounds repeated over its
+    rows) run once."""
+    n, dim, runs = config.pop_size, spaces[0].dim, len(rngs)
+    pos, fit = yield _sample_stack(spaces, n, rngs)
+    vel = np.zeros((runs, n, dim))
+    vmax = _over_rows([0.2 * (s.upper - s.lower) for s in spaces], n)
+    vmin = -vmax
+    pbest, pbest_fit = pos.copy(), fit.copy()
+    gbest, gbest_fit = np.empty((runs, dim)), np.full(runs, np.inf)
+    _keep_best(gbest, gbest_fit, pbest, pbest_fit)
+    # run r fills r1[r], then r2[r], as _pso fills its (2, n, d) block
+    r1, r2 = np.empty((2, runs, n, dim))
+    tmp = np.empty((runs, n, dim))
+    for _ in range(config.max_iter):
+        for rng, first, second in zip(rngs, r1, r2):
+            rng.random(out=first)
+            rng.random(out=second)
+        np.multiply(vel, 0.5, out=vel)
+        np.multiply(r1, 2.0, out=r1)
+        np.subtract(pbest, pos, out=tmp)
+        np.multiply(r1, tmp, out=r1)
+        np.add(vel, r1, out=vel)
+        np.multiply(r2, 2.0, out=r2)
+        np.subtract(gbest[:, None], pos, out=tmp)
+        np.multiply(r2, tmp, out=r2)
+        np.add(vel, r2, out=vel)
+        vel.clip(vmin, vmax, out=vel)
+        pos, fit = yield pos + vel
+
+        improved = fit < pbest_fit
+        np.copyto(pbest, pos, where=improved[:, :, None])
+        np.copyto(pbest_fit, fit, where=improved)
+        _keep_best(gbest, gbest_fit, pbest, pbest_fit)
+
+
+def _gwo_stack(config: EngineConfig, spaces, rngs):
+    """``_gwo`` over a stack: each run fills its own draws; the three
+    encircling moves run once over (3, R, n, d), leaders first, so every
+    operand is contiguous."""
+    n, big_t, dim, runs = (config.pop_size, config.max_iter, spaces[0].dim,
+                           len(rngs))
+    pos, fit = yield _sample_stack(spaces, n, rngs)
+    leaders, leader_fit = _best_rows(pos, fit, 3)
+    # run r fills r1[0, r], r2[0, r], r1[1, r], ..., as _gwo fills its
+    # (3, 2, n, d) block
+    r1, r2 = np.empty((2, 3, runs, n, dim))
+    # the leaders copied over every wolf's row: with full-size operands a
+    # chunk of 3 runs at d=30-35 ran about 2% faster (9 of 12 pairs) than
+    # with the leaders broadcast inside each ufunc
+    spread = np.empty((3, runs, n, dim))
+    moved = np.empty((runs, n, dim))
+    for l in range(1, big_t + 1):
+        a = 2.0 - 2.0 * (l - 1) / big_t
+        for r, rng in enumerate(rngs):
+            for leader in range(3):
+                rng.random(out=r1[leader, r])
+                rng.random(out=r2[leader, r])
+        np.copyto(spread, leaders.transpose(1, 0, 2)[:, :, None, :])
+        np.multiply(r1, 2.0 * a, out=r1)
+        np.subtract(r1, a, out=r1)
+        np.multiply(r2, 2.0, out=r2)
+        np.multiply(r2, spread, out=r2)
+        np.subtract(r2, pos, out=r2)
+        np.abs(r2, out=r2)
+        np.multiply(r1, r2, out=r1)
+        np.subtract(spread, r1, out=r1)
+        # summed in _gwo's order from +0.0
+        moved.fill(0.0)
+        for term in r1:
+            np.add(moved, term, out=moved)
+        pos, fit = yield moved / 3.0
+        leaders, leader_fit = _merge(leaders, leader_fit, pos, fit, 3)
+
+
+class Algorithm(NamedTuple):
+    """One registry entry: the per-run search for ``drive``, the pop_size
+    floor, the stacked search for ``drive_lockstep`` and ``chunk_values``,
+    the most values an (R, n, d) stack of a lockstep chunk holds."""
+
+    search: Callable
+    floor: int
+    stack: Callable
+    chunk_values: int
+
+
+# The one algorithm registry.  A chunk bound is the largest stack in which
+# LOCKSTEP_MIN_RUNS (3, in harness) runs at the widest d it admits still
+# beat the same runs one at a time; a stack's gain shrinks as d grows.
+# Measured in one process on 2 cores (4 MB of L2 each), n=30, T=500,
+# criterion-3 functions in turn: the chunk's median time against the
+# same runs one at a time over 16 alternating pairs, 3 runs unless noted:
+#
+#   bound          widest admitted   d=30, most runs   left out
+#   mfo     9,000  d=100 -0 to -7%   9 runs -22%       d=120 -1%, d=133 +7%
+#   nlcmfo  9,000  d=100 -0 to -1%   9 runs -23%       d=133 +5%, d=166 +4%
+#   pso     7,200  d=80 -3 to -5%    8 runs -20%       d=100 +3%, d=133 +8%
+#   gwo     9,000  d=100 -7 to -9%   9 runs -23%       d=133 +0%
+ALGORITHMS = {"mfo": Algorithm(_mfo, 2, _mfo_stack, 9_000),
+              "nlcmfo": Algorithm(_nlcmfo, 2, _nlcmfo_stack, 9_000),
+              "pso": Algorithm(_pso, 2, _pso_stack, 7_200),
+              "gwo": Algorithm(_gwo, 3, _gwo_stack, 9_000)}
 
 
 def run(config: EngineConfig, space: SearchSpace, objective: Objective) -> RunResult:
     """Execute one seeded run of ``config.algorithm``, any of the four; see
     the module docstring."""
     validate_config(config)
-    return drive(config, space, objective, ALGORITHMS[config.algorithm][0])
+    return drive(config, space, objective, ALGORITHMS[config.algorithm].search)

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import benchmarks
 from .baselines import run_gwo, run_pso
-from .engine import (EngineConfig, ObjectiveError, run, run_nlcmfo_lockstep,
-                     validate_config)
+from .engine import (ALGORITHMS, EngineConfig, ObjectiveError, drive_lockstep,
+                     run, validate_config)
 from .stochastic import check_count
 
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
@@ -245,37 +245,34 @@ def _record(task, result) -> RunRecord:
     )
 
 
-# A serial grid runs its nlcmfo runs in lockstep chunks of at least
-# LOCKSTEP_MIN_RUNS runs whose (R, n, d) stacks hold at most
-# LOCKSTEP_MAX_VALUES values (see _lockstep_chunks).  On 2 cores (2 MB of
-# L2 each), nlcmfo with n=30 in one process against the same runs one at
-# a time, T=200-500: at d=30, 2 runs -5%, 3 -13%, 4 -20%, 9-54 -18 to
-# -29%; at d=60, 3-18 runs -1 to -7%; at d=100, 3-5 runs -1 to -6%; at
-# d=130, 3 runs -2% and 4 runs +8%; at d=150, 4-18 runs +6 to +26%; at
-# d=200, 9-27 runs +13 to +30%.  2-run cells stay per run.
+# A serial grid runs its runs in lockstep chunks of at least
+# LOCKSTEP_MIN_RUNS runs of one algorithm and dimension, whose (R, n, d)
+# stack holds at most the algorithm's ``chunk_values`` (see
+# _lockstep_chunks; each bound's break-even table is above
+# ``engine.ALGORITHMS``).  2-run cells stay per run.
 LOCKSTEP_MIN_RUNS = 3
-LOCKSTEP_MAX_VALUES = 12_000
 
 
 def _lockstep_chunks(tasks) -> list:
-    """The task indices a serial grid runs through ``run_nlcmfo_lockstep``.
+    """The task indices a serial grid runs through ``drive_lockstep``.
 
-    The nlcmfo tasks of which LOCKSTEP_MIN_RUNS runs fit in
-    LOCKSTEP_MAX_VALUES values are grouped by dimension, in task order.
-    Each group splits into the fewest near-equal chunks within
-    LOCKSTEP_MAX_VALUES; a chunk of fewer than LOCKSTEP_MIN_RUNS tasks
-    stays per run.  Such a run's Levy block is below
-    ``stochastic.AHEAD_MIN_VALUES``, so no chunk takes a run off its
-    draw thread.
+    The tasks of which LOCKSTEP_MIN_RUNS runs fit in their algorithm's
+    chunk bound are grouped by (algorithm, dimension), in task order.
+    Each group splits into the fewest near-equal chunks within the bound;
+    a chunk of fewer than LOCKSTEP_MIN_RUNS tasks stays per run.  Every
+    bound keeps such a run's draw block below
+    ``stochastic.AHEAD_MIN_VALUES``, so no chunk takes a run off its draw
+    thread.
     """
     groups: dict = {}
     for i, (_, space, _, config, _, _) in enumerate(tasks):
-        if (config.algorithm == "nlcmfo" and LOCKSTEP_MIN_RUNS
-                * config.pop_size * space.dim <= LOCKSTEP_MAX_VALUES):
-            groups.setdefault(space.dim, []).append(i)
+        bound = ALGORITHMS[config.algorithm].chunk_values
+        if LOCKSTEP_MIN_RUNS * config.pop_size * space.dim <= bound:
+            groups.setdefault((config.algorithm, space.dim), []).append(i)
     chunks = []
-    for dim, group in groups.items():
-        size = LOCKSTEP_MAX_VALUES // (tasks[group[0]][3].pop_size * dim)
+    for (algorithm, dim), group in groups.items():
+        size = ALGORITHMS[algorithm].chunk_values // (
+            tasks[group[0]][3].pop_size * dim)
         count = -(-len(group) // size)
         chunks += [chunk for chunk in (
             group[c * len(group) // count:(c + 1) * len(group) // count]
@@ -286,11 +283,13 @@ def _lockstep_chunks(tasks) -> list:
 def _execute_chunk(tasks) -> list:
     """Run a chunk of ``_lockstep_chunks`` together; if anything raises,
     run its tasks one at a time, so the records are ``_execute_task``'s."""
+    configs = [task[3] for task in tasks]
     try:
         objectives = [benchmarks.lookup(fid).objective(config.seed)
                       for fid, _, _, config, _, _ in tasks]
-        results = run_nlcmfo_lockstep([task[3] for task in tasks],
-                                      [task[1] for task in tasks], objectives)
+        results = drive_lockstep(configs, [task[1] for task in tasks],
+                                 objectives,
+                                 ALGORITHMS[configs[0].algorithm].stack)
     except Exception:
         return [_execute_task(task) for task in tasks]
     return [_record(task, result) for task, result in zip(tasks, results)]
