@@ -407,6 +407,23 @@ def _nlcmfo(config: EngineConfig, space: SearchSpace, rng):
             scheduler.observe(flame_fit, prev_fit)
 
 
+def _pso_velocity(vel, pos, pbest, gbest, r1, r2, tmp, bounds) -> None:
+    """vel = 0.5 * vel + 2 * r1 * (pbest - pos) + 2 * r2 * (gbest - pos),
+    clamped to ``bounds`` (``clip_bounds`` floats or arrays), in place; r1,
+    r2 and tmp are overwritten.  ``gbest`` is a (d,) row or (R, 1, d)."""
+    np.multiply(vel, 0.5, out=vel)
+    np.multiply(r1, 2.0, out=r1)
+    np.subtract(pbest, pos, out=tmp)
+    np.multiply(r1, tmp, out=r1)
+    np.add(vel, r1, out=vel)
+    np.multiply(r2, 2.0, out=r2)
+    np.subtract(gbest, pos, out=tmp)
+    np.multiply(r2, tmp, out=r2)
+    np.add(vel, r2, out=vel)
+    # the ndarray method np.clip dispatches to, without its wrapper
+    vel.clip(*bounds, out=vel)
+
+
 def _pso(config: EngineConfig, space: SearchSpace, rng):
     """PSO search for ``drive``: global-best particle swarm.
 
@@ -418,8 +435,7 @@ def _pso(config: EngineConfig, space: SearchSpace, rng):
     pos, fit = yield space.sample(n, rng)
     vel = np.zeros((n, dim))
     vmax = 0.2 * (space.upper - space.lower)
-    pbest = pos.copy()
-    pbest_fit = fit.copy()
+    pbest, pbest_fit = pos.copy(), fit.copy()
     g = pbest_fit.argmin()
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
@@ -439,18 +455,7 @@ def _pso(config: EngineConfig, space: SearchSpace, rng):
     with draws:
         for _ in range(config.max_iter):
             r1, r2 = draws.next()
-            # vel = 0.5 * vel + 2 * r1 * (pbest - pos) + 2 * r2 * (gbest - pos)
-            np.multiply(vel, 0.5, out=vel)
-            np.multiply(r1, 2.0, out=r1)
-            np.subtract(pbest, pos, out=tmp)
-            np.multiply(r1, tmp, out=r1)
-            np.add(vel, r1, out=vel)
-            np.multiply(r2, 2.0, out=r2)
-            np.subtract(gbest, pos, out=tmp)
-            np.multiply(r2, tmp, out=r2)
-            np.add(vel, r2, out=vel)
-            # the ndarray method np.clip dispatches to, without its wrapper
-            vel.clip(*vbounds, out=vel)
+            _pso_velocity(vel, pos, pbest, gbest, r1, r2, tmp, vbounds)
             pos, fit = yield pos + vel
 
             improved = fit < pbest_fit
@@ -462,6 +467,20 @@ def _pso(config: EngineConfig, space: SearchSpace, rng):
                 gbest_fit = float(pbest_fit[g])
 
 
+def _encircle(leader, pos, r1, r2, a: float):
+    """The encircling move leader - (2a * r1 - a) * |2 * r2 * leader - pos|,
+    built in r1, which is returned; r2 is overwritten.  ``leader`` is a
+    (d,) row or a leader's spread over every wolf, such as (3, R, n, d)."""
+    np.multiply(r1, 2.0 * a, out=r1)
+    np.subtract(r1, a, out=r1)
+    np.multiply(r2, 2.0, out=r2)
+    np.multiply(r2, leader, out=r2)
+    np.subtract(r2, pos, out=r2)
+    np.abs(r2, out=r2)
+    np.multiply(r1, r2, out=r1)
+    return np.subtract(leader, r1, out=r1)
+
+
 def _gwo(config: EngineConfig, space: SearchSpace, rng):
     """GWO search for ``drive``: each wolf averages three encircling moves
     around the alpha, beta and delta, the three best-so-far leaders (so
@@ -469,9 +488,7 @@ def _gwo(config: EngineConfig, space: SearchSpace, rng):
     """
     n, big_t, dim = config.pop_size, config.max_iter, space.dim
     pos, fit = yield space.sample(n, rng)
-    order = fit.argsort(kind="stable")[:3]
-    leaders = pos[order].copy()
-    leader_fit = fit[order].copy()
+    leaders, leader_fit = update_flames(pos[:0], fit[:0], pos, fit, 3)
 
     # one draw block and one sum buffer per run, made here, for the same
     # reason as in _pso (fresh temporaries cost glibc heap trims at
@@ -488,16 +505,7 @@ def _gwo(config: EngineConfig, space: SearchSpace, rng):
             block = draws.next()
             moved.fill(0.0)  # each sum starts at +0.0: 0.0 + -0.0 gives 0.0
             for leader, (r1, r2) in zip(leaders, block):
-                # moved += leader - (2a * r1 - a) * |2 * r2 * leader - pos|
-                np.multiply(r1, 2.0 * a, out=r1)
-                np.subtract(r1, a, out=r1)
-                np.multiply(r2, 2.0, out=r2)
-                np.multiply(r2, leader, out=r2)
-                np.subtract(r2, pos, out=r2)
-                np.abs(r2, out=r2)
-                np.multiply(r1, r2, out=r1)
-                np.subtract(leader, r1, out=r1)
-                np.add(moved, r1, out=moved)
+                np.add(moved, _encircle(leader, pos, r1, r2, a), out=moved)
             pos, fit = yield moved / 3.0
 
             # fold the new wolves into the alpha/beta/delta hierarchy: a
@@ -606,28 +614,23 @@ def _over_rows(rows, n: int) -> np.ndarray:
     return np.repeat(np.stack(rows)[:, None, :], n, axis=1)
 
 
-def _best_rows(positions, fitness, keep: int):
-    """``update_flames`` over a stack: each run's ``keep`` lowest rows of
-    (R, m, d) ``positions`` by a stable sort of its (R, m) ``fitness``,
-    as ((R, keep, d), (R, keep)) arrays."""
+def _merge(archive, archive_fit, pos, fit, keep: int):
+    """``update_flames`` over (R, m, d) stacks, as ((R, keep, d), (R, keep))
+    arrays; a start archive merges with the empty ``pos[:, :0]``."""
+    positions = np.concatenate([archive, pos], axis=1)
+    fitness = np.concatenate([archive_fit, fit], axis=1)
     runs, m, dim = positions.shape
     picks = (fitness.argsort(axis=1, kind="stable")[:, :keep]
              + np.arange(runs)[:, None] * m)
     return positions.reshape(-1, dim).take(picks, axis=0), fitness.take(picks)
 
 
-def _merge(archive, archive_fit, pos, fit, keep: int):
-    """Each run's archive merged with its swarm, archive rows first, as in
-    ``update_flames``."""
-    return _best_rows(np.concatenate([archive, pos], axis=1),
-                      np.concatenate([archive_fit, fit], axis=1), keep)
-
-
 def _mfo_stack(config: EngineConfig, spaces, rngs):
     """``_mfo`` over a stack: per-run spiral times, one spiral move."""
     n, big_t = config.pop_size, config.max_iter
     moths, fitness = yield _sample_stack(spaces, n, rngs)
-    flame_pos, flame_fit = _best_rows(moths, fitness, n)
+    flame_pos, flame_fit = _merge(moths[:, :0], fitness[:, :0], moths,
+                                  fitness, n)
     t = np.empty((len(rngs), n))
     moth_idx = np.arange(n)
     for l in range(1, big_t + 1):
@@ -649,7 +652,8 @@ def _nlcmfo_stack(config: EngineConfig, spaces, rngs):
                            len(rngs))
     sampler, schedulers = LevySampler(), [MapScheduler() for _ in rngs]
     moths, fitness = yield _sample_stack(spaces, n, rngs)
-    flame_pos, flame_fit = _best_rows(moths, fitness, n)
+    flame_pos, flame_fit = _merge(moths[:, :0], fitness[:, :0], moths,
+                                  fitness, n)
     # each run fills its own (2, n, d) slice of ``block``, as DrawAhead
     # would; the transform runs on a copy with the x and y halves
     # contiguous across runs, as on strided views it ran 10% slower
@@ -688,7 +692,7 @@ def _pso_stack(config: EngineConfig, spaces, rngs):
     pos, fit = yield _sample_stack(spaces, n, rngs)
     vel = np.zeros((runs, n, dim))
     vmax = _over_rows([0.2 * (s.upper - s.lower) for s in spaces], n)
-    vmin = -vmax
+    vbounds = (-vmax, vmax)
     pbest, pbest_fit = pos.copy(), fit.copy()
     gbest, gbest_fit = np.empty((runs, dim)), np.full(runs, np.inf)
     _keep_best(gbest, gbest_fit, pbest, pbest_fit)
@@ -699,16 +703,7 @@ def _pso_stack(config: EngineConfig, spaces, rngs):
         for rng, first, second in zip(rngs, r1, r2):
             rng.random(out=first)
             rng.random(out=second)
-        np.multiply(vel, 0.5, out=vel)
-        np.multiply(r1, 2.0, out=r1)
-        np.subtract(pbest, pos, out=tmp)
-        np.multiply(r1, tmp, out=r1)
-        np.add(vel, r1, out=vel)
-        np.multiply(r2, 2.0, out=r2)
-        np.subtract(gbest[:, None], pos, out=tmp)
-        np.multiply(r2, tmp, out=r2)
-        np.add(vel, r2, out=vel)
-        vel.clip(vmin, vmax, out=vel)
+        _pso_velocity(vel, pos, pbest, gbest[:, None], r1, r2, tmp, vbounds)
         pos, fit = yield pos + vel
 
         improved = fit < pbest_fit
@@ -721,18 +716,17 @@ def _gwo_stack(config: EngineConfig, spaces, rngs):
     """``_gwo`` over a stack: each run fills its own draws; the three
     encircling moves run once over (3, R, n, d), leaders first, so every
     operand is contiguous."""
-    n, big_t, dim, runs = (config.pop_size, config.max_iter, spaces[0].dim,
-                           len(rngs))
+    n, big_t = config.pop_size, config.max_iter
     pos, fit = yield _sample_stack(spaces, n, rngs)
-    leaders, leader_fit = _best_rows(pos, fit, 3)
+    leaders, leader_fit = _merge(pos[:, :0], fit[:, :0], pos, fit, 3)
     # run r fills r1[0, r], r2[0, r], r1[1, r], ..., as _gwo fills its
     # (3, 2, n, d) block
-    r1, r2 = np.empty((2, 3, runs, n, dim))
+    r1, r2 = np.empty((2, 3, *pos.shape))
     # the leaders copied over every wolf's row: with full-size operands a
     # chunk of 3 runs at d=30-35 ran about 2% faster (9 of 12 pairs) than
     # with the leaders broadcast inside each ufunc
-    spread = np.empty((3, runs, n, dim))
-    moved = np.empty((runs, n, dim))
+    spread = np.empty((3, *pos.shape))
+    moved = np.empty(pos.shape)
     for l in range(1, big_t + 1):
         a = 2.0 - 2.0 * (l - 1) / big_t
         for r, rng in enumerate(rngs):
@@ -740,17 +734,9 @@ def _gwo_stack(config: EngineConfig, spaces, rngs):
                 rng.random(out=r1[leader, r])
                 rng.random(out=r2[leader, r])
         np.copyto(spread, leaders.transpose(1, 0, 2)[:, :, None, :])
-        np.multiply(r1, 2.0 * a, out=r1)
-        np.subtract(r1, a, out=r1)
-        np.multiply(r2, 2.0, out=r2)
-        np.multiply(r2, spread, out=r2)
-        np.subtract(r2, pos, out=r2)
-        np.abs(r2, out=r2)
-        np.multiply(r1, r2, out=r1)
-        np.subtract(spread, r1, out=r1)
         # summed in _gwo's order from +0.0
         moved.fill(0.0)
-        for term in r1:
+        for term in _encircle(spread, pos, r1, r2, a):
             np.add(moved, term, out=moved)
         pos, fit = yield moved / 3.0
         leaders, leader_fit = _merge(leaders, leader_fit, pos, fit, 3)
@@ -770,7 +756,7 @@ class Algorithm(NamedTuple):
 # The one algorithm registry.  A chunk bound is the largest stack in which
 # LOCKSTEP_MIN_RUNS (3, in harness) runs at the widest d it admits still
 # beat the same runs one at a time; a stack's gain shrinks as d grows.
-# Measured in one process on 2 cores (4 MB of L2 each), n=30, T=500,
+# Measured in one process on 2 cores (2 MB of L2 each), n=30, T=500,
 # criterion-3 functions in turn: the chunk's median time against the
 # same runs one at a time over 16 alternating pairs, 3 runs unless noted:
 #

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import benchmarks
+from . import benchmarks, stochastic
 from .baselines import run_gwo, run_pso
 from .engine import (ALGORITHMS, EngineConfig, ObjectiveError, drive_lockstep,
                      run, validate_config)
@@ -311,6 +311,19 @@ def _process_pool(max_workers: int, **kwargs):
         mp_context=multiprocessing.get_context(_START_METHOD), **kwargs)
 
 
+def _allowed_cores() -> int:
+    """The cores this process may use; 1 without ``os.sched_getaffinity``."""
+    return (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+
+
+def _draw_inline() -> None:
+    """A run pool's initializer where its workers take every allowed core:
+    each ``DrawAhead`` block is filled inline, as a draw thread would only
+    compete with the other workers' runs."""
+    stochastic.AHEAD_MIN_VALUES = float("inf")
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid; per-run failures are recorded, not raised.
 
@@ -330,9 +343,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 records[i] = _execute_task(task)
     else:
         from concurrent.futures.process import BrokenProcessPool
+        workers = min(config.workers, len(tasks))
+        initializer = _draw_inline if workers >= _allowed_cores() else None
         # read in task order, so output is independent of scheduling
         # a fork pool starts all max_workers at the first submit
-        with _process_pool(min(config.workers, len(tasks))) as pool:
+        with _process_pool(workers, initializer=initializer) as pool:
             futures = [pool.submit(_execute_task, t) for t in tasks]
             records = []
             for task, future in zip(tasks, futures):
@@ -498,9 +513,7 @@ def _write_histories(jobs) -> None:
     core, or while another thread runs (a fork copies no thread, only the
     locks they hold), the files are written serially in this process.
     """
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "sched_getaffinity") else 1)
-    k = min(len(jobs), cores)
+    k = min(len(jobs), _allowed_cores())
     if (k < 2 or threading.active_count() > 1
             or sum(history.size for history, _ in jobs) < POOL_MIN_VALUES):
         for history, path in jobs:

@@ -357,6 +357,45 @@ class TestRunExperiment:
         assert [rec.aborted for rec in result.records] == [False, False]
         assert max(started) == 2
 
+    @pytest.mark.parametrize("cores, threads", [({0, 1}, 1),
+                                                ({0, 1, 2, 3}, 2)],
+                             ids=["every-core", "a-core-free"])
+    def test_pool_workers_draw_inline_when_they_take_every_core(
+            self, composite_sandbox, monkeypatch, tmp_path, cores, threads):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no os.sched_getaffinity to fake")
+        # every evaluation notes its process and how many threads it runs
+        log = tmp_path / "threads.txt"
+
+        def sphere(X):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {threading.active_count()}\n")
+            return (X * X).sum(axis=1)
+
+        # d=1100: every block of these three searches draws ahead
+        register_composite({"id": "F24", "dim": 1100, "lower": -100.0,
+                            "upper": 100.0, "eval": sphere})
+        config = dict(algorithms=("nlcmfo", "pso", "gwo"), functions=("F24",),
+                      runs=2, pop_size=30, max_iter=3)
+        serial = run_experiment(ExperimentConfig(**config))
+        log.unlink()
+        # the parent counts the allowed cores; its workers inherit the fake
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        pooled = run_experiment(ExperimentConfig(workers=2, **config))
+        counts = {}
+        for line in log.read_text().splitlines():
+            pid, count = map(int, line.split())
+            counts[pid] = max(counts.get(pid, 0), count)
+        assert os.getpid() not in counts
+        assert counts and set(counts.values()) == {threads}
+        write_finals(serial.records, tmp_path / "serial.csv")
+        write_finals(pooled.records, tmp_path / "pooled.csv")
+        runtime = read_csv(tmp_path / "serial.csv")[0].index("runtime_s")
+        assert ([row[:runtime] + row[runtime + 1:]
+                 for row in read_csv(tmp_path / "pooled.csv")]
+                == [row[:runtime] + row[runtime + 1:]
+                    for row in read_csv(tmp_path / "serial.csv")])
+
 
     def test_pooled_grid_with_a_registered_composite_under_forkserver(
             self, composite_sandbox):
