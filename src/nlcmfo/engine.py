@@ -22,10 +22,13 @@ A run costs exactly pop_size * (max_iter + 1) objective evaluations: the
 initial swarm is evaluated once before the first update, then every
 iteration moves and re-evaluates the whole swarm.
 
-``drive_lockstep`` runs several runs of one algorithm together, each with
-the result ``run`` gives it, through the algorithm's stacked search (its
-registry entry's ``stack``); a serial grid uses it for the small-d runs
-of all four algorithms, each under its own measured chunk bound.
+``drive_lockstep`` runs one loop over one or more chunks of one dimension,
+each chunk several runs of one algorithm with the result ``run`` gives
+each, through the algorithm's stacked search (its registry entry's
+``stack``).  Runs the caller names as sharing an objective are evaluated
+by one call on their stacked rows, across the loop's chunks; a serial
+grid uses it for the small-d runs of all four algorithms, each chunk
+under its algorithm's measured bound.
 """
 
 from __future__ import annotations
@@ -51,12 +54,13 @@ class ObjectiveError(RuntimeError):
 
     The message names the swarm row and shows at most its first three
     coordinates, so one line stays short at any dimension; ``position``
-    holds the whole row.
+    holds the whole row and ``row`` its index.
     """
 
     def __init__(self, position: np.ndarray, value: float, row: int):
         self.position = np.array(position, copy=True)
         self.value = value
+        self.row = row
         head = ", ".join(repr(v) for v in self.position[:3].tolist())
         more = ", ..." if self.position.size > 3 else ""
         super().__init__(
@@ -516,52 +520,94 @@ def _gwo(config: EngineConfig, space: SearchSpace, rng):
 
 
 # ---------------------------------------------------------------------------
-# lockstep: several runs of one algorithm over (R, n, d) stacks
+# lockstep: chunks of runs of one algorithm over (R, n, d) stacks
 # ---------------------------------------------------------------------------
 
-def drive_lockstep(configs, spaces, objectives, search) -> list:
-    """Run several seeded runs of one stacked ``search`` together; one
-    RunResult per run.
+class Chunk(NamedTuple):
+    """One algorithm's runs in a ``drive_lockstep`` loop.
 
-    Run r is ``configs[r]`` on ``spaces[r]`` with ``objectives[r]``, and
-    its result equals ``drive``'s with the algorithm's per-run search
-    bitwise in every field but ``wall_time``.  The configs differ only in
-    their seed, and the boxes share one dimension.  ``search(config,
-    spaces, rngs)`` is ``drive``'s search over (R, n, d) stacks, with one
-    rng per run (``make_rng`` of its seed) and ``configs[0]`` for the
-    shared fields.  Each run's objective is called through
-    ``evaluate_swarm`` on its own (n, d) rows; the clip (each box's
-    bounds repeated over its rows), best-so-far and curves run once over
-    the stack.  A run's ``wall_time`` is its own evaluation time plus an
-    equal share of the rest, so the runs sum to the call's wall time.
+    Run r is ``configs[r]`` on ``spaces[r]`` with ``objectives[r]``, its
+    algorithm's stacked ``search`` runs the chunk's stack, and
+    ``shares[r]`` names the objective where runs may share it: the runs of
+    a loop with one name are evaluated by one call of the first such run's
+    objective on their stacked rows, and None (every run, without
+    ``shares``) keeps the run's own calls.  Only an objective whose rows
+    are independent bit for bit, and the same for each run, may be shared.
+    The rows an objective is called on may be a view that the loop's next
+    iteration overwrites.
+    """
+
+    search: Callable
+    configs: list
+    spaces: list
+    objectives: list
+    shares: Optional[list] = None
+
+
+def drive_lockstep(chunks) -> list:
+    """Run the chunks' seeded runs together in one loop; one RunResult per
+    run, in chunk order, then run order.
+
+    Each run's result equals ``drive``'s with the algorithm's per-run
+    search bitwise in every field but ``wall_time``.  The configs differ
+    only in their algorithm (one per chunk) and seed, and the boxes share
+    one dimension.  A chunk's ``search(config, spaces, rngs)`` is
+    ``drive``'s search over its (R, n, d) stack, with one rng per run
+    (``make_rng`` of its seed) and its first config for the shared
+    fields.  It is sent views of the loop's swarm and value arrays, which
+    it reads only until it yields its next move.  The clip (each box's
+    bounds repeated over its rows) runs once over each stack, and the
+    best-so-far and curves once over the loop.  Each group of runs that
+    share an objective (see ``Chunk``) is evaluated through one
+    ``evaluate_swarm`` call on its stacked (k n, d) rows, every other run
+    through its own call on its (n, d) rows; a non-finite value raises
+    the ``ObjectiveError`` the run's own call gives.  A run's
+    ``wall_time`` is an equal share of its call's time plus an equal
+    share of the rest, so the runs sum to the loop's wall time.
     """
     start = time.perf_counter()
-    config, runs = configs[0], len(configs)
-    n, big_t, dim = config.pop_size, config.max_iter, spaces[0].dim
-    eval_s = [0.0] * runs
+    config, dim = chunks[0].configs[0], chunks[0].spaces[0].dim
+    n, big_t = config.pop_size, config.max_iter
+    # each chunk's swarms and values are a slice of the loop's arrays, so
+    # a move is clipped straight into them and a call of runs that sit
+    # together takes its rows as a view; a call across chunks takes a copy
+    calls, places = _calls(chunks)
+    runs = places[-1].stop
+    swarms = np.empty((runs, n, dim))
+    values = np.empty((runs, n))
+    stacks = [(swarms[at], values[at]) for at in places]
+    call_s = [0.0] * len(calls)
 
-    def evaluate(positions):
-        fitness = np.empty((runs, n))
-        for r, objective in enumerate(objectives):
+    def evaluate():
+        for j, (objective, at) in enumerate(calls):
             began = time.perf_counter()
-            fitness[r] = evaluate_swarm(objective, positions[r])
-            eval_s[r] += time.perf_counter() - began
-        return fitness
+            try:
+                values[at] = evaluate_swarm(
+                    objective, swarms[at].reshape(-1, dim)).reshape(-1, n)
+            except ObjectiveError as exc:  # the row of the run's own swarm
+                raise ObjectiveError(exc.position, exc.value,
+                                     exc.row % n) from None
+            call_s[j] += time.perf_counter() - began
 
-    steps = search(config, spaces, [make_rng(c.seed) for c in configs])
+    steps = [chunk.search(chunk.configs[0], chunk.spaces,
+                          [make_rng(c.seed) for c in chunk.configs])
+             for chunk in chunks]
     try:
-        pos = next(steps)
-        fit = evaluate(pos)
+        for step, (pos, _) in zip(steps, stacks):
+            pos[...] = next(step)
+        evaluate()
         best_position = np.empty((runs, dim))
         best_fitness = np.full(runs, np.inf)
-        _keep_best(best_position, best_fitness, pos, fit)
+        _keep_best(best_position, best_fitness, swarms, values)
 
         # the array-bound clip loop gives each box's own clip bytes, a
         # cube's scalar bounds included.  Bounds of the stack's full shape
         # ran chunks of mfo, nlcmfo and gwo 3-6% faster than (R, 1, d)
         # ones, whose inner loops are only d long
-        lower = _over_rows([s.lower for s in spaces], n)
-        upper = _over_rows([s.upper for s in spaces], n)
+        bounds = [(_over_rows([s.lower for s in chunk.spaces], n),
+                   _over_rows([s.upper for s in chunk.spaces], n))
+                  for chunk in chunks]
+        sends = list(zip(steps, stacks, bounds))
         convergence = np.empty((runs, big_t))
         mean_fitness = np.empty((runs, big_t))
         trajectory = np.empty((runs, big_t))
@@ -569,25 +615,53 @@ def drive_lockstep(configs, spaces, objectives, search) -> list:
                    else None)
 
         for i in range(big_t):
-            pos = steps.send((pos, fit)).clip(lower, upper)
-            fit = evaluate(pos)
-            _keep_best(best_position, best_fitness, pos, fit)
+            for step, stack, (lower, upper) in sends:
+                step.send(stack).clip(lower, upper, out=stack[0])
+            evaluate()
+            _keep_best(best_position, best_fitness, swarms, values)
             convergence[:, i] = best_fitness
-            mean_fitness[:, i] = np.add.reduce(fit, axis=1) / n
-            trajectory[:, i] = pos[:, 0, 0]
+            mean_fitness[:, i] = np.add.reduce(values, axis=1) / n
+            trajectory[:, i] = swarms[:, 0, 0]
             if history is not None:
-                history[:, i] = pos
+                history[:, i] = swarms
     finally:
-        steps.close()
+        for step in steps:
+            step.close()
 
-    share = (time.perf_counter() - start - sum(eval_s)) / runs
+    eval_s = np.zeros(runs)
+    for (_, at), spent in zip(calls, call_s):
+        eval_s[at] += spent / len(eval_s[at])
+    share = (time.perf_counter() - start - sum(call_s)) / runs
     return [RunResult(
         best_position=best_position[r], best_fitness=float(best_fitness[r]),
         convergence=convergence[r], mean_fitness=mean_fitness[r],
         trajectory=trajectory[r], evaluations=n * (big_t + 1),
-        wall_time=eval_s[r] + share,
+        wall_time=float(eval_s[r] + share),
         history=None if history is None else history[r])
         for r in range(runs)]
+
+
+def _calls(chunks):
+    """``drive_lockstep``'s objective calls, in the order of their first
+    run, as (objective, runs) with ``runs`` a slice of the loop's runs
+    where the call's runs sit together, else their index array; and each
+    chunk's slice of the loop's runs, which run in chunk order."""
+    groups: dict = {}
+    places, at = [], 0
+    for chunk in chunks:
+        shares = chunk.shares or [None] * len(chunk.configs)
+        for objective, name in zip(chunk.objectives, shares):
+            # a run without a name is a group of its own
+            key = object() if name is None else name
+            groups.setdefault(key, (objective, []))[1].append(at)
+            at += 1
+        places.append(slice(at - len(chunk.configs), at))
+    calls = []
+    for objective, runs in groups.values():
+        together = runs == list(range(runs[0], runs[-1] + 1))
+        calls.append((objective, slice(runs[0], runs[-1] + 1) if together
+                      else np.array(runs)))
+    return calls, places
 
 
 def _keep_best(best_pos, best_fit, pos, fit) -> None:

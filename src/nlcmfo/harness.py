@@ -29,8 +29,8 @@ import numpy as np
 
 from . import benchmarks, stochastic
 from .baselines import run_gwo, run_pso
-from .engine import (ALGORITHMS, EngineConfig, ObjectiveError, drive_lockstep,
-                     run, validate_config)
+from .engine import (ALGORITHMS, Chunk, EngineConfig, ObjectiveError,
+                     drive_lockstep, run, validate_config)
 from .stochastic import check_count
 
 TELEMETRY_LEVELS = ("summary", "curves", "full-history")
@@ -253,8 +253,20 @@ def _record(task, result) -> RunRecord:
 LOCKSTEP_MIN_RUNS = 3
 
 
+def _shared(fid: str):
+    """The name under which a lockstep loop's runs of ``fid`` share one
+    objective call: the id of a non-noisy built-in, whose body maps rows
+    independently bit for bit, else None (F7's noise stream is each run's
+    own, and a composite's rows need not be independent)."""
+    if fid in benchmarks.BUILTIN_IDS and not benchmarks.lookup(fid).noisy:
+        return fid
+    return None
+
+
 def _lockstep_chunks(tasks) -> list:
-    """The task indices a serial grid runs through ``drive_lockstep``.
+    """The lockstep loops a serial grid runs through ``drive_lockstep``,
+    each a list of chunks of task indices, in the order of their first
+    task.
 
     The tasks of which LOCKSTEP_MIN_RUNS runs fit in their algorithm's
     chunk bound are grouped by (algorithm, dimension), in task order.
@@ -262,34 +274,54 @@ def _lockstep_chunks(tasks) -> list:
     a chunk of fewer than LOCKSTEP_MIN_RUNS tasks stays per run.  Every
     bound keeps such a run's draw block below
     ``stochastic.AHEAD_MIN_VALUES``, so no chunk takes a run off its draw
-    thread.
+    thread.  The c-th chunks of a dimension's algorithms run as one loop,
+    which calls each shared objective (``_shared``) once per iteration,
+    unless one of them holds two runs of one shared objective: such a
+    chunk already shares by itself, and each of them runs alone.
     """
     groups: dict = {}
     for i, (_, space, _, config, _, _) in enumerate(tasks):
         bound = ALGORITHMS[config.algorithm].chunk_values
         if LOCKSTEP_MIN_RUNS * config.pop_size * space.dim <= bound:
             groups.setdefault((config.algorithm, space.dim), []).append(i)
-    chunks = []
+    together: dict = {}
     for (algorithm, dim), group in groups.items():
         size = ALGORITHMS[algorithm].chunk_values // (
             tasks[group[0]][3].pop_size * dim)
         count = -(-len(group) // size)
-        chunks += [chunk for chunk in (
+        chunks = [chunk for chunk in (
             group[c * len(group) // count:(c + 1) * len(group) // count]
             for c in range(count)) if len(chunk) >= LOCKSTEP_MIN_RUNS]
-    return chunks
+        for c, chunk in enumerate(chunks):
+            together.setdefault((dim, c), []).append(chunk)
+    loops = []
+    for chunks in together.values():
+        if any(_repeats_shared([tasks[i][0] for i in chunk])
+               for chunk in chunks):
+            loops += [[chunk] for chunk in chunks]
+        else:
+            loops.append(chunks)
+    return sorted(loops, key=lambda loop: loop[0][0])
 
 
-def _execute_chunk(tasks) -> list:
-    """Run a chunk of ``_lockstep_chunks`` together; if anything raises,
-    run its tasks one at a time, so the records are ``_execute_task``'s."""
-    configs = [task[3] for task in tasks]
+def _repeats_shared(fids) -> bool:
+    """Whether two of ``fids`` share one objective."""
+    names = [name for name in map(_shared, fids) if name is not None]
+    return len(set(names)) < len(names)
+
+
+def _execute_loop(chunks) -> list:
+    """Run a loop of ``_lockstep_chunks``, its chunks given as lists of
+    tasks; if anything raises, run all its tasks one at a time, so the
+    records are ``_execute_task``'s."""
+    tasks = [task for chunk in chunks for task in chunk]
     try:
-        objectives = [benchmarks.lookup(fid).objective(config.seed)
-                      for fid, _, _, config, _, _ in tasks]
-        results = drive_lockstep(configs, [task[1] for task in tasks],
-                                 objectives,
-                                 ALGORITHMS[configs[0].algorithm].stack)
+        results = drive_lockstep([Chunk(
+            ALGORITHMS[chunk[0][3].algorithm].stack,
+            [task[3] for task in chunk], [task[1] for task in chunk],
+            [benchmarks.lookup(fid).objective(config.seed)
+             for fid, _, _, config, _, _ in chunk],
+            [_shared(task[0]) for task in chunk]) for chunk in chunks])
     except Exception:
         return [_execute_task(task) for task in tasks]
     return [_record(task, result) for task, result in zip(tasks, results)]
@@ -331,13 +363,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     tasks = _validate(config)
     if config.workers == 1 or len(tasks) == 1:
-        # a chunk runs in its first task's place, so runs keep task order
-        chunks = {chunk[0]: chunk for chunk in _lockstep_chunks(tasks)}
+        # a loop runs in its first task's place, so runs keep task order
+        loops = {loop[0][0]: loop for loop in _lockstep_chunks(tasks)}
         records = [None] * len(tasks)
         for i, task in enumerate(tasks):
-            if i in chunks:
-                for c, rec in zip(chunks[i], _execute_chunk(
-                        [tasks[c] for c in chunks[i]])):
+            if i in loops:
+                loop = [[tasks[c] for c in chunk] for chunk in loops[i]]
+                for c, rec in zip([c for chunk in loops[i] for c in chunk],
+                                  _execute_loop(loop)):
                     records[c] = rec
             elif records[i] is None:
                 records[i] = _execute_task(task)
